@@ -236,11 +236,12 @@ def cmd_benchmark(args) -> tuple[dict, int]:
 # canonical
 
 
-def _check_channel(d: int, seed: int | None, trace_preserving: bool) -> Channel:
+def _check_channel(dims: tuple[int, int], seed: int | None, trace_preserving: bool) -> Channel:
+    """Random check channel with Kraus shape ``dims`` = (d_out, d_in), with
+    enough Kraus operators for sum K†K to be invertible on d_in."""
     rng = np.random.default_rng(7 if seed is None else seed)
-    kraus = [
-        rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)
-    ]
+    count = max(2, -(-dims[1] // dims[0]))
+    kraus = [rng.normal(size=dims) + 1j * rng.normal(size=dims) for _ in range(count)]
     total = sum(k.conj().T @ k for k in kraus)
     if trace_preserving:
         w, v = np.linalg.eigh(total)
@@ -260,7 +261,7 @@ def cmd_canonical(args) -> tuple[dict, int]:
         test = det_test_from_json(_load_json(args.test))
         omega = performance_operator(test)
         recipe = canonical_det_test(omega)
-        channel = _check_channel(omega.dims[1], args.seed, trace_preserving=True)
+        channel = _check_channel(omega.dims, args.seed, trace_preserving=True)
         direct = score_det_direct(test, channel)
         via, p = score_recipe(recipe, channel)
         check = {
@@ -276,7 +277,7 @@ def cmd_canonical(args) -> tuple[dict, int]:
             test = prob_test_from_json(data)
             omega = test.omega
             recipe = canonical_prob_test(test)
-            channel = _check_channel(omega.dims[1], args.seed, trace_preserving=False)
+            channel = _check_channel(omega.dims, args.seed, trace_preserving=False)
             s0, p0 = score_prob(test, channel)
             s1, p1 = score_recipe(recipe, channel)
             check = {

@@ -32,8 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
 from .linalg import Operator, PureState
@@ -45,6 +44,7 @@ ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
 DENSITY_ROUTE_THRESHOLD = 4  # switch once vectors outnumber 4 * n_max**2
+NOISE_KRAUS_CHUNK = 64  # Kraus operators per transfer-matrix GEMM
 STAGE_DECAY_TOL = 1e-9  # tanh(θ)^(2 n_max) past this, truncated stages lie
 
 
@@ -162,17 +162,18 @@ def _raw_coherent(alpha: complex, n_max: int) -> np.ndarray:
 
 def coherent_tail(alpha: complex, n_max: int) -> float:
     """Probability mass of ``|alpha>`` above the kept levels."""
-    return float(poisson.sf(n_max - 1, abs(alpha) ** 2))
+    return float(pdtrc(n_max - 1, abs(alpha) ** 2))
 
 
 def suggest_cutoff(alpha_max: float, tail_tol: float) -> int:
-    """Smallest n_max keeping a coherent state of amplitude ``alpha_max``."""
-    if alpha_max == 0:
-        return 2
-    n = max(2, int(poisson.isf(tail_tol, alpha_max**2)) + 1)
-    while coherent_tail(alpha_max, n) > tail_tol:
-        n += 1
-    return n
+    """Smallest n_max ≥ 2 whose coherent tail at ``alpha_max`` is ≤ ``tail_tol``."""
+    lo, hi = 1, 2  # doubling, then bisection: the answer lies in (lo, hi]
+    while coherent_tail(alpha_max, hi) > tail_tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if coherent_tail(alpha_max, mid) > tail_tol else (lo, mid)
+    return hi
 
 
 def coherent_state(alpha: complex, cutoff: FockCutoff) -> PureState:
@@ -508,17 +509,17 @@ def additive_noise_channel(
     if angular % 2:
         raise ContractError("angular node count must be even (adjoint closure)")
     radial_nodes, radial_weights = laggauss(radial)
+    # D(r e^{iφ}) = R(φ) D(r) R(φ)† with R(φ) = diag(e^{inφ}): each angle only
+    # rephases the matrix elements of one radial displacement
+    phases = np.exp(2j * np.pi * np.outer(np.arange(angular), np.arange(cutoff.n_max)) / angular)
     kraus = []
     for u, w in zip(radial_nodes, radial_weights):
-        r = math.sqrt(u / nu)
-        for m in range(angular):
-            delta = r * np.exp(2j * np.pi * m / angular)
-            kraus.append(math.sqrt(w / angular) * displacement_operator(delta, cutoff.n_max))
+        d_r = math.sqrt(w / angular) * displacement_operator(math.sqrt(u / nu), cutoff.n_max)
+        kraus.extend(ph[:, None] * d_r * ph.conj()[None, :] for ph in phases)
     total = sum(k.conj().T @ k for k in kraus)
     top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))).real)
     if top > 1.0:
-        fix = 1.0 / math.sqrt(top)
-        kraus = [fix * k for k in kraus]
+        kraus = [k / math.sqrt(top) for k in kraus]
         total = total / top
     deficit = 1.0 - np.diag(total).real
     # the deficit is pure displacement truncation (each D is exact on the kept
@@ -737,18 +738,31 @@ def _expand_noise(
     return np.einsum("jam,kmr->jkar", stack, vectors).reshape(-1, n_max, n_max)
 
 
-def _noise_density(rho4: np.ndarray, noise: Channel, n_max: int) -> np.ndarray:
-    out = np.zeros_like(rho4)
-    flat = rho4.reshape(n_max, -1)
-    for k in noise.kraus:
-        left = (k @ flat).reshape(n_max, n_max, n_max, n_max)
-        swapped = np.moveaxis(left, 2, 0).reshape(n_max, -1)
-        right = (k.conj() @ swapped).reshape(n_max, n_max, n_max, n_max)
-        out += np.moveaxis(right, 0, 2)
-    return out
+def _density(vectors: np.ndarray) -> np.ndarray:
+    """Σ_k |v_k⟩⟨v_k| over ``vectors[k, a, r]``, indexed [(a, r), (b, s)]."""
+    flat = vectors.reshape(vectors.shape[0], -1)
+    return flat.T @ flat.conj()
 
 
-@lru_cache(maxsize=4)
+def _noise_density(rho: np.ndarray, noise: Channel, n_max: int) -> np.ndarray:
+    """``(noise ⊗ I)(rho)``; ``rho`` and the result are indexed [(a, r), (b, s)]
+    (mode-a ket, reference ket, mode-a bra, reference bra).
+
+    The transfer matrix ``T[(x, y), (a, b)] = Σ_k K_k[x, a] conj(K_k[y, b])``
+    is accumulated in [(x, a), (y, b)] order by one GEMM per Kraus chunk and
+    applied by one (n², n²) GEMM to ``rho`` regrouped as [(a, b), (r, s)].
+    """
+    n2 = n_max * n_max
+    transfer = np.zeros((n2, n2), dtype=complex)
+    for start in range(0, len(noise.kraus), NOISE_KRAUS_CHUNK):
+        rows = np.stack(noise.kraus[start : start + NOISE_KRAUS_CHUNK]).reshape(-1, n2)
+        transfer += rows.T @ rows.conj()
+    transfer = transfer.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
+    out = transfer @ rho.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
+    return out.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
+
+
+@lru_cache(maxsize=1)  # reused across the devices of one scenario only
 def _pair_observable_matrix(c: float, n_max: int) -> np.ndarray:
     return scaled_pair_observable(c, FockCutoff(n_max)).matrix
 
@@ -773,13 +787,9 @@ def _score_vectors(
     n_max = cutoff.n_max
     flat = vectors.reshape(vectors.shape[0], -1).T  # columns are state vectors
     if setup.branch == "conjugation":
-        u_bs = beamsplitter(setup.bs_t, cutoff)
-        total = 0.0
-        for start in range(0, flat.shape[1], 512):
-            chunk = u_bs.matrix @ flat[:, start : start + 512]
-            block = chunk.reshape(n_max, n_max, -1)
-            total += float(np.sum(np.abs(block[:, 0, :]) ** 2))
-        return total
+        # the no-click readout sees only the n_max rows ⟨a, 0| BS
+        rows = beamsplitter(setup.bs_t, cutoff).matrix[::n_max]
+        return float(np.sum(np.abs(rows @ flat) ** 2))
     if not _stage_route_ok(setup, n_max):
         # exact pair observable instead (norm ≤ 1, error ~ input leak only);
         # it already carries the branch weight, so pre-divide it back out
@@ -802,24 +812,21 @@ def _score_vectors(
     return total
 
 
-def _score_density(setup: CvSetup, rho4: np.ndarray, cutoff: FockCutoff) -> float:
+def _score_density(setup: CvSetup, rho: np.ndarray, cutoff: FockCutoff) -> float:
+    """Raw expectation on a density matrix indexed [(a, r), (b, s)]."""
     n_max = cutoff.n_max
-    rho2 = rho4.reshape(n_max * n_max, n_max * n_max)
     if setup.branch == "conjugation":
-        u_bs = beamsplitter(setup.bs_t, cutoff).matrix
-        evolved = u_bs @ rho2 @ u_bs.conj().T
-        t4 = evolved.reshape(n_max, n_max, n_max, n_max)
-        return float(np.trace(t4[:, 0, :, 0]).real)
+        rows = beamsplitter(setup.bs_t, cutoff).matrix[::n_max]  # ⟨a, 0| BS
+        return float(np.sum((rows @ rho) * rows.conj()).real)
     if not _stage_route_ok(setup, n_max):
         w = _pair_observable_matrix(_setup_scale(setup), n_max)
-        return float(np.einsum("ij,ji->", rho2, w).real) / setup.weight
+        return float(np.einsum("ij,ji->", rho, w).real) / setup.weight
     s_mat = two_mode_squeezer(setup.theta, cutoff).matrix
-    evolved = s_mat @ rho2 @ s_mat.conj().T
-    t4 = evolved.reshape(n_max, n_max, n_max, n_max)
+    # diagonal of S ρ S† only: the Gaussian observable is diagonal
+    diag = np.einsum("ij,ij->i", s_mat @ rho, s_mat.conj()).real.reshape(n_max, n_max)
     g_diag = np.tanh(setup.theta) ** (2.0 * np.arange(n_max))
-    if setup.g_port == 0:
-        return float(np.einsum("arar,a->", t4, g_diag).real)
-    return float(np.einsum("arar,r->", t4, g_diag).real)
+    per_level = diag.sum(axis=1) if setup.g_port == 0 else diag.sum(axis=0)
+    return float(g_diag @ per_level)
 
 
 def run_setup(
@@ -856,20 +863,19 @@ def run_setup(
             f"success probability {p_succ:.3e} below threshold {p_min:.0e}"
         )
     nu = setup.params.nu
-    rho4 = None
+    rho = None
     if math.isfinite(nu):
         if noise is None:
             noise = additive_noise_channel(nu, cutoff)
         expanded = _expand_noise(vectors, noise, n_max)
         if expanded is None:
-            rho4 = np.einsum("kar,kbs->arbs", vectors, vectors.conj())
-            rho4 = _noise_density(rho4, noise, n_max)
+            rho = _noise_density(_density(vectors), noise, n_max)
         else:
             vectors = expanded
-    if rho4 is None and vectors.shape[0] > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
-        rho4 = np.einsum("kar,kbs->arbs", vectors, vectors.conj())
-    if rho4 is not None:
-        raw = _score_density(setup, rho4, cutoff)
+    if rho is None and vectors.shape[0] > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
+        rho = _density(vectors)
+    if rho is not None:
+        raw = _score_density(setup, rho, cutoff)
     else:
         raw = _score_vectors(setup, vectors, cutoff)
     return setup.weight * raw / p_succ, p_succ

@@ -197,15 +197,6 @@ def permute_systems(m: Operator, perm: Sequence[int]) -> Operator:
     return Operator(out, tuple(m.dims[p] for p in perm))
 
 
-def permute_vector(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder subsystems of a raw state vector."""
-    dims = tuple(dims)
-    perm = _check_indices(perm, len(dims), "perm")
-    if len(perm) != len(dims):
-        raise DimensionError(f"perm {perm} must cover all {len(dims)} subsystems")
-    return vec.reshape(dims).transpose(perm).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # spectral operations
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -22,6 +23,11 @@ def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.startswith("{") else None
     return code, payload, captured.err
+
+
+def _gram(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g @ g.conj().T
 
 
 def strip_timestamp(text: str) -> str:
@@ -147,6 +153,33 @@ class TestCanonicalCommand:
         assert out["round_trip_residual"] < 1e-9
         assert abs(out["check"]["score_original"] - out["check"]["score_recipe"]) < 1e-9
 
+    @pytest.mark.parametrize("d_out, d_in", [(2, 3), (3, 2)])
+    def test_det_test_unequal_dims(self, capsys, tmp_path, d_out, d_in):
+        # the check channel has to map the input dimension to the output one
+        rng = np.random.default_rng(2)
+        m = sum(np.kron(_gram(rng, d_out), _gram(rng, d_in)) for _ in range(3))
+        omega = Operator(m / np.trace(m).real, (d_out, d_in))
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(det_test_to_json(canonical_det_test(omega).as_det_test())))
+        code, out, _ = run_cli(capsys, "canonical", "--test", str(path))
+        assert code == 0
+        assert out["round_trip_residual"] < 1e-9
+        assert out["check"]["deviation"] < 1e-9
+
+    def test_prob_test_unequal_dims(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        omega, sigma = _gram(rng, 8), _gram(rng, 4)
+        data = {
+            "omega": operator_to_json(Operator(omega / np.trace(omega).real, (2, 4))),
+            "sigma_A": operator_to_json(Operator(sigma / np.trace(sigma).real, (4,))),
+        }
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "canonical", "--omega", str(path))
+        assert code == 0
+        assert out["round_trip_residual"] < 1e-9
+        assert out["check"]["deviation"] < 1e-9
+
     def test_bare_operator(self, capsys, tmp_path):
         path = tmp_path / "omega.json"
         path.write_text(json.dumps(operator_to_json(teleport_test(2).omega)))
@@ -249,8 +282,14 @@ class TestEnvironment:
             "import os; os.environ['QBENCH_THREADS'] = '3'; import qbench.cli; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
         )
+        # a cap or thread variable inherited from the calling shell would win
+        env = {
+            key: value for key, value in os.environ.items()
+            if key != "QBENCH_THREADS" and not key.endswith("_NUM_THREADS")
+        }
         res = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=env,
         )
         assert res.stdout.split() == ["3", "3"]
 

@@ -11,6 +11,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
 from qbench.cv import (
+    NOISE_KRAUS_CHUNK,
     AnalyticDevice,
     CvParams,
     CvSetup,
@@ -39,6 +40,10 @@ from qbench.cv import (
     tmsv,
     two_mode_squeezer,
     vacuum_device,
+    _density,
+    _noise_density,
+    _score_density,
+    _score_vectors,
 )
 from qbench.errors import (
     ContractError,
@@ -380,6 +385,80 @@ class TestNoiseChannel:
     def test_odd_angular_count_rejected(self):
         with pytest.raises(ContractError):
             additive_noise_channel(2.0, _cutoff(10), angular=7)
+
+
+class TestNoiseTransferMatrix:
+    def test_transfer_matrix_matches_kraus_loop(self):
+        # more Kraus operators than one GEMM chunk, so chunks accumulate
+        n = 6
+        rng = np.random.default_rng(17)
+        ks = rng.normal(size=(NOISE_KRAUS_CHUNK + 9, n, n)) + 1j * rng.normal(
+            size=(NOISE_KRAUS_CHUNK + 9, n, n)
+        )
+        ks /= math.sqrt(np.max(np.linalg.eigvalsh(np.einsum("kxa,kxb->ab", ks.conj(), ks))))
+        noise = Channel(list(ks), trace_preserving=False)
+        g = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        ref = sum(
+            np.kron(k, np.eye(n)) @ rho @ np.kron(k, np.eye(n)).conj().T for k in ks
+        )
+        assert np.max(np.abs(_noise_density(rho, noise, n) - ref)) < 1e-12
+
+    def test_phase_rotated_kraus_match_displacements(self):
+        nu, n, radial, angular = 2.0, 20, 12, 44
+        ch = additive_noise_channel(nu, _cutoff(n), radial, angular)
+        nodes, weights = laggauss(radial)
+        ref = [
+            math.sqrt(w / angular)
+            * displacement_operator(math.sqrt(u / nu) * np.exp(2j * np.pi * m / angular), n)
+            for u, w in zip(nodes, weights)
+            for m in range(angular)
+        ]
+        total = sum(k.conj().T @ k for k in ref)
+        top = max(1.0, float(np.max(np.linalg.eigvalsh(total))))
+        assert len(ch.kraus) == len(ref)
+        for k, r in zip(ch.kraus, ref):
+            assert np.max(np.abs(k - r / math.sqrt(top))) < 1e-12
+        assert np.max(np.abs(ch.deficit - (1.0 - np.diag(total).real / top))) < 1e-12
+
+    def test_conjugation_rows_match_full_beamsplitter(self):
+        n = 8
+        cut = _cutoff(n, 1e-2)
+        setup = build_setup(CvParams(g=1.0, lam=4.0, mu=5.0, conjugate=True), cut)
+        rng = np.random.default_rng(23)
+        g = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        rho = g @ g.conj().T
+        u = beamsplitter(setup.bs_t, cut).matrix
+        full = (u @ rho @ u.conj().T).reshape(n, n, n, n)
+        assert abs(_score_density(setup, rho, cut) - np.trace(full[:, 0, :, 0]).real) < 1e-10
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            CvParams(g=1.0, lam=4.0, mu=5.0),
+            CvParams(g=1.0, lam=4.0, mu=5.0, conjugate=True),
+            CvParams(g=2.5, lam=1.0),
+            CvParams(g=1.3, lam=1.0),
+        ],
+    )
+    def test_density_and_vector_routes_agree(self, params):
+        cut = _cutoff(30, 1e-6)
+        setup = build_setup(params, cut)
+        rng = np.random.default_rng(29)
+        vectors = rng.normal(size=(5, 30, 30)) + 1j * rng.normal(size=(5, 30, 30))
+        vectors *= np.sqrt(0.2) ** np.arange(30)[None, :, None]
+        vectors *= np.sqrt(0.2) ** np.arange(30)[None, None, :]
+        via_vectors = _score_vectors(setup, vectors, cut)
+        via_density = _score_density(setup, _density(vectors), cut)
+        assert abs(via_vectors - via_density) < 1e-12 * max(1.0, abs(via_vectors))
+
+    def test_noisy_conjugation_reference_value(self):
+        # attenuator:0.8 --conjugate --mu 2 at n_max 40, g = lam = 1
+        setup = build_setup(CvParams(g=1.0, lam=1.0, mu=2.0, conjugate=True), FockCutoff(40))
+        device = attenuator_device(0.8).materialize(setup.cutoff)
+        score, _ = run_setup(setup, device)
+        assert abs(score - 0.37688917655065574) < 1e-10
 
 
 class TestAnalyticDevices:
