@@ -21,13 +21,19 @@ identity is ``W_c = S_θ† (G_θ ⊗ I) S_θ`` at ``tanh θ = c`` for ``c < 1``
 where the ``c⁻²`` Jacobian comes from rescaling the integration variable.
 ``S_θ = exp[θ(ab − a†b†)]`` is fixed by the displacement covariance
 ``S_θ (D(α)⊗D(β)) S_θ† = D(α cosh θ − β̄ sinh θ) ⊗ D(β cosh θ − ᾱ sinh θ)``.
+
+Sector storage.  The squeezer and W_c conserve the photon-number difference
+p − q, the beamsplitter and the plain-reference pair observable the total
+p + q, so each is stored as one dense block per sector (U(1)
+charge-conserving block storage) and the readout is scored sector by
+sector; W_c is filled from its exact closed form rather than by quadrature.
+Dense n_max² × n_max² views exist only for callers that want the matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -131,7 +137,9 @@ class CvSetup:
     ``bs_t`` the beamsplitter transmissivity of the conjugation branch,
     ``g_port`` the mode index (0 = device output, 1 = reference) carrying
     the Gaussian observable, and ``weight`` the scalar multiplying the raw
-    expectation value.
+    expectation value.  ``pair_route`` is set when the squeezer angle is too
+    steep for the cutoff and the exact pair observable is read out instead
+    of the squeezer and Gaussian observable.
     """
 
     params: CvParams
@@ -142,6 +150,7 @@ class CvSetup:
     theta: float | None = None
     g_port: int | None = None
     bs_t: float | None = None
+    pair_route: bool = False
     stages: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -286,110 +295,50 @@ def _tmsv_diagonal(x: float, cutoff: FockCutoff) -> np.ndarray:
 # Gaussian stage unitaries
 
 
-@dataclass(frozen=True)
-class TruncatedUnitary(Operator):
-    """An Operator that is exactly unitary on the kept block, carrying a
-    ``quality`` figure: the largest element change when the same generator
-    is exponentiated ten levels higher.  Small quality means the kept block
-    faithfully represents the untruncated operator."""
-
-    quality: float = 0.0
-
-    def __init__(self, matrix, dims, quality: float):
-        super().__init__(matrix, dims)
-        object.__setattr__(self, "quality", float(quality))
+def _sectors(n_max: int, conserved: str) -> list[np.ndarray]:
+    """Flat indices ``p * n_max + q`` of each sector on which the photon-number
+    ``difference`` p − q or ``total`` p + q is fixed, by ascending charge;
+    each sector is ordered by ascending p."""
+    p, q = np.divmod(np.arange(n_max * n_max), n_max)
+    charge = p - q if conserved == "difference" else p + q
+    return [np.flatnonzero(charge == value) for value in np.unique(charge)]
 
 
-def _sector_exponential(sectors, coupling, theta: float) -> dict[int, np.ndarray]:
-    """exp(theta * (L - L†)) per sector, L acting as the lowering ladder with
-    the given coupling along each sector's ordered basis."""
-    blocks: dict[int, np.ndarray] = {}
-    for key, basis in sectors.items():
-        size = len(basis)
-        if size == 1:
-            blocks[key] = np.ones((1, 1), dtype=complex)
-            continue
-        low = np.zeros((size, size))
-        for i in range(1, size):
-            low[i - 1, i] = coupling(basis[i])
-        gen = theta * (low - low.T)
-        herm = 1j * gen
-        w, v = np.linalg.eigh(herm)
-        blocks[key] = (v * np.exp(-1j * w)) @ v.conj().T
-    return blocks
+def _sector_exponential(coupling: np.ndarray, theta: float) -> np.ndarray:
+    """exp(theta * (L - L†)) on one sector, L the lowering ladder whose
+    ``coupling[i]`` links basis state i to state i - 1."""
+    low = np.diag(coupling[1:], k=1)
+    w, v = np.linalg.eigh(1j * theta * (low - low.T))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _assemble(n_max: int, sectors, blocks) -> np.ndarray:
-    u = np.zeros((n_max * n_max, n_max * n_max), dtype=complex)
-    for key, basis in sectors.items():
-        idx = [a * n_max + b for a, b in basis]
-        u[np.ix_(idx, idx)] = blocks[key]
-    return u
+def _two_mode_blocks(angle: float, n_max: int, kind: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``[(flat_idx, block)]`` per conserved sector of the two-mode squeezer
+    (difference sectors) or the beamsplitter (total sectors, sector ``a``
+    holding p + q = a)."""
+    out = []
+    for idx in _sectors(n_max, "difference" if kind == "squeezer" else "total"):
+        p, q = np.divmod(idx, n_max)
+        if kind == "squeezer":
+            # descent direction is ab: (p, q) -> (p-1, q-1), coefficient sqrt(pq)
+            block = _sector_exponential(np.sqrt(p * q), angle)
+        else:
+            # descent direction is ab†: (p, q) -> (p-1, q+1); the generator wants
+            # the raising combination a†b - ab†, hence the negated angle
+            block = _sector_exponential(np.sqrt(p * (q + 1)), -angle)
+        out.append((idx, block))
+    return out
 
 
-def _squeezer_sectors(n_max: int):
-    """Photon-number *difference* is conserved: sectors {(p, p-d)}."""
-    sectors = {}
-    for d in range(-(n_max - 1), n_max):
-        basis = [(p, p - d) for p in range(max(d, 0), n_max) if 0 <= p - d < n_max]
-        sectors[d] = basis
-    return sectors
+def _assemble(n_max: int, blocks) -> np.ndarray:
+    """Dense n_max² × n_max² matrix of a sector-blocked operator."""
+    mat = np.zeros((n_max * n_max, n_max * n_max), dtype=complex)
+    for idx, block in blocks:
+        mat[np.ix_(idx, idx)] = block
+    return mat
 
 
-def _beamsplitter_sectors(n_max: int):
-    """Total photon number is conserved: sectors {(p, N-p)}."""
-    sectors = {}
-    for total in range(2 * n_max - 1):
-        basis = [
-            (p, total - p) for p in range(n_max) if 0 <= total - p < n_max
-        ]
-        sectors[total] = basis
-    return sectors
-
-
-def _two_mode_exponential(theta: float, cutoff: FockCutoff, kind: str) -> TruncatedUnitary:
-    n_max = cutoff.n_max
-    if kind == "squeezer":
-        # descent direction is ab: (p, q) -> (p-1, q-1), coefficient sqrt(pq)
-        sector_fn, coupling, angle = (
-            _squeezer_sectors,
-            lambda pq: math.sqrt(pq[0] * pq[1]),
-            theta,
-        )
-    else:
-        # descent direction is ab†: (p, q) -> (p-1, q+1); the generator wants
-        # the raising combination a†b - ab†, hence the negated angle
-        sector_fn, coupling, angle = (
-            _beamsplitter_sectors,
-            lambda pq: math.sqrt(pq[0] * (pq[1] + 1)),
-            -theta,
-        )
-    sectors = sector_fn(n_max)
-    blocks = _sector_exponential(sectors, coupling, angle)
-    # truncation-consistency quality: rebuild ten levels higher and compare
-    # matrix elements between states in the lower quarter-block.  Boundary
-    # rows of a truncated exponential are always wrong, and a squeezer's
-    # image of level n is centered near n·cosh²θ, so faithfulness can only
-    # be claimed well below the cutoff; quality measures that claim.
-    wide_sectors = sector_fn(n_max + 10)
-    quality = 0.0
-    wide_blocks = _sector_exponential(wide_sectors, coupling, angle)
-    for key, basis in sectors.items():
-        interior = [
-            i for i, (p, q) in enumerate(basis) if max(p, q) <= n_max // 4
-        ]
-        if not interior:
-            continue
-        pos = {pair: i for i, pair in enumerate(wide_sectors[key])}
-        sel = [pos[basis[i]] for i in interior]
-        sub = wide_blocks[key][np.ix_(sel, sel)]
-        kept = blocks[key][np.ix_(interior, interior)]
-        quality = max(quality, float(np.max(np.abs(sub - kept))))
-    mat = _assemble(n_max, sectors, blocks)
-    return TruncatedUnitary(mat, (n_max, n_max), quality)
-
-
-def two_mode_squeezer(theta: float, cutoff: FockCutoff) -> TruncatedUnitary:
+def two_mode_squeezer(theta: float, cutoff: FockCutoff) -> Operator:
     """exp[theta (ab - a†b†)] on the truncated two-mode space.
 
     The generator annihilates photon-number difference, so the exponential
@@ -398,10 +347,12 @@ def two_mode_squeezer(theta: float, cutoff: FockCutoff) -> TruncatedUnitary:
     module docstring; its inverse maps |0,0> to the positive-amplitude
     two-mode squeezed vacuum with x = tanh²θ.
     """
-    return _two_mode_exponential(float(theta), cutoff, "squeezer")
+    n_max = cutoff.n_max
+    blocks = _two_mode_blocks(float(theta), n_max, "squeezer")
+    return Operator(_assemble(n_max, blocks), (n_max, n_max))
 
 
-def beamsplitter(t: float, cutoff: FockCutoff) -> TruncatedUnitary:
+def beamsplitter(t: float, cutoff: FockCutoff) -> Operator:
     """Number-conserving beamsplitter with transmissivity ``t``.
 
     Realized as exp[phi (a†b - ab†)] with cos(phi) = sqrt(t); on coherent
@@ -410,8 +361,9 @@ def beamsplitter(t: float, cutoff: FockCutoff) -> TruncatedUnitary:
     """
     if not (0 <= t <= 1):
         raise ContractError(f"transmissivity must lie in [0, 1], got {t}")
-    phi = math.acos(math.sqrt(t))
-    return _two_mode_exponential(phi, cutoff, "beamsplitter")
+    n_max = cutoff.n_max
+    blocks = _two_mode_blocks(math.acos(math.sqrt(t)), n_max, "beamsplitter")
+    return Operator(_assemble(n_max, blocks), (n_max, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -431,44 +383,39 @@ def heterodyne_weight(gamma, theta: float):
     return np.tanh(theta) ** (-2.0) * np.exp(-g2 / math.sinh(theta) ** 2)
 
 
+def _pair_blocks(
+    c: float, n_max: int, conjugate_reference: bool
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``[(flat_idx, block)]`` of the pair observable, from its closed form
+    ``W[(p,q),(p',q')] = c^{p+p'} k! / (s^{k+1} √(p! q! p'! q'!))``, s = 1 + c².
+
+    With the conjugate reference ``k = p + q'`` and W conserves p − q; with
+    the plain reference ``k = p + q`` and W conserves p + q.
+    """
+    log_fact = gammaln(np.arange(2 * n_max) + 1.0)
+    log_s = math.log1p(c * c)
+    out = []
+    for idx in _sectors(n_max, "difference" if conjugate_reference else "total"):
+        p, q = np.divmod(idx, n_max)
+        half = p * math.log(c) - 0.5 * (log_fact[p] + log_fact[q])
+        k = p[:, None] + (q[None, :] if conjugate_reference else q[:, None])
+        log_w = half[:, None] + half[None, :] + log_fact[k] - (k + 1) * log_s
+        out.append((idx, np.exp(log_w)))
+    return out
+
+
 def scaled_pair_observable(
     c: float, cutoff: FockCutoff, conjugate_reference: bool = True
 ) -> Operator:
-    """Quadrature build of W_c = ∫ d²γ/π |cγ⟩⟨cγ| ⊗ |γ*⟩⟨γ*| (fidelity form)
-    or of its plain-reference variant ∫ d²γ/π |cγ⟩⟨cγ| ⊗ |γ⟩⟨γ| used by the
-    conjugation test.
-
-    Gauss–Laguerre handles the radial factor e^{-(1+c²)r²} exactly for the
-    polynomial integrand; a uniform angular rule with more points than the
-    highest surviving harmonic is exact as well, so the only error left is
-    roundoff.
+    """W_c = ∫ d²γ/π |cγ⟩⟨cγ| ⊗ |γ*⟩⟨γ*| (fidelity form), or its
+    plain-reference variant ∫ d²γ/π |cγ⟩⟨cγ| ⊗ |γ⟩⟨γ| used by the
+    conjugation test, assembled densely from its exact sector blocks.
     """
     if c <= 0:
         raise ContractError(f"scale must be positive, got {c}")
     n_max = cutoff.n_max
-    scale = 1.0 + c * c
-    radial, weights = laggauss(n_max + 8)
-    m_ang = 2 * n_max + 4
-    phis = 2.0 * np.pi * np.arange(m_ang) / m_ang
-    phase = np.exp(1j * phis)
-    out = np.zeros((n_max * n_max, n_max * n_max), dtype=complex)
-    n = np.arange(n_max)
-    log_fact = 0.5 * gammaln(n + 1.0)
-    for u, w in zip(radial, weights):
-        r = math.sqrt(u / scale)
-        # raw polynomial coherent columns; the Gaussian e^{-u} they would
-        # carry is supplied exactly by the Laguerre weight instead
-        mag_a = np.exp(n * math.log(max(c * r, 1e-300)) - log_fact)
-        mag_b = np.exp(n * math.log(max(r, 1e-300)) - log_fact)
-        ang = phase[None, :] ** n[:, None]
-        amp_a = mag_a[:, None] * ang
-        ref = ang.conj() if conjugate_reference else ang
-        amp_b = mag_b[:, None] * ref
-        cols = np.einsum("aj,bj->abj", amp_a, amp_b).reshape(n_max * n_max, m_ang)
-        cols *= math.sqrt(w / (scale * m_ang))
-        out += cols @ cols.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return Operator(out, (n_max, n_max))
+    blocks = _pair_blocks(c, n_max, conjugate_reference)
+    return Operator(_assemble(n_max, blocks), (n_max, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +459,16 @@ def additive_noise_channel(
     # D(r e^{iφ}) = R(φ) D(r) R(φ)† with R(φ) = diag(e^{inφ}): each angle only
     # rephases the matrix elements of one radial displacement
     phases = np.exp(2j * np.pi * np.outer(np.arange(angular), np.arange(cutoff.n_max)) / angular)
+    # the angles then sum Σ_φ R D† D R† to ``angular`` times D† D masked to the
+    # elements whose level difference the angular rule does not cancel
+    levels = np.arange(cutoff.n_max)
+    mask = (levels[:, None] - levels[None, :]) % angular == 0
     kraus = []
+    total = np.zeros((cutoff.n_max, cutoff.n_max), dtype=complex)
     for u, w in zip(radial_nodes, radial_weights):
         d_r = math.sqrt(w / angular) * displacement_operator(math.sqrt(u / nu), cutoff.n_max)
         kraus.extend(ph[:, None] * d_r * ph.conj()[None, :] for ph in phases)
-    total = sum(k.conj().T @ k for k in kraus)
+        total += angular * np.where(mask, d_r.conj().T @ d_r, 0.0)
     top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))).real)
     if top > 1.0:
         kraus = [k / math.sqrt(top) for k in kraus]
@@ -712,8 +664,12 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         c = params.g / math.sqrt(params.lam + 1.0)
         branch = "pure_low_gain" if params.g**2 <= params.lam + 1.0 else "pure_high_gain"
     theta, port, weight = _fidelity_reduction(c)
-    stages.append(f"squeezer(theta={theta:.6f})")
-    stages.append(f"gaussian_observable(port={'output' if port == 0 else 'reference'})")
+    pair_route = not _stage_route_ok(theta, cutoff.n_max)
+    if pair_route:
+        stages.append(f"pair_observable(c={c:.6f})")
+    else:
+        stages.append(f"squeezer(theta={theta:.6f})")
+        stages.append(f"gaussian_observable(port={'output' if port == 0 else 'reference'})")
     return CvSetup(
         params=params,
         cutoff=cutoff,
@@ -722,6 +678,7 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         weight=weight,
         theta=theta,
         g_port=port,
+        pair_route=pair_route,
         stages=tuple(stages),
     )
 
@@ -734,8 +691,11 @@ def _expand_noise(
     count = vectors.shape[0] * len(noise.kraus)
     if count > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
         return None
-    stack = np.stack(noise.kraus)
-    return np.einsum("jam,kmr->jkar", stack, vectors).reshape(-1, n_max, n_max)
+    jobs = len(noise.kraus)
+    stack = np.stack(noise.kraus).reshape(jobs * n_max, n_max)  # [(j, a), m]
+    cols = vectors.transpose(1, 0, 2).reshape(n_max, -1)  # [m, (k, r)]
+    out = (stack @ cols).reshape(jobs, n_max, -1, n_max)  # [j, a, k, r]
+    return out.transpose(0, 2, 1, 3).reshape(-1, n_max, n_max)
 
 
 def _density(vectors: np.ndarray) -> np.ndarray:
@@ -762,71 +722,53 @@ def _noise_density(rho: np.ndarray, noise: Channel, n_max: int) -> np.ndarray:
     return out.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
 
 
-@lru_cache(maxsize=1)  # reused across the devices of one scenario only
-def _pair_observable_matrix(c: float, n_max: int) -> np.ndarray:
-    return scaled_pair_observable(c, FockCutoff(n_max)).matrix
-
-
-def _stage_route_ok(setup: CvSetup, n_max: int) -> bool:
+def _stage_route_ok(theta: float, n_max: int) -> bool:
     """The truncated squeezer tells the truth only while the Gaussian
     observable has decayed away well inside the cutoff; past that the
     spill-over of squeezed high levels is weighted at O(1)."""
-    decay = math.tanh(setup.theta) ** 2
+    decay = math.tanh(theta) ** 2
     return decay**n_max <= STAGE_DECAY_TOL
 
 
-def _setup_scale(setup: CvSetup) -> float:
-    th = math.tanh(setup.theta)
-    return th if setup.g_port == 0 else 1.0 / th
+def _readout(setup: CvSetup, cutoff: FockCutoff) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The branch's pair observable divided by ``setup.weight``, as
+    Hermitian blocks ``[(flat_idx, O_d)]`` over the sectors it conserves.
 
-
-def _score_vectors(
-    setup: CvSetup, vectors: np.ndarray, cutoff: FockCutoff
-) -> float:
-    """Raw (unweighted, unnormalized) expectation over a pure decomposition."""
+    Conjugation: ``r_a† r_a`` with ``r_a`` the ⟨a, 0| row of beamsplitter
+    sector a (the no-click readout).  Squeezer route: ``S_d† diag(g) S_d``
+    with the Gaussian eigenvalues taken on the observable's port.  Pair
+    route: the closed-form ``W_d / weight``.
+    """
     n_max = cutoff.n_max
-    flat = vectors.reshape(vectors.shape[0], -1).T  # columns are state vectors
     if setup.branch == "conjugation":
-        # the no-click readout sees only the n_max rows ⟨a, 0| BS
-        rows = beamsplitter(setup.bs_t, cutoff).matrix[::n_max]
-        return float(np.sum(np.abs(rows @ flat) ** 2))
-    if not _stage_route_ok(setup, n_max):
-        # exact pair observable instead (norm ≤ 1, error ~ input leak only);
-        # it already carries the branch weight, so pre-divide it back out
-        w = _pair_observable_matrix(_setup_scale(setup), n_max)
-        total = 0.0
-        for start in range(0, flat.shape[1], 512):
-            chunk = flat[:, start : start + 512]
-            total += float(np.sum(chunk.conj() * (w @ chunk)).real)
-        return total / setup.weight
-    squeezer = two_mode_squeezer(setup.theta, cutoff)
+        blocks = _two_mode_blocks(math.acos(math.sqrt(setup.bs_t)), n_max, "beamsplitter")
+        # sector a < n_max holds (p, a − p) for p = 0..a, so ⟨a, 0| is its row a
+        return [(idx, np.outer(u[a].conj(), u[a])) for a, (idx, u) in enumerate(blocks[:n_max])]
+    if setup.pair_route:
+        th = math.tanh(setup.theta)
+        c = th if setup.g_port == 0 else 1.0 / th
+        return [(idx, w / setup.weight) for idx, w in _pair_blocks(c, n_max, True)]
     g_diag = np.tanh(setup.theta) ** (2.0 * np.arange(n_max))
+    out = []
+    for idx, s in _two_mode_blocks(setup.theta, n_max, "squeezer"):
+        port_level = np.divmod(idx, n_max)[setup.g_port]
+        out.append((idx, (s.conj().T * g_diag[port_level]) @ s))
+    return out
+
+
+def _score_vectors(readout, vectors: np.ndarray) -> float:
+    """Raw (unweighted, unnormalized) Σ_k ⟨v_k|O|v_k⟩ over a pure decomposition."""
+    flat = vectors.reshape(vectors.shape[0], -1)
     total = 0.0
-    for start in range(0, flat.shape[1], 512):
-        chunk = squeezer.matrix @ flat[:, start : start + 512]
-        block = np.abs(chunk.reshape(n_max, n_max, -1)) ** 2
-        if setup.g_port == 0:
-            total += float(np.einsum("arj,a->", block, g_diag))
-        else:
-            total += float(np.einsum("arj,r->", block, g_diag))
+    for idx, o in readout:
+        x = flat[:, idx]
+        total += float(np.sum((x.conj() @ o) * x).real)
     return total
 
 
-def _score_density(setup: CvSetup, rho: np.ndarray, cutoff: FockCutoff) -> float:
-    """Raw expectation on a density matrix indexed [(a, r), (b, s)]."""
-    n_max = cutoff.n_max
-    if setup.branch == "conjugation":
-        rows = beamsplitter(setup.bs_t, cutoff).matrix[::n_max]  # ⟨a, 0| BS
-        return float(np.sum((rows @ rho) * rows.conj()).real)
-    if not _stage_route_ok(setup, n_max):
-        w = _pair_observable_matrix(_setup_scale(setup), n_max)
-        return float(np.einsum("ij,ji->", rho, w).real) / setup.weight
-    s_mat = two_mode_squeezer(setup.theta, cutoff).matrix
-    # diagonal of S ρ S† only: the Gaussian observable is diagonal
-    diag = np.einsum("ij,ij->i", s_mat @ rho, s_mat.conj()).real.reshape(n_max, n_max)
-    g_diag = np.tanh(setup.theta) ** (2.0 * np.arange(n_max))
-    per_level = diag.sum(axis=1) if setup.g_port == 0 else diag.sum(axis=0)
-    return float(g_diag @ per_level)
+def _score_density(readout, rho: np.ndarray) -> float:
+    """Raw Tr[O ρ] on a density matrix indexed [(a, r), (b, s)]."""
+    return sum(float(np.sum(o * rho[np.ix_(idx, idx)].T).real) for idx, o in readout)
 
 
 def run_setup(
@@ -844,8 +786,9 @@ def run_setup(
     letting callers share one channel across many runs.
 
     When the reduction angle is too steep for the cutoff (``tanh θ`` close
-    to one) the truncated squeezer stops being trustworthy, and the score
-    is taken against the exactly quadrature-built pair observable instead.
+    to one) the truncated squeezer stops being trustworthy, and
+    :func:`build_setup` routes the score through the closed-form pair
+    observable instead.
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
@@ -874,10 +817,11 @@ def run_setup(
             vectors = expanded
     if rho is None and vectors.shape[0] > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
         rho = _density(vectors)
+    readout = _readout(setup, cutoff)
     if rho is not None:
-        raw = _score_density(setup, rho, cutoff)
+        raw = _score_density(readout, rho)
     else:
-        raw = _score_vectors(setup, vectors, cutoff)
+        raw = _score_vectors(readout, vectors)
     return setup.weight * raw / p_succ, p_succ
 
 

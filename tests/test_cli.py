@@ -268,6 +268,17 @@ class TestCvCommand:
         assert abs(out["score"] - 1.0 / math.sqrt(5.0)) < 1e-4
         assert out["setup"]["branch"] == "conjugation"
 
+    def test_stages_name_the_route_taken(self, capsys):
+        # tanh²θ = c² = 0.72 at g = 1.2 leaves 0.72^40 ≈ 2e-6 on the cutoff, so
+        # the truncated squeezer is refused and the pair observable read out
+        _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.9", "--g", "1.2")
+        assert out["setup"]["stages"][2:] == ["pair_observable(c=0.848528)"]
+        _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.9", "--g", "1.0")
+        assert out["setup"]["stages"][2:] == [
+            "squeezer(theta=0.881374)",
+            "gaussian_observable(port=output)",
+        ]
+
     def test_seeded_runs_are_byte_identical(self, capsys):
         main(["cv", "--device", "vacuum", "--cutoff", "24", "--seed", "3"])
         first = capsys.readouterr().out

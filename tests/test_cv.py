@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
+from scipy.special import gammaln
 
 from qbench.cv import (
     NOISE_KRAUS_CHUNK,
@@ -41,7 +42,9 @@ from qbench.cv import (
     two_mode_squeezer,
     vacuum_device,
     _density,
+    _expand_noise,
     _noise_density,
+    _readout,
     _score_density,
     _score_vectors,
 )
@@ -237,11 +240,29 @@ class TestStageUnitaries:
         fid = abs(np.vdot(vref, b.matrix @ vin)) ** 2
         assert fid >= 1.0 - 1e-6
 
-    def test_quality_figures(self):
-        s = two_mode_squeezer(0.8814, _cutoff(40))
-        assert 0 <= s.quality < 1e-5
-        b = beamsplitter(1.0 / 3.0, _cutoff(40))
-        assert b.quality < 1e-8  # number-conserving sectors are exact
+
+def _quadrature_pair_observable(c: float, n: int, conjugate_reference: bool) -> np.ndarray:
+    """Reference W_c by Gauss–Laguerre (radial) × uniform angular quadrature.
+
+    Both rules are exact for the polynomial integrand: the radial factor is
+    a polynomial in u = (1+c²)r² of degree ≤ 2n − 2 and the angular
+    harmonics stay below the angle count, so only roundoff remains.
+    """
+    s = 1.0 + c * c
+    levels = np.arange(n)
+    half_log_fact = 0.5 * gammaln(levels + 1.0)
+    m_ang = 2 * n + 4
+    ang = np.exp(2j * np.pi * np.outer(levels, np.arange(m_ang)) / m_ang)
+    ref = ang.conj() if conjugate_reference else ang
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for u, w in zip(*laggauss(n + 8)):
+        r = math.sqrt(u / s)
+        amp_a = np.exp(levels * math.log(c * r) - half_log_fact)[:, None] * ang
+        amp_b = np.exp(levels * math.log(r) - half_log_fact)[:, None] * ref
+        cols = (amp_a[:, None, :] * amp_b[None, :, :]).reshape(n * n, m_ang)
+        cols *= math.sqrt(w / (s * m_ang))
+        out += cols @ cols.conj().T
+    return out
 
 
 class TestObservables:
@@ -265,6 +286,14 @@ class TestObservables:
                     / scale
                 )
                 assert abs(integral - math.tanh(theta) ** (2 * n)) < 1e-6
+
+    @pytest.mark.parametrize("n", [10, 30])
+    @pytest.mark.parametrize("c", [0.5, 0.85, 1.3])
+    @pytest.mark.parametrize("conjugate_reference", [True, False])
+    def test_pair_observable_closed_form_matches_quadrature(self, n, c, conjugate_reference):
+        got = scaled_pair_observable(c, _cutoff(n), conjugate_reference).matrix
+        ref = _quadrature_pair_observable(c, n, conjugate_reference)
+        assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_pair_observable_corner_elements(self):
         c = 0.6
@@ -422,6 +451,15 @@ class TestNoiseTransferMatrix:
             assert np.max(np.abs(k - r / math.sqrt(top))) < 1e-12
         assert np.max(np.abs(ch.deficit - (1.0 - np.diag(total).real / top))) < 1e-12
 
+    def test_normalisation_keeps_uncancelled_harmonics(self):
+        # with 4 angles, level differences ≡ 0 mod 4 survive in Σ K†K, so
+        # the normalisation must see more than its diagonal
+        ch = additive_noise_channel(2.0, _cutoff(20), angular=4)
+        total = sum(k.conj().T @ k for k in ch.kraus)
+        assert np.min(np.abs(total[0, 4::4])) > 1e-10
+        assert np.max(np.linalg.eigvalsh(total)) <= 1.0 + 1e-12
+        assert np.max(np.abs(ch.deficit - (1.0 - np.diag(total).real))) < 1e-12
+
     def test_conjugation_rows_match_full_beamsplitter(self):
         n = 8
         cut = _cutoff(n, 1e-2)
@@ -431,7 +469,18 @@ class TestNoiseTransferMatrix:
         rho = g @ g.conj().T
         u = beamsplitter(setup.bs_t, cut).matrix
         full = (u @ rho @ u.conj().T).reshape(n, n, n, n)
-        assert abs(_score_density(setup, rho, cut) - np.trace(full[:, 0, :, 0]).real) < 1e-10
+        got = _score_density(_readout(setup, cut), rho)
+        assert abs(got - np.trace(full[:, 0, :, 0]).real) < 1e-10
+
+    def test_expanded_noise_matches_einsum(self):
+        n = 7
+        rng = np.random.default_rng(31)
+        ks = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        ks /= math.sqrt(np.max(np.linalg.eigvalsh(np.einsum("kxa,kxb->ab", ks.conj(), ks))))
+        noise = Channel(list(ks), trace_preserving=False)
+        vectors = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        ref = np.einsum("jam,kmr->jkar", ks, vectors).reshape(-1, n, n)
+        assert np.max(np.abs(_expand_noise(vectors, noise, n) - ref)) < 1e-12
 
     @pytest.mark.parametrize(
         "params",
@@ -443,15 +492,36 @@ class TestNoiseTransferMatrix:
         ],
     )
     def test_density_and_vector_routes_agree(self, params):
-        cut = _cutoff(30, 1e-6)
+        n = 30
+        cut = _cutoff(n, 1e-6)
         setup = build_setup(params, cut)
         rng = np.random.default_rng(29)
-        vectors = rng.normal(size=(5, 30, 30)) + 1j * rng.normal(size=(5, 30, 30))
-        vectors *= np.sqrt(0.2) ** np.arange(30)[None, :, None]
-        vectors *= np.sqrt(0.2) ** np.arange(30)[None, None, :]
-        via_vectors = _score_vectors(setup, vectors, cut)
-        via_density = _score_density(setup, _density(vectors), cut)
-        assert abs(via_vectors - via_density) < 1e-12 * max(1.0, abs(via_vectors))
+        vectors = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        vectors *= np.sqrt(0.2) ** np.arange(n)[None, :, None]
+        vectors *= np.sqrt(0.2) ** np.arange(n)[None, None, :]
+        rho = _density(vectors)
+        readout = _readout(setup, cut)
+        via_vectors = _score_vectors(readout, vectors)
+        via_density = _score_density(readout, rho)
+        # dense Tr[O ρ] from the public operators, O the weight-free observable
+        if setup.branch == "conjugation":
+            u = beamsplitter(setup.bs_t, cut).matrix
+            vac = np.zeros((n, n))
+            vac[0, 0] = 1.0
+            obs = u.conj().T @ np.kron(np.eye(n), vac) @ u
+        elif setup.pair_route:
+            th = math.tanh(setup.theta)
+            c = th if setup.g_port == 0 else 1.0 / th
+            obs = scaled_pair_observable(c, cut).matrix / setup.weight
+        else:
+            s = two_mode_squeezer(setup.theta, cut).matrix
+            g = gaussian_observable(setup.theta, cut).matrix
+            pair = np.kron(g, np.eye(n)) if setup.g_port == 0 else np.kron(np.eye(n), g)
+            obs = s.conj().T @ pair @ s
+        dense = float(np.trace(obs @ rho).real)
+        scale = max(1.0, abs(dense))
+        assert abs(via_vectors - via_density) < 1e-12 * scale
+        assert abs(via_density - dense) < 1e-12 * scale
 
     def test_noisy_conjugation_reference_value(self):
         # attenuator:0.8 --conjugate --mu 2 at n_max 40, g = lam = 1
@@ -582,6 +652,16 @@ class TestRunAgainstOracle:
             assert abs(score - oracle) < 1e-4, dev.kind
             assert abs(oracle - expected[dev.kind]) < 1e-9, dev.kind
             assert p_succ > 0.99
+
+    def test_pair_route_at_high_cutoff(self):
+        params = CvParams(g=1.3, lam=1.0)
+        cut = FockCutoff(80)
+        setup = build_setup(params, cut)
+        assert setup.pair_route
+        for dev in (identity_device(), attenuator_device(0.8)):
+            score, _ = run_setup(setup, dev.materialize(cut))
+            oracle = average_fidelity_oracle(dev, params, cut)
+            assert abs(score - oracle) < 1e-9, dev.kind
 
     def test_subnormalized_device_same_score(self):
         cut = _cutoff(40)
