@@ -33,7 +33,7 @@ Dense n_max² × n_max² views exist only for callers that want the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -137,9 +137,7 @@ class CvSetup:
     ``bs_t`` the beamsplitter transmissivity of the conjugation branch,
     ``g_port`` the mode index (0 = device output, 1 = reference) carrying
     the Gaussian observable, and ``weight`` the scalar multiplying the raw
-    expectation value.  ``pair_route`` is set when the squeezer angle is too
-    steep for the cutoff and the exact pair observable is read out instead
-    of the squeezer and Gaussian observable.
+    expectation value.
     """
 
     params: CvParams
@@ -150,8 +148,14 @@ class CvSetup:
     theta: float | None = None
     g_port: int | None = None
     bs_t: float | None = None
-    pair_route: bool = False
     stages: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def pair_route(self) -> bool:
+        """True when the squeezer angle is too steep for the cutoff and the
+        exact pair observable is read out instead of the squeezer and the
+        Gaussian observable."""
+        return self.branch != "conjugation" and not _stage_route_ok(self.theta, self.cutoff.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +668,7 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         c = params.g / math.sqrt(params.lam + 1.0)
         branch = "pure_low_gain" if params.g**2 <= params.lam + 1.0 else "pure_high_gain"
     theta, port, weight = _fidelity_reduction(c)
-    pair_route = not _stage_route_ok(theta, cutoff.n_max)
-    if pair_route:
-        stages.append(f"pair_observable(c={c:.6f})")
-    else:
-        stages.append(f"squeezer(theta={theta:.6f})")
-        stages.append(f"gaussian_observable(port={'output' if port == 0 else 'reference'})")
-    return CvSetup(
+    setup = CvSetup(
         params=params,
         cutoff=cutoff,
         branch=branch,
@@ -678,9 +676,13 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         weight=weight,
         theta=theta,
         g_port=port,
-        pair_route=pair_route,
-        stages=tuple(stages),
     )
+    if setup.pair_route:
+        stages.append(f"pair_observable(c={c:.6f})")
+    else:
+        stages.append(f"squeezer(theta={theta:.6f})")
+        stages.append(f"gaussian_observable(port={'output' if port == 0 else 'reference'})")
+    return replace(setup, stages=tuple(stages))
 
 
 def _expand_noise(
@@ -730,7 +732,7 @@ def _stage_route_ok(theta: float, n_max: int) -> bool:
     return decay**n_max <= STAGE_DECAY_TOL
 
 
-def _readout(setup: CvSetup, cutoff: FockCutoff) -> list[tuple[np.ndarray, np.ndarray]]:
+def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     """The branch's pair observable divided by ``setup.weight``, as
     Hermitian blocks ``[(flat_idx, O_d)]`` over the sectors it conserves.
 
@@ -739,7 +741,7 @@ def _readout(setup: CvSetup, cutoff: FockCutoff) -> list[tuple[np.ndarray, np.nd
     with the Gaussian eigenvalues taken on the observable's port.  Pair
     route: the closed-form ``W_d / weight``.
     """
-    n_max = cutoff.n_max
+    n_max = setup.cutoff.n_max
     if setup.branch == "conjugation":
         blocks = _two_mode_blocks(math.acos(math.sqrt(setup.bs_t)), n_max, "beamsplitter")
         # sector a < n_max holds (p, a − p) for p = 0..a, so ⟨a, 0| is its row a
@@ -797,6 +799,9 @@ def run_setup(
             f"device acts on dimension {device.dims_in}->{device.dims_out}, "
             f"setup cutoff is {n_max}"
         )
+    # built before the n²-sized arrays so that its many small blocks, which
+    # live until the end, do not sit above them in the heap and keep it grown
+    readout = _readout(setup)
     diag = _tmsv_diagonal(setup.x, cutoff)
     stack = np.stack(device.kraus)
     vectors = stack * diag[None, None, :]  # K @ diag(psi), columns scaled
@@ -817,7 +822,6 @@ def run_setup(
             vectors = expanded
     if rho is None and vectors.shape[0] > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
         rho = _density(vectors)
-    readout = _readout(setup, cutoff)
     if rho is not None:
         raw = _score_density(readout, rho)
     else:

@@ -469,7 +469,7 @@ class TestNoiseTransferMatrix:
         rho = g @ g.conj().T
         u = beamsplitter(setup.bs_t, cut).matrix
         full = (u @ rho @ u.conj().T).reshape(n, n, n, n)
-        got = _score_density(_readout(setup, cut), rho)
+        got = _score_density(_readout(setup), rho)
         assert abs(got - np.trace(full[:, 0, :, 0]).real) < 1e-10
 
     def test_expanded_noise_matches_einsum(self):
@@ -500,7 +500,7 @@ class TestNoiseTransferMatrix:
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, :, None]
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, None, :]
         rho = _density(vectors)
-        readout = _readout(setup, cut)
+        readout = _readout(setup)
         via_vectors = _score_vectors(readout, vectors)
         via_density = _score_density(readout, rho)
         # dense Tr[O ρ] from the public operators, O the weight-free observable
@@ -658,6 +658,15 @@ class TestRunAgainstOracle:
         cut = FockCutoff(80)
         setup = build_setup(params, cut)
         assert setup.pair_route
+        assert setup.stages[-1].startswith("pair_observable(")
+        # the route follows from the angle and the cutoff, also for a setup
+        # built by hand
+        direct = CvSetup(
+            params=params, cutoff=cut, branch=setup.branch, x=setup.x,
+            weight=setup.weight, theta=setup.theta, g_port=setup.g_port,
+        )
+        assert direct.pair_route
+        assert not build_setup(CvParams(g=1.0, lam=1.0), FockCutoff(30)).pair_route
         for dev in (identity_device(), attenuator_device(0.8)):
             score, _ = run_setup(setup, dev.materialize(cut))
             oracle = average_fidelity_oracle(dev, params, cut)
