@@ -25,6 +25,7 @@ from .engine import (
     GroupRep,
     PnrConfig,
     PPT_TOL,
+    check_input_support,
     det_benchmark,
     ppt_offset,
 )
@@ -32,7 +33,6 @@ from .errors import (
     ContractError,
     DimensionError,
     SearchError,
-    SupportError,
     VanishingSuccessError,
 )
 from .linalg import (
@@ -94,27 +94,6 @@ class CanonicalTestRecipe:
         return DetTest(self.input_state.density(), self.observable)
 
 
-def _input_support_check(omega_pt: Operator, tau: np.ndarray) -> None:
-    """The input factor of omega^{T_A} must live inside tau's support."""
-    d_out, d_in = omega_pt.dims
-    w, v = np.linalg.eigh(0.5 * (tau + tau.conj().T))
-    rank = support_rank(w)
-    if rank == d_in:
-        return
-    kernel = v[:, : d_in - rank]
-    proj = np.kron(np.eye(d_out), kernel @ kernel.conj().T)
-    resid = np.linalg.norm(proj @ omega_pt.matrix)
-    scale = max(1.0, np.linalg.norm(omega_pt.matrix))
-    if resid > RECIPE_TOL * scale:
-        gram = proj @ omega_pt.matrix @ omega_pt.matrix.conj().T @ proj
-        eigs, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        raise SupportError(
-            "performance operator acts outside the reference state's support "
-            f"(residual {resid:.3e})",
-            direction=vecs[:, -1],
-        )
-
-
 def canonical_det_test(
     omega: Operator, tau_A: Operator | None = None
 ) -> CanonicalTestRecipe:
@@ -154,7 +133,7 @@ def canonical_det_test(
         if not (tau_A.is_psd() and tau_A.is_unit_trace()):
             raise ContractError("tau_A must be a density operator")
 
-    _input_support_check(omega_pt, tau_A.matrix)
+    check_input_support(omega_pt, tau_A.matrix)
 
     w, v = np.linalg.eigh(tau_A.matrix)
     # Stable descending sort keeps degenerate eigenvectors in natural

@@ -162,15 +162,15 @@ class CvSetup:
 # states
 
 
-def _raw_coherent(alpha: complex, n_max: int) -> np.ndarray:
-    """Unnormalized analytic part alpha^n/sqrt(n!), assembled in log space."""
+def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    """Kept amplitudes e^{-|alpha|²/2} alpha^n/sqrt(n!), assembled in log space."""
     n = np.arange(n_max)
     if alpha == 0:
         v = np.zeros(n_max, dtype=complex)
         v[0] = 1.0
         return v
-    mag = np.exp(n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0))
-    return mag * np.exp(1j * n * np.angle(alpha))
+    log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
 def coherent_tail(alpha: complex, n_max: int) -> float:
@@ -198,7 +198,7 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> PureState:
             f"past n_max={cutoff.n_max}",
             suggested_n_max=suggest_cutoff(abs(alpha), cutoff.leak_tol),
         )
-    v = _raw_coherent(alpha, cutoff.n_max) * math.exp(-abs(alpha) ** 2 / 2)
+    v = _coherent_amplitudes(alpha, cutoff.n_max)
     return PureState(v / np.linalg.norm(v), (cutoff.n_max,))
 
 
@@ -601,21 +601,17 @@ def heterodyne_mp_channel(
         radius = math.sqrt(n_max) + 3.0
     half = int(math.ceil(radius / spacing))
     axis = spacing * np.arange(-half, half + 1)
-    kraus = []
+    gammas = [complex(re, im) for re in axis for im in axis if math.hypot(re, im) <= radius]
+    meas = np.array([_coherent_amplitudes(g, n_max) for g in gammas])
+    prep = np.array([_coherent_amplitudes(q * g, n_max) for g in gammas])
     cell = spacing * spacing / math.pi
-    for re in axis:
-        for im in axis:
-            gamma = complex(re, im)
-            if abs(gamma) > radius:
-                continue
-            meas = _raw_coherent(gamma, n_max) * math.exp(-abs(gamma) ** 2 / 2)
-            prep = _raw_coherent(q * gamma, n_max) * math.exp(-abs(q * gamma) ** 2 / 2)
-            kraus.append(math.sqrt(cell) * np.outer(prep, meas.conj()))
-    total = sum(k.conj().T @ k for k in kraus)
-    top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))).real)
-    if top > 1.0:
-        fix = 1.0 / math.sqrt(top)
-        kraus = [fix * k for k in kraus]
+    # the rank-one Kraus operators sqrt(cell) |prep_g><meas_g| give
+    # sum K†K = sum_g cell |prep_g|² |meas_g><meas_g|, one GEMM
+    weights = cell * np.sum(np.abs(prep) ** 2, axis=1)
+    total = meas.T @ (weights[:, None] * meas.conj())
+    top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))))
+    scale = math.sqrt(cell / max(top, 1.0))
+    kraus = [scale * np.outer(p, m.conj()) for p, m in zip(prep, meas)]
     return Channel(kraus, trace_preserving=False)
 
 
@@ -803,9 +799,9 @@ def run_setup(
     # live until the end, do not sit above them in the heap and keep it grown
     readout = _readout(setup)
     diag = _tmsv_diagonal(setup.x, cutoff)
-    stack = np.stack(device.kraus)
-    vectors = stack * diag[None, None, :]  # K @ diag(psi), columns scaled
-    p_succ = float(np.sum(np.abs(vectors) ** 2))
+    vectors = np.stack(device.kraus)
+    vectors *= diag  # K @ diag(psi), columns scaled in place
+    p_succ = float(np.vdot(vectors, vectors).real)
     if p_succ < p_min:
         raise VanishingSuccessError(
             f"success probability {p_succ:.3e} below threshold {p_min:.0e}"
@@ -917,7 +913,7 @@ def average_fidelity_oracle(
 
 
 def _coherent_column(z: complex, n_max: int) -> np.ndarray:
-    v = _raw_coherent(z, n_max) * math.exp(-abs(z) ** 2 / 2)
+    v = _coherent_amplitudes(z, n_max)
     return v / np.linalg.norm(v)
 
 

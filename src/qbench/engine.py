@@ -5,21 +5,26 @@ Hermitian operator,
 
     pnr(M) = max { <a ⊗ b| M |a ⊗ b> : |a>, |b> unit vectors },
 
-computed by an alternating eigenvector seesaw with multistart.  On top of
-it sit the measure-and-prepare thresholds: the probabilistic benchmark is
-the product numerical range of a sandwiched performance operator, the
-deterministic benchmark minimises that quantity over full-rank reference
-states, and for group-covariant tests both collapse to a closed form
-``d * pnr(omega)``.
+computed by an alternating eigenvector seesaw with multistart.  The
+probabilistic threshold is the product numerical range of a sandwiched
+performance operator.  The deterministic threshold is the linear program
+
+    min tr Y  subject to  <a b|Omega|a b> <= <b|Y|b>  for every product (a, b),
+
+whose dual is the best measure-and-prepare score.  Cutting planes solve
+it: a master LP over Hermitian Y, with the seesaw as separation oracle.
+The LP duals are a POVM, so the bracket's lower end is the exact score of
+an explicit channel; its upper end is a certified product-range bound at
+the reference state ``Y / tr Y``.  For group-covariant tests both
+thresholds collapse to a closed form ``d * pnr(omega)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ContractError, DimensionError, SearchError, SupportError
 from .linalg import (
@@ -30,13 +35,27 @@ from .linalg import (
     psd_power_on_support,
     support_rank,
 )
-from .model import Channel, ProbTest, mp_channel
+from .model import Channel, ProbTest, jamiolkowski, mp_channel, score_det_jam
 
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 IRREDUCIBILITY_TOL = 1e-8
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 7
+SUPPORT_TOL = 1e-9
+# Cutting planes stop when no product pair violates Y by more than
+# CUT_TOL * max(1, |tr Y|) and give up after CUT_ROUNDS_PER_COORD * d_in**2 rounds.
+CUT_TOL = 1e-6
+CUT_ROUNDS_PER_COORD = 50
+
+
+def __getattr__(name: str):
+    # bench/spans.py wraps ``engine.minimize`` by name; resolving it on
+    # lookup keeps scipy.optimize out of ``import qbench.engine``.
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+    return minimize
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +178,8 @@ class BenchmarkReport:
     restarts: int
     converged: bool
     pnr: PnrResult | None = field(default=None, repr=False)
+    # the measure-and-prepare channel scored as ``lower``; not in the JSON
+    strategy: Channel | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -382,26 +403,24 @@ def _sandwich(omega: Operator, tau: np.ndarray, rank_tol: float = 1e-12) -> Oper
     return Operator(0.5 * (s + s.conj().T), omega.dims)
 
 
-def _check_input_support(omega: Operator, sigma: np.ndarray, tol: float = 1e-9) -> None:
-    d_out, d_in = omega.dims
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+def check_input_support(op: Operator, state: np.ndarray) -> None:
+    """Raise ``SupportError``, naming the unit vector ``op`` maps furthest into
+    the kernel of ``I ⊗ state``, unless that kernel annihilates ``op``."""
+    d_out, d_in = op.dims
+    w, v = np.linalg.eigh(0.5 * (state + state.conj().T))
     rank = support_rank(w)
-    kernel = v[:, : d_in - rank] if rank < d_in else None
-    if kernel is None:
+    if rank == d_in:
         return
-    proj = kernel @ kernel.conj().T
-    resid = np.linalg.norm(np.kron(np.eye(d_out), proj) @ omega.matrix)
-    scale = max(1.0, np.linalg.norm(omega.matrix))
-    if resid > tol * scale:
-        gram = np.kron(np.eye(d_out), proj) @ omega.matrix @ np.kron(
-            np.eye(d_out), proj
-        )
-        eigs, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        idx = int(np.argmax(np.abs(eigs)))
+    kernel = v[:, : d_in - rank]
+    proj = np.kron(np.eye(d_out), kernel @ kernel.conj().T)
+    leak = proj @ op.matrix
+    resid = np.linalg.norm(leak)
+    if resid > SUPPORT_TOL * max(1.0, np.linalg.norm(op.matrix)):
+        _, vecs = np.linalg.eigh(leak @ leak.conj().T)
         raise SupportError(
-            "performance operator leaks outside the reference state's support "
+            "performance operator acts outside the reference state's support "
             f"(residual {resid:.3e})",
-            direction=vecs[:, idx],
+            direction=vecs[:, -1],
         )
 
 
@@ -430,20 +449,19 @@ def prob_benchmark(
     product maximum, and the best single term is itself attainable by a
     probabilistic strategy.
     """
-    _check_input_support(t.omega, t.sigma_A.matrix)
+    check_input_support(t.omega, t.sigma_A.matrix)
     sandwiched = _sandwich(t.omega, t.sigma_A.matrix)
     res = product_numerical_range(sandwiched, cfg)
     return res if _details else res.value
 
 
-def _tau_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    lower = np.zeros((d, d), dtype=complex)
-    lower[np.diag_indices(d)] = np.exp(np.clip(x[:d], -20.0, 20.0))
-    off = x[d:]
-    idx = np.tril_indices(d, k=-1)
-    lower[idx] = off[: len(idx[0])] + 1j * off[len(idx[0]) :]
-    tau = lower @ lower.conj().T
-    return tau / np.trace(tau).real
+def _hermitian_basis(d: int) -> np.ndarray:
+    """d² Hermitian matrices spanning the d×d Hermitian ones over the reals."""
+    row, col = np.divmod(np.arange(d * d), d)
+    e = np.eye(d * d).reshape(d * d, d, d)
+    et = e.transpose(0, 2, 1)
+    side = np.sign(col - row)[:, None, None]
+    return np.where(side > 0, e + et, np.where(side < 0, 1j * (e - et), e))
 
 
 def det_benchmark(
@@ -453,12 +471,15 @@ def det_benchmark(
 ) -> BenchmarkReport:
     """Deterministic measure-and-prepare threshold for a performance operator.
 
-    Minimises the sandwiched product numerical range over full-rank
-    reference states tau (Cholesky parametrisation, Nelder-Mead).  The
-    operator must be PPT on the input factor for the minimisation to be
-    tight.  When a covariant, irreducibly-represented group is supplied
-    the closed form ``d_in * pnr(omega)`` is used instead (valid for any
-    Hermitian omega).
+    Solves the module docstring's LP by Kelley cutting planes, from cuts at
+    the computational basis until no product pair violates Y by more than
+    ``CUT_TOL``.  ``lower`` and ``value`` are the exact score of
+    ``strategy``, the channel the LP duals define; ``upper`` is a certified
+    bound at ``tau_min`` (Y / tr Y, spectrum floored).  ``omega`` must be
+    PPT on the input factor.  A covariant, irreducibly-represented group
+    selects the closed form ``d_in * pnr(omega)`` instead (valid for any
+    Hermitian omega).  Raises ``SearchError`` with the last round's report
+    when the cut budget runs out.
     """
     cfg = cfg or PnrConfig()
     d_out, d_in = omega.dims
@@ -481,73 +502,74 @@ def det_benchmark(
         )
 
     check_ppt(omega)
+    # the only scipy.optimize user; imported here to keep it off the cold start
+    from scipy.optimize import linprog
 
-    # Inner searches run lean: a handful of random starts plus a warm
-    # start carried between evaluations.  The outer minimiser only needs
-    # consistent relative values; the winner is re-solved at full width.
-    rng = np.random.default_rng(cfg.seed)
-    warm: list[np.ndarray] = []
+    m4 = omega.matrix.reshape(d_out, d_in, d_out, d_in)
+    basis = _hermitian_basis(d_in)  # Y = sum_k y_k basis[k]
+    cost = np.trace(basis, axis1=1, axis2=2).real
+    separation = replace(cfg, grid=False)
+    inputs, floors, preps = [], [], []
 
-    def objective(x: np.ndarray) -> float:
-        tau = _tau_from_params(x, d_in)
-        m4 = _sandwich(omega, tau).matrix.reshape(d_out, d_in, d_out, d_in)
-        starts = list(warm) + _structured_starts(m4, d_out, d_in)
-        for _ in range(2):
-            z = rng.normal(size=d_in) + 1j * rng.normal(size=d_in)
-            starts.append(z)
-        best_val, best_b = -np.inf, None
-        for b0 in starts:
-            # Flat maximizer families make the iterate crawl while the
-            # value has long converged; a hard cap costs no value accuracy.
-            val, _, b, _ = _seesaw(m4, b0, max(cfg.tol, 1e-11), 50)
-            if val > best_val:
-                best_val, best_b = val, b
-        warm[:] = [best_b]
-        return best_val
+    def add_cut(b: np.ndarray) -> None:
+        hb = np.einsum("xrys,r,s->xy", m4, b.conj(), b)
+        floor, prep = _top_eigvec(0.5 * (hb + hb.conj().T))
+        inputs.append(b)
+        floors.append(floor)
+        preps.append(prep)
 
-    # Covariant operators leave flat unitary orbits of equivalent tau;
-    # a tight position tolerance would stall there without improving the
-    # value, so convergence is judged on the objective alone.
-    x0 = np.zeros(d_in * d_in)
-    nm = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": 2e-3,
-            "fatol": 1e-10,
-            "maxiter": 250 * d_in * d_in,
-            "maxfev": 250 * d_in * d_in,
-        },
-    )
+    for e in np.eye(d_in, dtype=complex):
+        add_cut(e)
+    rounds = CUT_ROUNDS_PER_COORD * d_in * d_in
+    for _ in range(rounds):
+        b = np.array(inputs)
+        rows = np.einsum("ir,krs,is->ik", b.conj(), basis, b).real
+        lp = linprog(cost, A_ub=-rows, b_ub=-np.array(floors), bounds=(None, None))
+        if lp.status != 0:
+            raise ArithmeticError(f"master LP failed: {lp.message}")
+        y = np.tensordot(lp.x, basis, axes=1)
+        cut = product_numerical_range(
+            Operator(omega.matrix - np.kron(np.eye(d_out), y), omega.dims), separation
+        )
+        converged = cut.value <= CUT_TOL * max(1.0, abs(lp.fun))
+        if converged:
+            break
+        add_cut(cut.maximizer_b)
 
-    # The flat maximally-mixed candidate is evaluated exactly: covariant
-    # inputs hit it, and Nelder-Mead alone cannot resolve a flat optimum
-    # to full precision.
-    candidates = [(_tau_from_params(nm.x, d_in), "seesaw")]
-    candidates.append((np.eye(d_in) / d_in, "seesaw"))
-    best_val = np.inf
-    best_tau = candidates[0][0]
-    for tau, _ in candidates:
-        val = product_numerical_range(_sandwich(omega, tau), cfg).value
-        if val < best_val:
-            best_val = val
-            best_tau = tau
+    # The duals p_i make the POVM p_i |b_i><b_i|, each outcome preparing the
+    # top eigenvector of <b_i|omega|b_i>; S^-1/2 absorbs the solver's
+    # residual in S = sum_i p_i |b_i><b_i| = I.
+    p = -lp.ineqlin.marginals
+    keep = np.flatnonzero(p > 0)
+    weighted = b[keep] * np.sqrt(p[keep])[:, None]
+    root = psd_power_on_support(weighted.T @ weighted.conj(), -0.5)
+    povm = [np.outer(v, v.conj()) for v in weighted @ root.T]
+    strategy = mp_channel(povm, [np.outer(preps[i], preps[i].conj()) for i in keep])
+    if not strategy.trace_preserving:
+        raise ArithmeticError("master LP duals do not span the input space")
+    score = score_det_jam(omega, jamiolkowski(strategy))
 
-    final = product_numerical_range(_sandwich(omega, best_tau), cfg)
+    # Y is singular, up to the LP's tolerance, on input directions omega
+    # does not reach; any full-rank tau gives a valid upper bound
+    w, v = np.linalg.eigh(y)
+    w = np.maximum(w, CUT_TOL * w[-1])
+    tau = (v * (w / w.sum())) @ v.conj().T
+    final = product_numerical_range(_sandwich(omega, tau), cfg)
     report = BenchmarkReport(
-        value=final.value,
-        tau_min=Operator(best_tau, (d_in,)),
-        lower=final.lower,
+        value=score,
+        tau_min=Operator(tau, (d_in,)),
+        lower=score,
         upper=final.upper,
-        method=final.method if cfg.grid else "seesaw",
+        method=final.method,
         restarts=final.restarts,
-        converged=bool(nm.success),
+        converged=converged,
         pnr=final,
+        strategy=strategy,
     )
-    if not nm.success:
+    if not converged:
         raise SearchError(
-            f"reference-state minimisation stagnated: {nm.message}", best=report
+            f"cutting planes still cut {cut.value:.3e} after {rounds} rounds",
+            best=report,
         )
     return report
 

@@ -208,6 +208,15 @@ class TestFullyBlackbox:
         assert r.offset == 0.0
         assert abs(r.benchmark - 0.75) < 1e-6
 
+    def test_generic_search_with_unused_input_directions(self):
+        # omega = A ⊗ |b><b| scores lambda_max(A) at best; the reference
+        # state must still be full rank for the recipe to exist
+        a = rand_density(2, RNG).matrix
+        b = rand_pure(3, RNG)
+        omega = Operator(np.kron(a, np.outer(b, b.conj())), (2, 3))
+        r = fully_blackbox_test(omega, FAST)
+        assert abs(r.benchmark - np.linalg.eigvalsh(a)[-1]) < 1e-6
+
     def test_recipe_json_round_trip(self):
         t = chsh_test()
         r = fully_blackbox_test(t.omega, FAST, rep=tilde_pauli_rep())

@@ -93,6 +93,20 @@ class TestBenchmarkCommand:
         assert abs(out["value"] - 2.0 / 3.0) < 1e-6
         assert "tau_min" in out
 
+    def test_det_bracket_holds_the_threshold(self, capsys, tmp_path):
+        # three-term separable operator on (2, 3); an explicit strategy
+        # scores 0.7519 and the grid oracle bounds the threshold by 0.8401
+        rng = np.random.default_rng(1)
+        m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(3))
+        omega = Operator(m / np.trace(m).real, (2, 3))
+        det = canonical_det_test(omega).as_det_test()
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(det_test_to_json(det)))
+        code, out, _ = run_cli(capsys, "benchmark", "--test", str(path))
+        assert code == 0
+        assert out["certified"]
+        assert 0.7519 <= out["lower"] <= out["upper"] <= 0.8401
+
     def test_malformed_json_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"omega": [1,\n  }')
@@ -303,6 +317,13 @@ class TestEnvironment:
             env=env,
         )
         assert res.stdout.split() == ["3", "3"]
+
+    def test_cold_import_skips_scipy_optimize(self):
+        probe = "import sys, qbench.cli; print('scipy.optimize' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert res.stdout.split() == ["False"]
 
     def test_no_subcommand_prints_help(self, capsys):
         code = main([])

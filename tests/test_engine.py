@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbench import engine
 from qbench.engine import (
     BenchmarkReport,
     GroupRep,
@@ -20,7 +22,7 @@ from qbench.engine import (
     product_numerical_range,
     twirl_channel,
 )
-from qbench.errors import ContractError, DimensionError, SupportError
+from qbench.errors import ContractError, DimensionError, SearchError, SupportError
 from qbench.linalg import Operator
 from qbench.model import (
     DetTest,
@@ -48,6 +50,16 @@ FAST = PnrConfig(restarts=16)
 
 def rand_bipartite_hermitian(d1: int, d2: int, rng) -> Operator:
     return Operator(rand_hermitian(d1 * d2, rng), (d1, d2))
+
+
+def rand_separable(
+    d_out: int, d_in: int, rng, terms: int = 3, in_rank: int | None = None
+) -> Operator:
+    m = sum(
+        np.kron(rand_density(d_out, rng).matrix, rand_density(d_in, rng, in_rank).matrix)
+        for _ in range(terms)
+    )
+    return Operator(m / terms, (d_out, d_in))
 
 
 class TestProductNumericalRange:
@@ -153,6 +165,39 @@ class TestDetBenchmark:
     def test_non_ppt_rejected(self):
         with pytest.raises(ContractError):
             det_benchmark(chsh_test().omega, FAST)
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        d_out=st.integers(2, 3),
+        d_in=st.integers(2, 3),
+        terms=st.integers(1, 3),
+        in_rank=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lower_is_the_strategy_score(self, d_out, d_in, terms, in_rank, seed):
+        # few low-rank terms leave part of the input space unused
+        rng = np.random.default_rng(seed)
+        omega = rand_separable(d_out, d_in, rng, terms, min(in_rank, d_in))
+        report = det_benchmark(omega, PnrConfig(restarts=4))
+        assert report.lower <= report.upper
+        assert report.value == report.lower
+        assert report.strategy.trace_preserving
+        score = score_det_jam(omega, jamiolkowski(report.strategy))
+        assert abs(score - report.lower) < 1e-9
+        assert report.tau_min.is_unit_trace()
+        assert np.linalg.eigvalsh(report.tau_min.matrix)[0] > 0
+
+    def test_exhausted_cut_budget_raises_with_bracket(self, monkeypatch):
+        # a negative tolerance is never met, so the loop runs out of rounds
+        monkeypatch.setattr(engine, "CUT_TOL", -1.0)
+        monkeypatch.setattr(engine, "CUT_ROUNDS_PER_COORD", 1)
+        omega = rand_separable(2, 2, np.random.default_rng(3))
+        with pytest.raises(SearchError) as exc:
+            det_benchmark(omega, FAST)
+        best = exc.value.best
+        assert not best.converged
+        assert best.lower <= best.upper
+        assert abs(score_det_jam(omega, jamiolkowski(best.strategy)) - best.lower) < 1e-9
 
     def test_report_json_fields(self):
         report = det_benchmark(teleport_test(2).omega, FAST, rep=heisenberg_weyl_rep(2))
