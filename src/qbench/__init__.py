@@ -106,7 +106,6 @@ _EXPORTS = {
     "run_setup": ".cv",
     "average_fidelity_oracle": ".cv",
     "amplitude_limit": ".cv",
-    "heterodyne_samples_via_homodyne": ".cv",
     "setup_to_json": ".cv",
     # errors
     "ToolkitError": ".errors",

@@ -141,6 +141,8 @@ def _pnr_config(args, dims: tuple[int, int]) -> PnrConfig:
     # the exhaustive grid certificate is only affordable on qubit factors
     fields: dict = {"grid": max(dims) <= 2}
     if args.restarts is not None:
+        if args.restarts < 0:
+            raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
         fields["restarts"] = args.restarts
     if args.seed is not None:
         fields["seed"] = args.seed

@@ -918,48 +918,6 @@ def _coherent_column(z: complex, n_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shot-based readout (optional finite-statistics path)
-
-
-def heterodyne_samples_via_homodyne(
-    state: Operator | PureState,
-    shots: int,
-    rng: np.random.Generator,
-    cutoff: FockCutoff,
-) -> np.ndarray:
-    """Simulate the two-homodyne heterodyne procedure and return outcomes γ.
-
-    The mode is mixed with vacuum on a balanced beamsplitter; quadrature X
-    is read on the first output, P on the second, and the declared outcome
-    is γ = sqrt(2)(x + ip).  Quadrature measurements are projective in the
-    truncated eigenbasis of (a+a†)/2, which is faithful for states living
-    well below the cutoff.
-    """
-    n_max = cutoff.n_max
-    rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
-    x_op = 0.5 * (a + a.conj().T)
-    x_vals, x_vecs = np.linalg.eigh(x_op)
-    p_op = (a - a.conj().T) / 2j
-    p_vals, p_vecs = np.linalg.eigh(p_op)
-    bs = beamsplitter(0.5, cutoff).matrix
-    # two-mode state (rho ⊗ |0><0|) through the splitter, then joint Born rule
-    vac = np.zeros((n_max, 1), dtype=complex)
-    vac[0, 0] = 1.0
-    emb = np.kron(np.eye(n_max, dtype=complex), vac)  # lifts mode-1 vectors
-    big = bs @ emb  # (n_max², n_max)
-    evolved = big @ rho @ big.conj().T
-    basis = np.kron(x_vecs, p_vecs)
-    joint = np.einsum("ki,kl,li->i", basis.conj(), evolved, basis, optimize=True)
-    joint = np.clip(joint.real.reshape(n_max, n_max), 0.0, None)
-    joint /= joint.sum()
-    flat = joint.reshape(-1)
-    picks = rng.choice(flat.size, size=shots, p=flat)
-    xi, pj = np.divmod(picks, n_max)
-    return math.sqrt(2.0) * (x_vals[xi] + 1j * p_vals[pj])
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 

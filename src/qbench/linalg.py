@@ -225,12 +225,16 @@ def hermitian_eig(m: Operator | np.ndarray, tol: float = HERM_TOL):
     return w, v
 
 
+def _support_mask(eigenvalues: np.ndarray, rank_tol: float) -> np.ndarray:
+    # signed: an eigenvalue at or below the cutoff, negative ones included,
+    # is kernel, so no power of the support can meet a non-positive value
+    w = np.asarray(eigenvalues)
+    return w > rank_tol * float(np.max(np.abs(w), initial=0.0))
+
+
 def support_rank(eigenvalues: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     """Number of eigenvalues above the relative rank cutoff."""
-    top = float(np.max(np.abs(eigenvalues), initial=0.0))
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(eigenvalues) > rank_tol * top))
+    return int(np.count_nonzero(_support_mask(eigenvalues, rank_tol)))
 
 
 def purify(rho: Operator) -> PureState:
@@ -303,10 +307,9 @@ def pairing_isometry(tau_A: Operator, tau_R: Operator, tol: float = 1e-9) -> np.
 def psd_power_on_support(mat: np.ndarray, power: float, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Matrix power of a PSD matrix restricted to its support (pseudo-inverse semantics)."""
     w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    top = float(np.max(np.abs(w), initial=0.0))
-    keep = np.abs(w) > rank_tol * max(top, 1e-300)
+    keep = _support_mask(w, rank_tol)
     powered = np.zeros_like(w)
-    powered[keep] = np.clip(w[keep], 0.0, None) ** power
+    powered[keep] = w[keep] ** power
     return (v * powered) @ v.conj().T
 
 

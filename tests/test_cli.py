@@ -107,6 +107,19 @@ class TestBenchmarkCommand:
         assert out["certified"]
         assert 0.7519 <= out["lower"] <= out["upper"] <= 0.8401
 
+    def test_det_bracket_is_pinned(self, capsys, tmp_path):
+        # the same reproducer; any valid cut sequence lands within CUT_TOL
+        rng = np.random.default_rng(1)
+        m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(3))
+        omega = Operator(m / np.trace(m).real, (2, 3))
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(det_test_to_json(canonical_det_test(omega).as_det_test())))
+        code, out, _ = run_cli(capsys, "benchmark", "--test", str(path))
+        assert code == 0
+        assert out["certified"]
+        assert abs(out["lower"] - 0.7536382644) < 1e-6
+        assert abs(out["upper"] - 0.7819050928) < 1e-6
+
     def test_malformed_json_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"omega": [1,\n  }')
@@ -118,6 +131,11 @@ class TestBenchmarkCommand:
         code, _, err = run_cli(capsys, "benchmark")
         assert code == 1
         assert "exactly one" in err
+
+    def test_negative_restarts_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "benchmark", "--builtin", "chsh", "--restarts", "-3")
+        assert code == 1
+        assert "--restarts" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--builtin", "nope")

@@ -29,8 +29,6 @@ from qbench.cv import (
     displacement_operator,
     gaussian_observable,
     heterodyne_mp_channel,
-    heterodyne_samples_via_homodyne,
-    heterodyne_weight,
     identity_device,
     rescale_mp_device,
     run_setup,
@@ -824,26 +822,3 @@ class TestRunAgainstOracle:
         assert amplitude_limit(40) > amplitude_limit(20)
         assert coherent_tail(amplitude_limit(40), 40) <= 1e-6
 
-
-class TestSampler:
-    def test_heterodyne_weight_estimate(self):
-        cut = _cutoff(16)
-        rng = np.random.default_rng(11)
-        state = coherent_state(0.6, cut)
-        theta = 0.5
-        samples = heterodyne_samples_via_homodyne(state, 40000, rng, cut)
-        w = heterodyne_weight(samples, theta)
-        est = float(np.mean(w))
-        stderr = float(np.std(w) / math.sqrt(len(w)))
-        exact = math.exp(-0.36 * (1.0 - math.tanh(theta) ** 2))
-        assert abs(est - exact) < 6.0 * stderr
-
-    def test_sampler_outcome_spread(self):
-        cut = _cutoff(16)
-        rng = np.random.default_rng(7)
-        samples = heterodyne_samples_via_homodyne(
-            coherent_state(0.0, cut), 20000, rng, cut
-        )
-        # vacuum heterodyne outcomes have unit-variance complex Gaussian law
-        assert abs(np.mean(samples.real)) < 0.05
-        assert abs(np.var(samples) - 1.0) < 0.1

@@ -62,6 +62,22 @@ def rand_separable(
     return Operator(m / terms, (d_out, d_in))
 
 
+def seesaw_reference(m4, b0, tol, max_iter):
+    """One start at a time: the loop the batched seesaw replaced."""
+    b = b0 / np.linalg.norm(b0)
+    best = -np.inf
+    for _ in range(max_iter):
+        ha = np.einsum("xrys,r,s->xy", m4, b.conj(), b)
+        a = np.linalg.eigh(0.5 * (ha + ha.conj().T))[1][:, -1]
+        hb = np.einsum("xrys,x,y->rs", m4, a.conj(), a)
+        w, v = np.linalg.eigh(0.5 * (hb + hb.conj().T))
+        val, b = w[-1], v[:, -1]
+        if val <= best + tol * max(1.0, abs(val)):
+            return max(best, val)
+        best = val
+    return best
+
+
 class TestProductNumericalRange:
     def test_product_operator_factorizes(self):
         # pnr(A ⊗ B) = lam_max(A) * lam_max(B) for PSD factors
@@ -111,6 +127,40 @@ class TestProductNumericalRange:
         r2 = product_numerical_range(m, PnrConfig(restarts=8, seed=5))
         assert r1.value == r2.value
         assert np.array_equal(r1.maximizer_a, r2.maximizer_a)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        d_out=st.integers(1, 4),
+        d_in=st.integers(1, 4),
+        restarts=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_seesaw_matches_per_start_loop(self, d_out, d_in, restarts, seed):
+        m = rand_bipartite_hermitian(d_out, d_in, np.random.default_rng(seed))
+        m4 = m.matrix.reshape(d_out, d_in, d_out, d_in)
+        cfg = PnrConfig(restarts=restarts, seed=seed)
+        starts = engine._starts(m4, cfg.restarts, cfg.seed)
+        vals, _, _, _ = engine._seesaw_batch(m4, starts, cfg.tol, cfg.max_iter)
+        ref = np.array([seesaw_reference(m4, b0, cfg.tol, cfg.max_iter) for b0 in starts])
+        assert vals.shape == ref.shape
+        assert np.all(np.abs(vals - ref) <= 1e-9)
+        assert np.all(vals <= np.linalg.eigvalsh(m.matrix)[-1] + 1e-12)
+        assert abs(product_numerical_range(m, cfg).value - ref.max()) <= 1e-9
+
+    def test_sweeps_stack_every_start(self, monkeypatch):
+        # a per-start seesaw makes two eigh calls per sweep of every start
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        m = rand_bipartite_hermitian(3, 3, np.random.default_rng(5))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res = product_numerical_range(m, PnrConfig(restarts=256))
+        assert res.restarts == 260
+        assert len(calls) < res.restarts
 
     def test_non_hermitian_rejected(self):
         g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
@@ -222,6 +272,15 @@ class TestProbBenchmark:
         bad = ProbTest(t.omega, Operator(np.diag([1.0, 0.0]).astype(complex), (2,)))
         with pytest.raises(SupportError):
             prob_benchmark(bad, FAST)
+
+    def test_slightly_negative_marginal_is_kernel(self):
+        # is_psd accepts -1e-10; it must count as kernel, not be raised to -1/2
+        t = teleport_test(2)
+        sigma = Operator(np.diag([1.0 + 1e-10, -1e-10]).astype(complex), (2,))
+        with pytest.raises(SupportError) as exc:
+            prob_benchmark(ProbTest(t.omega, sigma), FAST)
+        # the offending vector lies on input |1>, the negative direction
+        assert np.allclose(exc.value.direction.reshape(2, 2)[:, 0], 0.0)
 
 
 class TestCovariance:
