@@ -56,7 +56,7 @@ from .cv import (
     vacuum_device,
 )
 from .engine import PnrConfig, det_benchmark, prob_benchmark
-from .errors import CutoffError, SearchError, SupportError, ToolkitError
+from .errors import ContractError, CutoffError, SearchError, SupportError, ToolkitError
 from .linalg import Operator, operator_from_json, operator_to_json
 from .model import (
     Channel,
@@ -191,13 +191,13 @@ def cmd_benchmark(args) -> tuple[dict, int]:
             # measure-and-prepare threshold of the coherent-state test at
             # gain g and prior lambda; the optimal rescaling q = g/(1+lam)
             # turns the amplitude integral into this closed form
-            lam = args.lam
-            value = (1.0 + lam) / (1.0 + lam + args.g**2)
+            params = _cv_params(g=args.g, lam=args.lam)
+            value = (1.0 + params.lam) / (1.0 + params.lam + params.g**2)
             payload = {
                 "command": "benchmark",
                 "builtin": "coherent",
-                "g": args.g,
-                "lambda": lam,
+                "g": params.g,
+                "lambda": params.lam,
                 "value": value,
                 "lower": value,
                 "upper": value,
@@ -316,6 +316,14 @@ def cmd_canonical(args) -> tuple[dict, int]:
 # cv
 
 
+def _cv_params(**fields) -> CvParams:
+    """``CvParams`` from the scenario flags; a value it rejects is a usage error."""
+    try:
+        return CvParams(**fields)
+    except ContractError as err:
+        raise _UsageError(str(err)) from err
+
+
 def _resolve_device(spec: str) -> AnalyticDevice | Channel:
     if spec.startswith("@"):
         return channel_from_json(_load_json(spec[1:]))
@@ -335,7 +343,10 @@ def _resolve_device(spec: str) -> AnalyticDevice | Channel:
             value = float(param)
         except ValueError as err:
             raise _UsageError(f"device parameter {param!r} is not a number") from err
-        return attenuator_device(value) if name == "attenuator" else rescale_mp_device(value)
+        try:
+            return attenuator_device(value) if name == "attenuator" else rescale_mp_device(value)
+        except ContractError as err:
+            raise _UsageError(str(err)) from err
     raise _UsageError(
         f"unknown device {spec!r}; builtins are identity, vacuum, attenuator:t, "
         "scale:q, heterodyne-mp, or @kraus.json"
@@ -343,7 +354,7 @@ def _resolve_device(spec: str) -> AnalyticDevice | Channel:
 
 
 def cmd_cv(args) -> tuple[dict, int]:
-    params = CvParams(g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
+    params = _cv_params(g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
     cutoff = FockCutoff(args.cutoff)
     quad = QuadRule(nodes=args.nodes) if args.nodes is not None else None
     device = _resolve_device(args.device)

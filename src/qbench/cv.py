@@ -21,24 +21,29 @@ identity is ``W_c = S_θ† (G_θ ⊗ I) S_θ`` at ``tanh θ = c`` for ``c < 1``
 where the ``c⁻²`` Jacobian comes from rescaling the integration variable.
 ``S_θ = exp[θ(ab − a†b†)]`` is fixed by the displacement covariance
 ``S_θ (D(α)⊗D(β)) S_θ† = D(α cosh θ − β̄ sinh θ) ⊗ D(β cosh θ − ᾱ sinh θ)``.
+The setup's squeezer and homodyne stages therefore measure ``W_c``, and
+``run_setup`` reads ``W_c`` from its exact closed form on every fidelity
+branch; the dense squeezer and Gaussian observable remain as references.
 
-Sector storage.  The squeezer and W_c conserve the photon-number difference
-p − q, the beamsplitter and the plain-reference pair observable the total
-p + q, so each is stored as one dense block per sector (U(1)
-charge-conserving block storage) and the readout is scored sector by
-sector; W_c is filled from its exact closed form rather than by quadrature.
-Dense n_max² × n_max² views exist only for callers that want the matrix.
+Sector storage.  W_c conserves the photon-number difference p − q, the
+beamsplitter the total p + q, so each is stored as one dense block per
+sector (U(1) charge-conserving block storage) and the readout is scored
+sector by sector.  Additive noise is the quantum-limited amplifier of gain
+G = 1 + 1/ν after the attenuator 1/G; both are phase covariant, so the
+noise acts on each mode-a charge δ (the bra-ket level difference) through
+one n_max × n_max transfer matrix, and ``run_setup`` folds it onto the
+readout in the Heisenberg picture.  Dense n_max² × n_max² views exist only
+for callers that want the matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.laguerre import laggauss
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
 from .linalg import Operator, PureState
@@ -49,9 +54,8 @@ NOISE_DEFICIT_TOL = 1e-5
 ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
-DENSITY_ROUTE_THRESHOLD = 4  # switch once vectors outnumber 4 * n_max**2
-NOISE_KRAUS_CHUNK = 64  # Kraus operators per transfer-matrix GEMM
-STAGE_DECAY_TOL = 1e-9  # tanh(θ)^(2 n_max) past this, truncated stages lie
+P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
+HETERODYNE_SPACING = 0.5  # outcome grid step of the heterodyne POVM
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +94,11 @@ class CvParams:
     conjugate: bool = False
 
     def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ContractError(f"gain must be nonnegative, got {self.g}")
+        for name in ("g", "lam", "mu"):
+            if math.isnan(getattr(self, name)):
+                raise ContractError(f"{name} must be a number, got nan")
+        if not 0 <= self.g < math.inf:
+            raise ContractError(f"gain must be finite and nonnegative, got {self.g}")
         if self.lam <= 0:
             raise ContractError(f"lam must be positive, got {self.lam}")
         if self.mu <= 0:
@@ -137,7 +144,8 @@ class CvSetup:
     ``bs_t`` the beamsplitter transmissivity of the conjugation branch,
     ``g_port`` the mode index (0 = device output, 1 = reference) carrying
     the Gaussian observable, and ``weight`` the scalar multiplying the raw
-    expectation value.
+    expectation value.  They describe the optical setup; the fidelity
+    branches are scored with the pair observable W_c it measures.
     """
 
     params: CvParams
@@ -149,13 +157,6 @@ class CvSetup:
     g_port: int | None = None
     bs_t: float | None = None
     stages: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def pair_route(self) -> bool:
-        """True when the squeezer angle is too steep for the cutoff and the
-        exact pair observable is read out instead of the squeezer and the
-        Gaussian observable."""
-        return self.branch != "conjugation" and not _stage_route_ok(self.theta, self.cutoff.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,8 @@ def _pair_blocks(
     out = []
     for idx in _sectors(n_max, "difference" if conjugate_reference else "total"):
         p, q = np.divmod(idx, n_max)
-        half = p * math.log(c) - 0.5 * (log_fact[p] + log_fact[q])
+        # xlogy keeps c^0 = 1 at c = 0 (zero gain reads out vacuum ⊗ I)
+        half = xlogy(p, c) - 0.5 * (log_fact[p] + log_fact[q])
         k = p[:, None] + (q[None, :] if conjugate_reference else q[:, None])
         log_w = half[:, None] + half[None, :] + log_fact[k] - (k + 1) * log_s
         out.append((idx, np.exp(log_w)))
@@ -426,69 +428,67 @@ def scaled_pair_observable(
 # additive-noise channel
 
 
-class NoiseChannel(Channel):
-    """Kraus realization of the Gaussian additive-noise channel.
+def _charge_transfer(kraus) -> np.ndarray:
+    """Per-charge transfer matrices ``T[δ, x, u] = Σ_j K_j[x, u] conj(K_j[x−δ, u−δ])``
+    of a phase-covariant Kraus family, for δ = 0 .. n − 1.
 
-    ``deficit`` holds 1 - diag(sum K†K): the trace the truncation loses per
-    input level.  The Kraus family is closed under the adjoint (the
-    displacement grid is symmetric under negation), which makes the map
-    self-adjoint as a superoperator.
+    Phase covariance means the map sends |u⟩⟨u−δ| into the span of the
+    |x⟩⟨x−δ|, so ``T[δ]`` is the whole action on charge δ; charge −δ is
+    ``T[−δ, x, u] = conj(T[δ, x+δ, u+δ])``.
     """
+    ks = np.asarray(kraus)
+    n = ks.shape[-1]
+    out = np.zeros((n, n, n), dtype=complex)
+    for d in range(n):
+        out[d, d:, d:] = np.einsum("jxu,jxu->xu", ks[:, d:, d:], ks[:, : n - d, : n - d].conj())
+    return out
 
-    def __init__(self, kraus, deficit: np.ndarray, nu: float):
-        super().__init__(kraus, trace_preserving=False)
-        object.__setattr__(self, "deficit", deficit)
-        object.__setattr__(self, "nu", float(nu))
 
+def _noise_transfer(nu: float, n_max: int) -> np.ndarray:
+    """Per-charge transfer matrices (see :func:`_charge_transfer`) of the
+    additive noise ``nu``: the amplifier of gain G = 1 + 1/ν after the
+    attenuator 1/G.
 
-def additive_noise_channel(
-    nu: float, cutoff: FockCutoff, radial: int = 12, angular: int = 44
-) -> Channel:
-    """Gaussian additive noise: rho -> ∫ d²δ/π nu e^{-nu|δ|²} D(δ) rho D(δ)†.
-
-    Discretized as Kraus operators sqrt(w)·D(δ) on a polar grid
-    (Gauss–Laguerre radially, uniform angles, even count so the family is
-    adjoint-closed), then scaled so the channel is exactly
-    trace-nonincreasing.  The per-level trace deficit is kept on the result;
-    construction fails if it exceeds the budget on the lower half of the
-    kept levels.
+    Every kept element is exact: the attenuator never raises the photon
+    number, so truncating between the two stages drops nothing.  What the
+    cutoff does lose is the amplifier's spill past n_max; that trace deficit
+    only needs to vanish where setup states live, so it is guarded on the
+    lower quarter of the levels.
     """
-    if nu <= 0:
-        raise ContractError(f"nu must be positive, got {nu}")
-    if math.isinf(nu):
-        return Channel.identity(cutoff.n_max)
-    if angular % 2:
-        raise ContractError("angular node count must be even (adjoint closure)")
-    radial_nodes, radial_weights = laggauss(radial)
-    # D(r e^{iφ}) = R(φ) D(r) R(φ)† with R(φ) = diag(e^{inφ}): each angle only
-    # rephases the matrix elements of one radial displacement
-    phases = np.exp(2j * np.pi * np.outer(np.arange(angular), np.arange(cutoff.n_max)) / angular)
-    # the angles then sum Σ_φ R D† D R† to ``angular`` times D† D masked to the
-    # elements whose level difference the angular rule does not cancel
-    levels = np.arange(cutoff.n_max)
-    mask = (levels[:, None] - levels[None, :]) % angular == 0
-    kraus = []
-    total = np.zeros((cutoff.n_max, cutoff.n_max), dtype=complex)
-    for u, w in zip(radial_nodes, radial_weights):
-        d_r = math.sqrt(w / angular) * displacement_operator(math.sqrt(u / nu), cutoff.n_max)
-        kraus.extend(ph[:, None] * d_r * ph.conj()[None, :] for ph in phases)
-        total += angular * np.where(mask, d_r.conj().T @ d_r, 0.0)
-    top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))).real)
-    if top > 1.0:
-        kraus = [k / math.sqrt(top) for k in kraus]
-        total = total / top
-    deficit = 1.0 - np.diag(total).real
-    # the deficit is pure displacement truncation (each D is exact on the kept
-    # block), so it only needs to vanish where setup states live: guard the
-    # lower quarter of the levels, report the full profile on the channel
-    guard = max(2, int(cutoff.n_max // 4))
+    gain = 1.0 + 1.0 / nu
+    transfer = _charge_transfer(_amplifier_kraus(gain, n_max)) @ _charge_transfer(
+        _attenuator_kraus(1.0 / gain, n_max)
+    )
+    deficit = 1.0 - transfer[0].real.sum(axis=0)
+    guard = max(2, n_max // 4)
     worst = float(np.max(np.abs(deficit[:guard])))
     if worst > NOISE_DEFICIT_TOL:
         raise CutoffError(
             f"noise channel nu={nu} loses {worst:.2e} trace below level {guard}",
-            suggested_n_max=2 * cutoff.n_max,
+            suggested_n_max=2 * n_max,
         )
-    return NoiseChannel(kraus, deficit, nu)
+    return transfer
+
+
+def additive_noise_channel(nu: float, cutoff: FockCutoff) -> Channel:
+    """Gaussian additive noise: rho -> ∫ d²δ/π nu e^{-nu|δ|²} D(δ) rho D(δ)†.
+
+    Realized exactly as the quantum-limited amplifier of gain G = 1 + 1/ν
+    after the attenuator of transmissivity 1/G (Caruso, Giovannetti, Holevo,
+    NJP 8, 310 (2006)): the n_max² Kraus operators A_k L_j.  Every kept
+    matrix element is exact; construction fails when the trace lost past the
+    cutoff exceeds the budget on the lower quarter of the kept levels.
+    """
+    if not nu > 0:
+        raise ContractError(f"nu must be positive, got {nu}")
+    n_max = cutoff.n_max
+    if math.isinf(nu):
+        return Channel.identity(n_max)
+    _noise_transfer(nu, n_max)  # the trace-deficit guard
+    gain = 1.0 + 1.0 / nu
+    loss = _attenuator_kraus(1.0 / gain, n_max)
+    kraus = [a @ l for a in _amplifier_kraus(gain, n_max) for l in loss]
+    return Channel(kraus, trace_preserving=False)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +514,8 @@ class AnalyticDevice:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ContractError(f"unknown analytic device kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ContractError(f"device parameter must be finite, got {self.param}")
         if self.kind == "attenuator" and not (0 <= self.param <= 1):
             raise ContractError(f"attenuator transmissivity {self.param} outside [0, 1]")
         if self.kind == "rescale_mp" and self.param < 0:
@@ -579,26 +581,37 @@ def _attenuator_kraus(t: float, n_max: int) -> list[np.ndarray]:
     return out
 
 
-def heterodyne_mp_channel(
-    q: float, cutoff: FockCutoff, spacing: float = 0.5, radius: float | None = None
-) -> Channel:
+def _amplifier_kraus(gain: float, n_max: int) -> list[np.ndarray]:
+    """Quantum-limited amplifier Kraus set
+    A_k = sum_n sqrt(C(n+k, k) (1-1/G)^k / G^{n+1}) |n+k><n|."""
+    logs = gammaln(np.arange(n_max) + 1.0)
+    out = []
+    for k in range(n_max):
+        n = np.arange(n_max - k)
+        log_c = logs[n + k] - logs[n] - logs[k]
+        log_a = log_c + k * math.log1p(-1.0 / gain) - (n + 1) * math.log(gain)
+        a = np.zeros((n_max, n_max), dtype=complex)
+        a[n + k, n] = np.exp(0.5 * log_a)
+        out.append(a)
+    return out
+
+
+def heterodyne_mp_channel(q: float, cutoff: FockCutoff) -> Channel:
     """Measure-and-prepare device: heterodyne POVM on a square grid of
     outcomes, re-prepare the coherent state ``q·γ``.
 
     The aliasing error of the discretized POVM scales like
     exp(-π²/((1+q²)Δ²)) on pure-state probes — the (1+q²) because the
-    re-preparation overlap narrows the effective Gaussian — so the default
-    spacing keeps it far below the toolkit tolerances.  The channel is
-    trace-nonincreasing: POVM mass outside the grid shows up as success
-    probability slightly below one.
+    re-preparation overlap narrows the effective Gaussian — so the grid
+    step ``HETERODYNE_SPACING`` keeps it far below the toolkit tolerances.
+    The channel is trace-nonincreasing: POVM mass outside the grid shows up
+    as success probability slightly below one.
     """
-    if spacing <= 0 or spacing > 0.7:
-        raise ContractError(f"grid spacing must lie in (0, 0.7], got {spacing}")
     n_max = cutoff.n_max
-    if radius is None:
-        # covers the POVM for Fock levels well past n_max/3: the missing
-        # mass at level n is a Poisson(R²) lower tail
-        radius = math.sqrt(n_max) + 3.0
+    spacing = HETERODYNE_SPACING
+    # covers the POVM for Fock levels well past n_max/3: the missing mass at
+    # level n is a Poisson(R²) lower tail
+    radius = math.sqrt(n_max) + 3.0
     half = int(math.ceil(radius / spacing))
     axis = spacing * np.arange(-half, half + 1)
     gammas = [complex(re, im) for re in axis for im in axis if math.hypot(re, im) <= radius]
@@ -664,7 +677,8 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         c = params.g / math.sqrt(params.lam + 1.0)
         branch = "pure_low_gain" if params.g**2 <= params.lam + 1.0 else "pure_high_gain"
     theta, port, weight = _fidelity_reduction(c)
-    setup = CvSetup(
+    stages.append(f"pair_observable(c={c:.6f})")
+    return CvSetup(
         params=params,
         cutoff=cutoff,
         branch=branch,
@@ -672,90 +686,69 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
         weight=weight,
         theta=theta,
         g_port=port,
+        stages=tuple(stages),
     )
-    if setup.pair_route:
-        stages.append(f"pair_observable(c={c:.6f})")
-    else:
-        stages.append(f"squeezer(theta={theta:.6f})")
-        stages.append(f"gaussian_observable(port={'output' if port == 0 else 'reference'})")
-    return replace(setup, stages=tuple(stages))
-
-
-def _expand_noise(
-    vectors: np.ndarray, noise: Channel, n_max: int
-) -> np.ndarray | None:
-    """Apply every noise Kraus to every vector on the first mode; returns
-    None when the expansion would outgrow the density-matrix route."""
-    count = vectors.shape[0] * len(noise.kraus)
-    if count > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
-        return None
-    jobs = len(noise.kraus)
-    stack = np.stack(noise.kraus).reshape(jobs * n_max, n_max)  # [(j, a), m]
-    cols = vectors.transpose(1, 0, 2).reshape(n_max, -1)  # [m, (k, r)]
-    out = (stack @ cols).reshape(jobs, n_max, -1, n_max)  # [j, a, k, r]
-    return out.transpose(0, 2, 1, 3).reshape(-1, n_max, n_max)
-
-
-def _density(vectors: np.ndarray) -> np.ndarray:
-    """Σ_k |v_k⟩⟨v_k| over ``vectors[k, a, r]``, indexed [(a, r), (b, s)]."""
-    flat = vectors.reshape(vectors.shape[0], -1)
-    return flat.T @ flat.conj()
-
-
-def _noise_density(rho: np.ndarray, noise: Channel, n_max: int) -> np.ndarray:
-    """``(noise ⊗ I)(rho)``; ``rho`` and the result are indexed [(a, r), (b, s)]
-    (mode-a ket, reference ket, mode-a bra, reference bra).
-
-    The transfer matrix ``T[(x, y), (a, b)] = Σ_k K_k[x, a] conj(K_k[y, b])``
-    is accumulated in [(x, a), (y, b)] order by one GEMM per Kraus chunk and
-    applied by one (n², n²) GEMM to ``rho`` regrouped as [(a, b), (r, s)].
-    """
-    n2 = n_max * n_max
-    transfer = np.zeros((n2, n2), dtype=complex)
-    for start in range(0, len(noise.kraus), NOISE_KRAUS_CHUNK):
-        rows = np.stack(noise.kraus[start : start + NOISE_KRAUS_CHUNK]).reshape(-1, n2)
-        transfer += rows.T @ rows.conj()
-    transfer = transfer.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
-    out = transfer @ rho.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
-    return out.reshape((n_max,) * 4).transpose(0, 2, 1, 3).reshape(n2, n2)
-
-
-def _stage_route_ok(theta: float, n_max: int) -> bool:
-    """The truncated squeezer tells the truth only while the Gaussian
-    observable has decayed away well inside the cutoff; past that the
-    spill-over of squeezed high levels is weighted at O(1)."""
-    decay = math.tanh(theta) ** 2
-    return decay**n_max <= STAGE_DECAY_TOL
 
 
 def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The branch's pair observable divided by ``setup.weight``, as
-    Hermitian blocks ``[(flat_idx, O_d)]`` over the sectors it conserves.
+    """The branch's observable, weight included, as Hermitian blocks
+    ``[(flat_idx, O_d)]`` over the sectors it conserves, with the setup's
+    additive noise folded onto it.
 
-    Conjugation: ``r_a† r_a`` with ``r_a`` the ⟨a, 0| row of beamsplitter
-    sector a (the no-click readout).  Squeezer route: ``S_d† diag(g) S_d``
-    with the Gaussian eigenvalues taken on the observable's port.  Pair
-    route: the closed-form ``W_d / weight``.
+    Conjugation: ``weight · r_a† r_a`` with ``r_a`` the ⟨a, 0| row of
+    beamsplitter sector a (the no-click readout).  Fidelity branches: the
+    closed-form pair observable ``W_c``, which the squeezer and the Gaussian
+    observable measure (module docstring).
     """
     n_max = setup.cutoff.n_max
     if setup.branch == "conjugation":
-        blocks = _two_mode_blocks(math.acos(math.sqrt(setup.bs_t)), n_max, "beamsplitter")
+        conserved = "total"
+        bs = _two_mode_blocks(math.acos(math.sqrt(setup.bs_t)), n_max, "beamsplitter")
         # sector a < n_max holds (p, a − p) for p = 0..a, so ⟨a, 0| is its row a
-        return [(idx, np.outer(u[a].conj(), u[a])) for a, (idx, u) in enumerate(blocks[:n_max])]
-    if setup.pair_route:
+        blocks = [
+            (idx, setup.weight * np.outer(u[a].conj(), u[a]))
+            for a, (idx, u) in enumerate(bs[:n_max])
+        ]
+    else:
+        conserved = "difference"
         th = math.tanh(setup.theta)
-        c = th if setup.g_port == 0 else 1.0 / th
-        return [(idx, w / setup.weight) for idx, w in _pair_blocks(c, n_max, True)]
-    g_diag = np.tanh(setup.theta) ** (2.0 * np.arange(n_max))
-    out = []
-    for idx, s in _two_mode_blocks(setup.theta, n_max, "squeezer"):
-        port_level = np.divmod(idx, n_max)[setup.g_port]
-        out.append((idx, (s.conj().T * g_diag[port_level]) @ s))
-    return out
+        blocks = _pair_blocks(th if setup.g_port == 0 else 1.0 / th, n_max, True)
+    nu = setup.params.nu
+    if math.isfinite(nu):
+        blocks = _fold_noise(blocks, _noise_transfer(nu, n_max), _sectors(n_max, conserved))
+    return blocks
+
+
+def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(N† ⊗ I)(O)`` for a phase-covariant channel N on the device mode,
+    given by its per-charge ``transfer`` (:func:`_charge_transfer`).
+
+    O's elements are laid out by mode-a charge δ, ``C[δ, x, r] =
+    O[(x, r), (x − δ, ·)]`` — within a sector the row and δ fix the column —
+    so ``Tr[O (N ⊗ I)(ρ)] = Tr[(N† ⊗ I)(O) ρ]`` turns each ``C[δ]`` into
+    ``T_δᴴ @ C[δ]``.  The result conserves the same charge as O, and is
+    gathered back over every one of ``sectors``, since the noise carries O
+    into sectors it had left empty.
+    """
+    n = transfer.shape[-1]
+    adjoint = np.zeros((2 * n - 1, n, n), dtype=complex)  # T_δᴴ at index δ + n − 1
+    adjoint[n - 1 :] = transfer.conj().transpose(0, 2, 1)
+    for d in range(1, n):
+        adjoint[n - 1 - d, : n - d, : n - d] = transfer[d, d:, d:].T
+
+    def layout(idx):
+        p, q = np.divmod(idx, n)
+        return p[:, None] - p[None, :] + n - 1, p[:, None], q[:, None]
+
+    charge = np.zeros_like(adjoint)
+    for idx, o in readout:
+        charge[layout(idx)] = o
+    charge = adjoint @ charge
+    return [(idx, charge[layout(idx)]) for idx in sectors]
 
 
 def _score_vectors(readout, vectors: np.ndarray) -> float:
-    """Raw (unweighted, unnormalized) Σ_k ⟨v_k|O|v_k⟩ over a pure decomposition."""
+    """Raw (unnormalized) Σ_k ⟨v_k|O|v_k⟩ over a pure decomposition."""
     flat = vectors.reshape(vectors.shape[0], -1)
     total = 0.0
     for idx, o in readout:
@@ -764,29 +757,15 @@ def _score_vectors(readout, vectors: np.ndarray) -> float:
     return total
 
 
-def _score_density(readout, rho: np.ndarray) -> float:
-    """Raw Tr[O ρ] on a density matrix indexed [(a, r), (b, s)]."""
-    return sum(float(np.sum(o * rho[np.ix_(idx, idx)].T).real) for idx, o in readout)
-
-
-def run_setup(
-    setup: CvSetup,
-    device: Channel,
-    p_min: float = 1e-12,
-    noise: Channel | None = None,
-) -> tuple[float, float]:
+def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
     """Score one device through the single-setup measurement chain.
 
-    Returns ``(score, p_succ)``: the weighted observable expectation
-    normalized by the device's success probability on the entangled input,
-    and that success probability itself.  ``noise`` overrides the
-    additive-noise stage (it is rebuilt from the parameters when omitted),
-    letting callers share one channel across many runs.
-
-    When the reduction angle is too steep for the cutoff (``tanh θ`` close
-    to one) the truncated squeezer stops being trustworthy, and
-    :func:`build_setup` routes the score through the closed-form pair
-    observable instead.
+    Returns ``(score, p_succ)``: the observable's expectation normalized by
+    the device's success probability on the entangled input, and that
+    success probability itself.  One route for every branch: the readout
+    blocks (closed-form W_c, or the conjugation branch's beamsplitter rows)
+    with the additive-noise stage folded onto them, scored against the
+    device's pure decomposition ``(K_k ⊗ I)|tmsv⟩``.
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
@@ -795,34 +774,18 @@ def run_setup(
             f"device acts on dimension {device.dims_in}->{device.dims_out}, "
             f"setup cutoff is {n_max}"
         )
+    diag = _tmsv_diagonal(setup.x, cutoff)
     # built before the n²-sized arrays so that its many small blocks, which
     # live until the end, do not sit above them in the heap and keep it grown
     readout = _readout(setup)
-    diag = _tmsv_diagonal(setup.x, cutoff)
     vectors = np.stack(device.kraus)
     vectors *= diag  # K @ diag(psi), columns scaled in place
     p_succ = float(np.vdot(vectors, vectors).real)
-    if p_succ < p_min:
+    if p_succ < P_SUCC_MIN:
         raise VanishingSuccessError(
-            f"success probability {p_succ:.3e} below threshold {p_min:.0e}"
+            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
         )
-    nu = setup.params.nu
-    rho = None
-    if math.isfinite(nu):
-        if noise is None:
-            noise = additive_noise_channel(nu, cutoff)
-        expanded = _expand_noise(vectors, noise, n_max)
-        if expanded is None:
-            rho = _noise_density(_density(vectors), noise, n_max)
-        else:
-            vectors = expanded
-    if rho is None and vectors.shape[0] > DENSITY_ROUTE_THRESHOLD * n_max * n_max:
-        rho = _density(vectors)
-    if rho is not None:
-        raw = _score_density(readout, rho)
-    else:
-        raw = _score_vectors(readout, vectors)
-    return setup.weight * raw / p_succ, p_succ
+    return _score_vectors(readout, vectors) / p_succ, p_succ
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,8 @@ def test_noise_adjoint_identity():
     cut = FockCutoff(n)
     setup = build_setup(params, cut)
     noise = additive_noise_channel(params.nu, cut)
-    score_state, _ = run_setup(setup, Channel.identity(n), noise=noise)
-    # same pairing with every displacement moved onto the observable side
+    score_state, _ = run_setup(setup, Channel.identity(n))
+    # same pairing with every noise Kraus operator moved onto the observable side
     s = two_mode_squeezer(setup.theta, cut).matrix
     gd = np.diag(np.tanh(setup.theta) ** (2.0 * np.arange(n))).astype(complex)
     eye = np.eye(n, dtype=complex)

@@ -301,15 +301,41 @@ class TestCvCommand:
         assert out["setup"]["branch"] == "conjugation"
 
     def test_stages_name_the_route_taken(self, capsys):
-        # tanh²θ = c² = 0.72 at g = 1.2 leaves 0.72^40 ≈ 2e-6 on the cutoff, so
-        # the truncated squeezer is refused and the pair observable read out
+        # every fidelity branch reads out the closed-form pair observable; the
+        # report keeps the squeezer angle and port of the optical setup
         _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.9", "--g", "1.2")
         assert out["setup"]["stages"][2:] == ["pair_observable(c=0.848528)"]
         _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.9", "--g", "1.0")
+        assert out["setup"]["stages"][2:] == ["pair_observable(c=0.707107)"]
+        assert abs(out["setup"]["theta"] - 0.881374) < 1e-6
+        assert out["setup"]["g_port"] == 0
+        _, out, _ = run_cli(
+            capsys, "cv", "--device", "identity", "--mu", "2", "--conjugate"
+        )
         assert out["setup"]["stages"][2:] == [
-            "squeezer(theta=0.881374)",
-            "gaussian_observable(port=output)",
+            "noise(nu=3.000000)",
+            "beamsplitter(t=0.210526)",
+            "photodetector(reference port, score on no-click)",
         ]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("benchmark", "--builtin", "coherent", "--lambda", "-0.5"), "lam"),
+            (("benchmark", "--builtin", "coherent", "--lambda", "-2"), "lam"),
+            (("benchmark", "--builtin", "coherent", "--g", "nan"), "g must be a number"),
+            (("cv", "--device", "identity", "--g", "nan"), "g must be a number"),
+            (("cv", "--device", "identity", "--g", "inf"), "gain must be finite"),
+            (("cv", "--device", "identity", "--mu", "nan"), "mu must be a number"),
+            (("cv", "--device", "scale:nan"), "must be finite"),
+            (("cv", "--device", "scale:inf"), "must be finite"),
+        ],
+    )
+    def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out is None
+        assert flag in err
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         main(["cv", "--device", "vacuum", "--cutoff", "24", "--seed", "3"])
