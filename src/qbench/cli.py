@@ -149,6 +149,22 @@ def _pnr_config(args, dims: tuple[int, int]) -> PnrConfig:
     return PnrConfig(**fields)
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ContractError as err:
+        raise _UsageError(str(err)) from err
+
+
+def _builtin_count(param: str, default: int) -> int:
+    """The integer after ``name:`` in ``--builtin``, or ``default``."""
+    try:
+        return int(param) if param else default
+    except ValueError as err:
+        raise _UsageError(f"builtin parameter {param!r} is not an integer") from err
+
+
 def _benchmark_prob(test: ProbTest, args, extra: dict) -> tuple[dict, int]:
     cfg = _pnr_config(args, test.omega.dims)
     res = prob_benchmark(test, cfg, _details=True)
@@ -175,23 +191,22 @@ def cmd_benchmark(args) -> tuple[dict, int]:
     if args.builtin is not None:
         name, _, param = args.builtin.partition(":")
         if name == "teleport":
-            dim = int(param) if param else args.dim
-            payload, code = _benchmark_prob(
-                teleport_test(dim), args, {"builtin": "teleport", "dim": dim}
+            dim = _builtin_count(param, args.dim)
+            return _benchmark_prob(
+                _checked(teleport_test, dim), args, {"builtin": "teleport", "dim": dim}
             )
-            return payload, code
         if name == "chsh":
             return _benchmark_prob(chsh_test(), args, {"builtin": "chsh"})
         if name == "equator":
-            n = int(param) if param else 3
+            n = _builtin_count(param, 3)
             return _benchmark_prob(
-                equator_test(n), args, {"builtin": "equator", "points": n}
+                _checked(equator_test, n), args, {"builtin": "equator", "points": n}
             )
         if name == "coherent":
             # measure-and-prepare threshold of the coherent-state test at
             # gain g and prior lambda; the optimal rescaling q = g/(1+lam)
             # turns the amplitude integral into this closed form
-            params = _cv_params(g=args.g, lam=args.lam)
+            params = _checked(CvParams, g=args.g, lam=args.lam)
             value = (1.0 + params.lam) / (1.0 + params.lam + params.g**2)
             payload = {
                 "command": "benchmark",
@@ -316,14 +331,6 @@ def cmd_canonical(args) -> tuple[dict, int]:
 # cv
 
 
-def _cv_params(**fields) -> CvParams:
-    """``CvParams`` from the scenario flags; a value it rejects is a usage error."""
-    try:
-        return CvParams(**fields)
-    except ContractError as err:
-        raise _UsageError(str(err)) from err
-
-
 def _resolve_device(spec: str) -> AnalyticDevice | Channel:
     if spec.startswith("@"):
         return channel_from_json(_load_json(spec[1:]))
@@ -343,10 +350,7 @@ def _resolve_device(spec: str) -> AnalyticDevice | Channel:
             value = float(param)
         except ValueError as err:
             raise _UsageError(f"device parameter {param!r} is not a number") from err
-        try:
-            return attenuator_device(value) if name == "attenuator" else rescale_mp_device(value)
-        except ContractError as err:
-            raise _UsageError(str(err)) from err
+        return _checked(attenuator_device if name == "attenuator" else rescale_mp_device, value)
     raise _UsageError(
         f"unknown device {spec!r}; builtins are identity, vacuum, attenuator:t, "
         "scale:q, heterodyne-mp, or @kraus.json"
@@ -354,9 +358,9 @@ def _resolve_device(spec: str) -> AnalyticDevice | Channel:
 
 
 def cmd_cv(args) -> tuple[dict, int]:
-    params = _cv_params(g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
-    cutoff = FockCutoff(args.cutoff)
-    quad = QuadRule(nodes=args.nodes) if args.nodes is not None else None
+    params = _checked(CvParams, g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
+    cutoff = _checked(FockCutoff, args.cutoff)
+    quad = _checked(QuadRule, nodes=args.nodes) if args.nodes is not None else None
     device = _resolve_device(args.device)
     analytic = device if isinstance(device, AnalyticDevice) else None
     setup = build_setup(params, cutoff)

@@ -28,12 +28,16 @@ branch; the dense squeezer and Gaussian observable remain as references.
 Sector storage.  W_c conserves the photon-number difference p − q, the
 beamsplitter the total p + q, so each is stored as one dense block per
 sector (U(1) charge-conserving block storage) and the readout is scored
-sector by sector.  Additive noise is the quantum-limited amplifier of gain
-G = 1 + 1/ν after the attenuator 1/G; both are phase covariant, so the
-noise acts on each mode-a charge δ (the bra-ket level difference) through
-one n_max × n_max transfer matrix, and ``run_setup`` folds it onto the
-readout in the Heisenberg picture.  Dense n_max² × n_max² views exist only
-for callers that want the matrix.
+sector by sector.  Dense n_max² × n_max² views exist only for callers
+that want the matrix.
+
+Gaussian channels.  Every reference device and the additive noise ν is a
+quantum-limited amplifier of gain G after a pure-loss attenuator η
+(Caruso, Giovannetti, Holevo, NJP 8, 310 (2006)); ``_gaussian_kraus``
+gives its exact real Kraus set, and the noise is G = 1 + 1/ν after
+η = 1/G.  Both stages are phase covariant, so the noise acts on each
+mode-a charge δ (the bra-ket level difference) through one n_max × n_max
+transfer matrix, which ``run_setup`` folds onto the readout.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
-HETERODYNE_SPACING = 0.5  # outcome grid step of the heterodyne POVM
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +295,9 @@ def tmsv(x: float, cutoff: FockCutoff) -> PureState:
 
 
 def _tmsv_diagonal(x: float, cutoff: FockCutoff) -> np.ndarray:
+    """The real amplitudes ψ_n of ``tmsv`` on |n, n⟩."""
     state = tmsv(x, cutoff)
-    return state.amplitudes.reshape(cutoff.n_max, cutoff.n_max).diagonal().copy()
+    return state.amplitudes.reshape(cutoff.n_max, cutoff.n_max).diagonal().real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +478,10 @@ def additive_noise_channel(nu: float, cutoff: FockCutoff) -> Channel:
     """Gaussian additive noise: rho -> ∫ d²δ/π nu e^{-nu|δ|²} D(δ) rho D(δ)†.
 
     Realized exactly as the quantum-limited amplifier of gain G = 1 + 1/ν
-    after the attenuator of transmissivity 1/G (Caruso, Giovannetti, Holevo,
-    NJP 8, 310 (2006)): the n_max² Kraus operators A_k L_j.  Every kept
-    matrix element is exact; construction fails when the trace lost past the
-    cutoff exceeds the budget on the lower quarter of the kept levels.
+    after the attenuator of transmissivity 1/G: the n_max² Kraus operators
+    A_k L_j of ``_gaussian_kraus``.  Every kept matrix element is exact;
+    construction fails when the trace lost past the cutoff exceeds the
+    budget on the lower quarter of the kept levels.
     """
     if not nu > 0:
         raise ContractError(f"nu must be positive, got {nu}")
@@ -486,9 +490,7 @@ def additive_noise_channel(nu: float, cutoff: FockCutoff) -> Channel:
         return Channel.identity(n_max)
     _noise_transfer(nu, n_max)  # the trace-deficit guard
     gain = 1.0 + 1.0 / nu
-    loss = _attenuator_kraus(1.0 / gain, n_max)
-    kraus = [a @ l for a in _amplifier_kraus(gain, n_max) for l in loss]
-    return Channel(kraus, trace_preserving=False)
+    return Channel(_gaussian_kraus(1.0 / gain, gain, n_max), trace_preserving=False)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +501,14 @@ def additive_noise_channel(nu: float, cutoff: FockCutoff) -> Channel:
 class AnalyticDevice:
     """A standard coherent-state device with a closed-form fidelity kernel.
 
-    ``kind`` is one of ``identity``, ``attenuator`` (transmissivity
-    ``param``), ``vacuum`` (replace by vacuum), ``rescale_mp`` (heterodyne
-    measurement followed by re-preparation of ``param · γ``).  These give
-    the oracle an exact integrand with no Fock truncation, and
-    ``materialize`` produces the matching Kraus channel for the setup run.
+    Each kind is the amplifier of gain G after the attenuator η, and
+    ``eta_gain`` maps it: ``identity`` (1, 1), ``attenuator`` (t, 1) with
+    t = ``param``, ``vacuum`` (0, 1), and ``rescale_mp`` (q²/(1+q²), 1+q²):
+    heterodyne measurement, then re-preparation of ``q · γ`` with
+    q = ``param`` (Hammerer, Wolf, Polzik, Cirac, PRL 94, 150503 (2005)),
+    which on every coherent input gives mean qα and q² thermal photons too.
+    ``pure_fidelity`` gives the oracle an exact integrand with no Fock
+    truncation, and ``materialize`` the Kraus channel for the setup run.
     """
 
     kind: str
@@ -521,31 +526,25 @@ class AnalyticDevice:
         if self.kind == "rescale_mp" and self.param < 0:
             raise ContractError("re-preparation gain must be nonnegative")
 
+    @property
+    def eta_gain(self) -> tuple[float, float]:
+        """Attenuator transmissivity η and amplifier gain G of the device."""
+        if self.kind == "rescale_mp":
+            gain = 1.0 + self.param**2
+            return self.param**2 / gain, gain
+        return {"identity": 1.0, "attenuator": self.param, "vacuum": 0.0}[self.kind], 1.0
+
     def pure_fidelity(self, u, v):
-        """<v| C(|u><u|) |v> for coherent input u and coherent target v."""
+        """<v| C(|u><u|) |v> for coherent input u and coherent target v:
+        C(|u><u|) has mean √(ηG)·u and G − 1 thermal photons."""
+        eta, gain = self.eta_gain
         u = np.asarray(u, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        if self.kind == "identity":
-            return np.exp(-np.abs(u - v) ** 2)
-        if self.kind == "attenuator":
-            return np.exp(-np.abs(math.sqrt(self.param) * u - v) ** 2)
-        if self.kind == "vacuum":
-            return np.exp(-np.abs(v) ** 2) * np.ones_like(u, dtype=float)
-        q = self.param
-        return np.exp(-np.abs(q * u - v) ** 2 / (1 + q * q)) / (1 + q * q)
+        return np.exp(-np.abs(math.sqrt(eta * gain) * u - v) ** 2 / gain) / gain
 
     def materialize(self, cutoff: FockCutoff) -> Channel:
-        n_max = cutoff.n_max
-        if self.kind == "identity":
-            return Channel.identity(n_max)
-        if self.kind == "vacuum":
-            ks = [np.zeros((n_max, n_max), dtype=complex) for _ in range(n_max)]
-            for m, k in enumerate(ks):
-                k[0, m] = 1.0
-            return Channel(ks, trace_preserving=True)
-        if self.kind == "attenuator":
-            return Channel(_attenuator_kraus(self.param, n_max), trace_preserving=True)
-        return heterodyne_mp_channel(self.param, cutoff)
+        eta, gain = self.eta_gain
+        return Channel(_gaussian_kraus(eta, gain, cutoff.n_max), trace_preserving=gain == 1.0)
 
 
 def identity_device() -> AnalyticDevice:
@@ -564,68 +563,48 @@ def rescale_mp_device(q: float = 1.0) -> AnalyticDevice:
     return AnalyticDevice("rescale_mp", q)
 
 
-def _attenuator_kraus(t: float, n_max: int) -> list[np.ndarray]:
-    """Photon-loss Kraus set K_m = sum_n sqrt(C(n,m) t^{n-m} (1-t)^m) |n-m><n|."""
+def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
+    """Stacked photon-loss Kraus set L_m = Σ_n √(C(n,m) t^{n−m} (1−t)^m) |n−m⟩⟨n|;
+    ``xlogy`` keeps 0⁰ = 1, so t = 0 gives the vacuum exactly."""
     if t == 1.0:
-        return [np.eye(n_max, dtype=complex)]
+        return np.eye(n_max)[None]
     logs = gammaln(np.arange(n_max) + 1.0)
-    out = []
-    for m in range(n_max):
-        k = np.zeros((n_max, n_max), dtype=complex)
-        for n in range(m, n_max):
-            log_c = logs[n] - logs[m] - logs[n - m]
-            k[n - m, n] = math.exp(
-                0.5 * (log_c + (n - m) * math.log(t) + m * math.log(1 - t))
-            )
-        out.append(k)
+    m, n = np.triu_indices(n_max)  # every m <= n
+    log_k = logs[n] - logs[m] - logs[n - m] + xlogy(n - m, t) + xlogy(m, 1.0 - t)
+    out = np.zeros((n_max, n_max, n_max))
+    out[m, n - m, n] = np.exp(0.5 * log_k)
     return out
 
 
-def _amplifier_kraus(gain: float, n_max: int) -> list[np.ndarray]:
-    """Quantum-limited amplifier Kraus set
-    A_k = sum_n sqrt(C(n+k, k) (1-1/G)^k / G^{n+1}) |n+k><n|."""
+def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
+    """Stacked quantum-limited amplifier Kraus set, truncated to n + k < n_max:
+    A_k = Σ_n √(C(n+k, k) (1−1/G)^k / G^{n+1}) |n+k⟩⟨n|."""
     logs = gammaln(np.arange(n_max) + 1.0)
-    out = []
-    for k in range(n_max):
-        n = np.arange(n_max - k)
-        log_c = logs[n + k] - logs[n] - logs[k]
-        log_a = log_c + k * math.log1p(-1.0 / gain) - (n + 1) * math.log(gain)
-        a = np.zeros((n_max, n_max), dtype=complex)
-        a[n + k, n] = np.exp(0.5 * log_a)
-        out.append(a)
+    k, top = np.triu_indices(n_max)  # top = n + k
+    n = top - k
+    log_a = logs[top] - logs[n] - logs[k]
+    log_a += xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
+    out = np.zeros((n_max, n_max, n_max))
+    out[k, top, n] = np.exp(0.5 * log_a)
     return out
+
+
+def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
+    """Real Kraus set {A_k L_j} (index k · n_max + j) of the attenuator ``eta``
+    followed by the amplifier ``gain``; the attenuator's own at gain 1."""
+    loss = _attenuator_kraus(eta, n_max)
+    if gain == 1.0:
+        return loss
+    amp = _amplifier_kraus(gain, n_max)
+    return np.matmul(amp[:, None], loss[None]).reshape(-1, n_max, n_max)
 
 
 def heterodyne_mp_channel(q: float, cutoff: FockCutoff) -> Channel:
-    """Measure-and-prepare device: heterodyne POVM on a square grid of
-    outcomes, re-prepare the coherent state ``q·γ``.
-
-    The aliasing error of the discretized POVM scales like
-    exp(-π²/((1+q²)Δ²)) on pure-state probes — the (1+q²) because the
-    re-preparation overlap narrows the effective Gaussian — so the grid
-    step ``HETERODYNE_SPACING`` keeps it far below the toolkit tolerances.
-    The channel is trace-nonincreasing: POVM mass outside the grid shows up
-    as success probability slightly below one.
+    """Heterodyne measurement, then re-preparation of ``|q·γ⟩``: exactly
+    the amplifier 1 + q² after the attenuator q²/(1+q²), trace-nonincreasing
+    by the amplifier's spill past the cutoff (the vacuum channel at q = 0).
     """
-    n_max = cutoff.n_max
-    spacing = HETERODYNE_SPACING
-    # covers the POVM for Fock levels well past n_max/3: the missing mass at
-    # level n is a Poisson(R²) lower tail
-    radius = math.sqrt(n_max) + 3.0
-    half = int(math.ceil(radius / spacing))
-    axis = spacing * np.arange(-half, half + 1)
-    gammas = [complex(re, im) for re in axis for im in axis if math.hypot(re, im) <= radius]
-    meas = np.array([_coherent_amplitudes(g, n_max) for g in gammas])
-    prep = np.array([_coherent_amplitudes(q * g, n_max) for g in gammas])
-    cell = spacing * spacing / math.pi
-    # the rank-one Kraus operators sqrt(cell) |prep_g><meas_g| give
-    # sum K†K = sum_g cell |prep_g|² |meas_g><meas_g|, one GEMM
-    weights = cell * np.sum(np.abs(prep) ** 2, axis=1)
-    total = meas.T @ (weights[:, None] * meas.conj())
-    top = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T))))
-    scale = math.sqrt(cell / max(top, 1.0))
-    kraus = [scale * np.outer(p, m.conj()) for p, m in zip(prep, meas)]
-    return Channel(kraus, trace_preserving=False)
+    return rescale_mp_device(q).materialize(cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +726,15 @@ def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray
     return [(idx, charge[layout(idx)]) for idx in sectors]
 
 
-def _score_vectors(readout, vectors: np.ndarray) -> float:
-    """Raw (unnormalized) Σ_k ⟨v_k|O|v_k⟩ over a pure decomposition."""
-    flat = vectors.reshape(vectors.shape[0], -1)
+def _score_vectors(readout, kraus: np.ndarray, psi: np.ndarray) -> float:
+    """Raw (unnormalized) Σ_k ⟨v_k|O|v_k⟩ over ``v_k = (K_k ⊗ I) Σ_x ψ_x |x, x⟩``,
+    i.e. ``v_k[(p, q)] = K_k[p, q] ψ_q``, scaled sector by sector so that
+    no copy of the Kraus array is made."""
+    n = kraus.shape[-1]
+    flat = kraus.reshape(kraus.shape[0], -1)
     total = 0.0
     for idx, o in readout:
-        x = flat[:, idx]
+        x = flat[:, idx] * psi[idx % n]
         total += float(np.sum((x.conj() @ o) * x).real)
     return total
 
@@ -774,18 +756,17 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
             f"device acts on dimension {device.dims_in}->{device.dims_out}, "
             f"setup cutoff is {n_max}"
         )
-    diag = _tmsv_diagonal(setup.x, cutoff)
-    # built before the n²-sized arrays so that its many small blocks, which
-    # live until the end, do not sit above them in the heap and keep it grown
+    psi = _tmsv_diagonal(setup.x, cutoff)
     readout = _readout(setup)
-    vectors = np.stack(device.kraus)
-    vectors *= diag  # K @ diag(psi), columns scaled in place
-    p_succ = float(np.vdot(vectors, vectors).real)
+    # p_succ = Σ_x ψ_x² ‖K|x⟩‖², the column norms read in place
+    flat = device.kraus.reshape(-1, n_max)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    p_succ = float(sum(np.einsum("ix,ix->x", r, r) for r in parts) @ psi**2)
     if p_succ < P_SUCC_MIN:
         raise VanishingSuccessError(
             f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
         )
-    return _score_vectors(readout, vectors) / p_succ, p_succ
+    return _score_vectors(readout, device.kraus, psi) / p_succ, p_succ
 
 
 # ---------------------------------------------------------------------------

@@ -36,31 +36,38 @@ IMAG_TOL = 1e-9  # absolute imaginary-residue tolerance on all trace scores
 class Channel:
     """A completely positive map in Kraus form.
 
-    ``trace_preserving`` distinguishes deterministic devices (sum K†K = I)
-    from trace-nonincreasing quantum operations (sum K†K ≤ I).
+    ``kraus`` is one read-only ``(K, d_out, d_in)`` array: a stacked array
+    is kept as given (a real one stays real, and a C-ordered one is not
+    copied), a list of matrices is stacked once.  ``trace_preserving``
+    distinguishes deterministic devices (sum K†K = I) from
+    trace-nonincreasing quantum operations (sum K†K ≤ I).
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     trace_preserving: bool
     dims_in: int
     dims_out: int
 
     def __init__(self, kraus, trace_preserving: bool = True,
                  dims_in: int | None = None, dims_out: int | None = None):
-        ks = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        if not ks:
+        try:
+            ks = np.asarray(kraus)
+        except ValueError as exc:
+            raise DimensionError("Kraus operators must be matrices of one shape") from exc
+        if ks.size == 0:
             raise ContractError("a channel needs at least one Kraus operator")
-        out_d, in_d = ks[0].shape
-        if any(k.shape != (out_d, in_d) for k in ks):
-            raise DimensionError("all Kraus operators must share one shape")
+        if ks.ndim != 3:
+            raise DimensionError("Kraus operators must be matrices of one shape")
+        ks = np.asarray(ks, dtype=complex if np.iscomplexobj(ks) else float, order="C")
+        _, out_d, in_d = ks.shape
         dims_in = in_d if dims_in is None else int(dims_in)
         dims_out = out_d if dims_out is None else int(dims_out)
         if (out_d, in_d) != (dims_out, dims_in):
             raise DimensionError(
                 f"Kraus shape {(out_d, in_d)} conflicts with dims {(dims_out, dims_in)}"
             )
-        total = sum(k.conj().T @ k for k in ks)
-        gap = total - np.eye(in_d)
+        flat = ks.reshape(-1, in_d)
+        gap = flat.conj().T @ flat - np.eye(in_d)
         if trace_preserving:
             if np.linalg.norm(gap) > 1e-9 * max(1.0, np.sqrt(in_d)):
                 raise ContractError(
@@ -73,8 +80,8 @@ class Channel:
                 raise ContractError(
                     f"trace-nonincreasing channel exceeds I by {top:.3e}"
                 )
-        for k in ks:
-            k.setflags(write=False)
+        ks = ks.view()
+        ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "trace_preserving", bool(trace_preserving))
         object.__setattr__(self, "dims_in", dims_in)
@@ -82,7 +89,7 @@ class Channel:
 
     @staticmethod
     def identity(d: int) -> "Channel":
-        return Channel([np.eye(d)], True)
+        return Channel(np.eye(d)[None], True)
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,7 @@ def jamiolkowski(c: Channel) -> Operator:
     trace-preserving channel the partial trace over the output factor is the
     identity.
     """
-    ks = np.stack(c.kraus)
-    c4 = np.einsum("kas,kbr->arbs", ks, ks.conj())
+    c4 = np.einsum("kas,kbr->arbs", c.kraus, c.kraus.conj())
     d = c.dims_out * c.dims_in
     return Operator(c4.reshape(d, d), (c.dims_out, c.dims_in))
 

@@ -329,6 +329,14 @@ class TestCvCommand:
             (("cv", "--device", "identity", "--mu", "nan"), "mu must be a number"),
             (("cv", "--device", "scale:nan"), "must be finite"),
             (("cv", "--device", "scale:inf"), "must be finite"),
+            (("cv", "--device", "identity", "--cutoff", "1"), "n_max must exceed 1"),
+            (("cv", "--device", "identity", "--cutoff", "0"), "n_max must exceed 1"),
+            (("cv", "--device", "identity", "--nodes", "1"), "at least 2 nodes"),
+            (("benchmark", "--builtin", "teleport:1"), "dimension >= 2"),
+            (("benchmark", "--builtin", "equator:2"), "at least 3 phases"),
+            (("benchmark", "--builtin", "teleport", "--dim", "0"), "dimension >= 2"),
+            (("benchmark", "--builtin", "teleport:abc"), "'abc' is not an integer"),
+            (("benchmark", "--builtin", "equator:x"), "'x' is not an integer"),
         ],
     )
     def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):

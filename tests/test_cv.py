@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from scipy.special import gammaln
+from scipy.stats import binom, nbinom
 
 from qbench.cv import (
     AnalyticDevice,
@@ -40,6 +42,7 @@ from qbench.cv import (
     two_mode_squeezer,
     vacuum_device,
     _charge_transfer,
+    _coherent_amplitudes,
     _fold_noise,
     _noise_transfer,
     _readout,
@@ -65,6 +68,22 @@ def _cutoff(n_max: int, leak_tol: float = 1e-8) -> FockCutoff:
 @lru_cache(maxsize=4)
 def _noise(nu: float, n_max: int, leak_tol: float = 1e-8):
     return additive_noise_channel(nu, _cutoff(n_max, leak_tol))
+
+
+def _grid_heterodyne_channel(q: float, n_max: int) -> Channel:
+    """Quadrature reference for the heterodyne device: the POVM on a square
+    outcome grid (step 0.5, radius √n_max + 3), each outcome γ re-preparing
+    |qγ⟩, rescaled so that Σ K†K ≤ I."""
+    step, radius = 0.5, math.sqrt(n_max) + 3.0
+    axis = step * np.arange(-math.ceil(radius / step), math.ceil(radius / step) + 1)
+    gammas = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+    gammas = gammas[np.abs(gammas) <= radius]
+    meas = np.array([_coherent_amplitudes(g, n_max) for g in gammas])
+    prep = np.array([_coherent_amplitudes(q * g, n_max) for g in gammas])
+    kraus = math.sqrt(step * step / math.pi) * prep[:, :, None] * meas.conj()[:, None, :]
+    flat = kraus.reshape(-1, n_max)
+    top = np.max(np.linalg.eigvalsh(flat.conj().T @ flat))
+    return Channel(kraus / math.sqrt(max(top, 1.0)), trace_preserving=False)
 
 
 class TestStates:
@@ -459,8 +478,9 @@ class TestNoiseTransferMatrix:
         folded = _fold_noise(readout, _charge_transfer(ks), sectors)
         vectors = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         moved = np.einsum("jxa,kar->jkxr", ks, vectors).reshape(-1, n, n)
-        want = _score_vectors(readout, moved)
-        assert abs(_score_vectors(folded, vectors) - want) < 1e-10 * max(1.0, abs(want))
+        ones = np.ones(n)
+        want = _score_vectors(readout, moved, ones)
+        assert abs(_score_vectors(folded, vectors, ones) - want) < 1e-10 * max(1.0, abs(want))
 
     def test_channel_kraus_match_noise_transfer(self):
         # additive_noise_channel and run_setup apply one map
@@ -482,7 +502,7 @@ class TestNoiseTransferMatrix:
         flat = vectors.reshape(4, -1)
         u = beamsplitter(setup.bs_t, cut).matrix
         full = (u @ (flat.T @ flat.conj()) @ u.conj().T).reshape(n, n, n, n)
-        got = _score_vectors(_readout(setup), vectors)
+        got = _score_vectors(_readout(setup), vectors, np.ones(n))
         assert abs(got - setup.weight * np.trace(full[:, 0, :, 0]).real) < 1e-10
 
     @pytest.mark.parametrize(
@@ -502,7 +522,7 @@ class TestNoiseTransferMatrix:
         vectors = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, :, None]
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, None, :]
-        got = _score_vectors(_readout(setup), vectors)
+        got = _score_vectors(_readout(setup), vectors, np.ones(n))
         dense = _dense_score(setup, vectors)
         assert abs(got - dense) < 1e-12 * max(1.0, abs(dense))
 
@@ -597,14 +617,82 @@ class TestAnalyticDevices:
                 want = float(dev.pure_fidelity(u, v).real)
                 assert abs(got - want) < 1e-6, dev.kind
 
-    def test_heterodyne_grid_nearly_complete(self):
-        # q = 0 re-prepares vacuum exactly, isolating the grid's POVM
-        # coverage from re-preparation truncation
-        ch = heterodyne_mp_channel(0.0, _cutoff(30))
-        total = sum(k.conj().T @ k for k in ch.kraus)
-        deficit = 1.0 - np.diag(total).real[:11]
-        assert np.max(np.abs(deficit)) < 1e-6
-        assert not ch.trace_preserving
+    def test_pure_fidelity_matches_per_kind_closed_forms(self):
+        # the kernels written out per kind, independent of the (η, G) map
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=50) + 1j * rng.normal(size=50)
+        v = rng.normal(size=50) + 1j * rng.normal(size=50)
+        t, q = 0.63, 1.3
+        cases = [
+            (identity_device(), np.exp(-np.abs(u - v) ** 2)),
+            (attenuator_device(t), np.exp(-np.abs(math.sqrt(t) * u - v) ** 2)),
+            (vacuum_device(), np.exp(-np.abs(v) ** 2)),
+            (
+                rescale_mp_device(q),
+                np.exp(-np.abs(q * u - v) ** 2 / (1 + q * q)) / (1 + q * q),
+            ),
+        ]
+        for dev, want in cases:
+            assert np.max(np.abs(dev.pure_fidelity(u, v) - want)) < 1e-14, dev.kind
+
+    @pytest.mark.parametrize("q", [0.0, 0.6, 1.0])
+    def test_heterodyne_deficit_is_only_the_amplifier_spill(self, q):
+        # Σ K†K = I − spill: level n keeps m ~ Binomial(n, η) photons, the
+        # amplifier adds NegBinomial(m + 1, 1/G) to them, and what lands at
+        # or past n_max is the only loss (none when G = 1)
+        n_max = 30
+        ch = heterodyne_mp_channel(q, _cutoff(n_max))
+        eta, gain = q * q / (1 + q * q), 1 + q * q
+        flat = ch.kraus.reshape(-1, n_max)
+        total = flat.T @ flat
+        spill = np.zeros(n_max)
+        for n in range(n_max):
+            m = np.arange(n + 1)  # photons left after the attenuator
+            spill[n] = np.sum(binom.pmf(m, n, eta) * nbinom.sf(n_max - 1 - m, m + 1, 1 / gain))
+        assert np.max(np.abs(total - np.diag(1.0 - spill))) < 1e-13
+        assert ch.trace_preserving == (q == 0.0)
+        if q:
+            assert 0 < spill[0] < spill[-1] < 1
+        else:
+            # q = 0 re-prepares vacuum: L_m = |0⟩⟨m|, exactly
+            assert np.array_equal(ch.kraus[:, 0, :], np.eye(n_max))
+            assert not np.any(ch.kraus[:, 1:, :])
+
+    @pytest.mark.parametrize("n_max", [30, 40])
+    def test_heterodyne_matches_grid_quadrature(self, n_max):
+        # the exact device against the square-grid POVM it replaces, within
+        # the grid's aliasing exp(−π²/((1+q²)Δ²)) (~3e-9 at q = 1, Δ = 0.5)
+        cut = _cutoff(n_max)
+        for q in (0.7, 1.0):
+            exact = heterodyne_mp_channel(q, cut)
+            grid = _grid_heterodyne_channel(q, n_max)
+            for u, v in [(0.4, 0.4), (0.7 - 0.2j, 0.5 + 0.1j), (0.9j, 0.3), (1.5, -0.5j)]:
+                vu = coherent_state(u, cut).amplitudes
+                vv = coherent_state(v, cut).amplitudes
+                got = [
+                    float(np.sum(np.abs(np.einsum("a,kab,b->k", vv.conj(), ch.kraus, vu)) ** 2))
+                    for ch in (exact, grid)
+                ]
+                assert abs(got[0] - got[1]) < 1e-8, (q, u, v)
+                assert abs(got[0] - float(rescale_mp_device(q).pure_fidelity(u, v))) < 1e-12
+            for params in (CvParams(g=1.0, lam=1.0), CvParams(g=1.0, lam=1.5, conjugate=True)):
+                setup = build_setup(params, cut)
+                a, b = run_setup(setup, exact), run_setup(setup, grid)
+                assert abs(a[0] - b[0]) < 1e-8, (q, params)
+                assert abs(a[1] - b[1]) < 1e-8, (q, params)
+
+    def test_run_setup_makes_no_copy_of_the_kraus_array(self):
+        cut = _cutoff(40)
+        device = rescale_mp_device(1.0).materialize(cut)
+        setup = build_setup(CvParams(g=1.0, lam=1.0), cut)
+        run_setup(setup, device)  # first-call costs outside the trace
+        tracemalloc.start()
+        try:
+            run_setup(setup, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < device.kraus.nbytes, (peak, device.kraus.nbytes)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ContractError):

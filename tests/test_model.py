@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qbench.errors import ContractError, VanishingSuccessError
+from qbench.errors import ContractError, DimensionError, VanishingSuccessError
 from qbench.linalg import Operator, partial_trace, partial_transpose
 from qbench.model import (
     Channel,
@@ -74,6 +74,29 @@ class TestChannelType:
         k[2, 1] = 1.0
         c = Channel([k])
         assert c.dims_in == 2 and c.dims_out == 3
+
+
+    def test_stacked_real_array_is_kept_read_only_and_uncopied(self):
+        theta = 0.3
+        ks = np.stack([np.cos(theta) * np.eye(2), np.sin(theta) * np.eye(2)])
+        c = Channel(ks)
+        assert np.shares_memory(c.kraus, ks)
+        assert c.kraus.dtype == np.float64 and c.kraus.shape == (2, 2, 2)
+        assert not c.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            c.kraus[0, 0, 0] = 0.0
+
+    def test_complex_list_stays_complex(self):
+        c = Channel([np.sqrt(0.5) * X, np.sqrt(0.5) * Y])
+        assert c.kraus.dtype == np.complex128
+        assert np.array_equal(c.kraus[1], np.sqrt(0.5) * Y)
+        assert not c.kraus.flags.writeable
+
+    def test_ragged_and_empty_kraus_lists_rejected(self):
+        with pytest.raises(DimensionError):
+            Channel([np.eye(2), np.eye(3)])
+        with pytest.raises(ContractError):
+            Channel([])
 
 
 class TestPerformanceOperator:
@@ -304,6 +327,13 @@ class TestJson:
         c2 = channel_from_json(channel_to_json(c))
         assert all(np.allclose(a, b) for a, b in zip(c.kraus, c2.kraus))
         assert c2.trace_preserving == c.trace_preserving
+
+    def test_real_channel_round_trip(self):
+        c = Channel(np.stack([np.sqrt(0.3) * np.eye(3), np.sqrt(0.7) * np.eye(3)[::-1]]))
+        assert c.kraus.dtype == np.float64
+        c2 = channel_from_json(channel_to_json(c))
+        assert np.array_equal(c2.kraus, c.kraus)
+        assert c2.trace_preserving and (c2.dims_in, c2.dims_out) == (3, 3)
 
     def test_prob_test_round_trip(self):
         t = teleport_test(2)
