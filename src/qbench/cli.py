@@ -55,8 +55,8 @@ from .cv import (
     setup_to_json,
     vacuum_device,
 )
-from .engine import PnrConfig, det_benchmark, prob_benchmark
-from .errors import ContractError, CutoffError, SearchError, SupportError, ToolkitError
+from .engine import DEFAULT_RESTARTS, DEFAULT_SEED, PnrConfig, det_benchmark, prob_benchmark
+from .errors import ContractError, CutoffError, SupportError, ToolkitError
 from .linalg import Operator, operator_from_json, operator_to_json
 from .model import (
     Channel,
@@ -137,16 +137,10 @@ def _emit(payload: dict, args) -> None:
 # benchmark
 
 
-def _pnr_config(args, dims: tuple[int, int]) -> PnrConfig:
-    # the exhaustive grid certificate is only affordable on qubit factors
-    fields: dict = {"grid": max(dims) <= 2}
-    if args.restarts is not None:
-        if args.restarts < 0:
-            raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
-        fields["restarts"] = args.restarts
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    return PnrConfig(**fields)
+def _pnr_config(args) -> PnrConfig:
+    if args.restarts < 0:
+        raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
+    return PnrConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _checked(build, *args, **kwargs):
@@ -166,8 +160,7 @@ def _builtin_count(param: str, default: int) -> int:
 
 
 def _benchmark_prob(test: ProbTest, args, extra: dict) -> tuple[dict, int]:
-    cfg = _pnr_config(args, test.omega.dims)
-    res = prob_benchmark(test, cfg, _details=True)
+    res = prob_benchmark(test, _pnr_config(args), _details=True)
     payload = {
         "command": "benchmark",
         **extra,
@@ -238,7 +231,7 @@ def cmd_benchmark(args) -> tuple[dict, int]:
 
     test = det_test_from_json(_load_json(args.test))
     omega = performance_operator(test)
-    report = det_benchmark(omega, _pnr_config(args, omega.dims))
+    report = det_benchmark(omega, _pnr_config(args))
     payload = {
         "command": "benchmark",
         "source": args.test,
@@ -253,10 +246,10 @@ def cmd_benchmark(args) -> tuple[dict, int]:
 # canonical
 
 
-def _check_channel(dims: tuple[int, int], seed: int | None, trace_preserving: bool) -> Channel:
+def _check_channel(dims: tuple[int, int], seed: int, trace_preserving: bool) -> Channel:
     """Random check channel with Kraus shape ``dims`` = (d_out, d_in), with
     enough Kraus operators for sum K†K to be invertible on d_in."""
-    rng = np.random.default_rng(7 if seed is None else seed)
+    rng = np.random.default_rng(seed)
     count = max(2, -(-dims[1] // dims[0]))
     kraus = [rng.normal(size=dims) + 1j * rng.normal(size=dims) for _ in range(count)]
     total = sum(k.conj().T @ k for k in kraus)
@@ -430,6 +423,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--omega", help="performance-operator or probabilistic-test JSON")
     bench.add_argument("--test", help="deterministic-test JSON (state + observable)")
     bench.add_argument("--dim", type=int, default=2, help="teleport dimension")
+    bench.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="extra random starts")
     bench.set_defaults(func=cmd_benchmark)
 
     canon = sub.add_parser(
@@ -459,14 +453,15 @@ def build_parser() -> _Parser:
     cv.add_argument("--cutoff", type=int, default=40, help="Fock levels per mode")
     cv.add_argument("--nodes", type=int, help="quadrature nodes per axis for the oracle")
     cv.add_argument("--conjugate", action="store_true", help="score against the conjugate target")
+    cv.add_argument("--mu", type=float, default=math.inf, help="input noise inverse variance")
     cv.set_defaults(func=cmd_cv)
 
-    for p in (bench, canon, cv):
+    for p in (bench, cv):
         p.add_argument("--g", type=float, default=1.0, help="target amplitude gain")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="prior inverse variance")
-        p.add_argument("--mu", type=float, default=math.inf, help="input noise inverse variance")
-        p.add_argument("--restarts", type=int, help="extra random search restarts")
-        p.add_argument("--seed", type=int, help="RNG seed for searches and check channels")
+    for p in (bench, canon):
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
+    for p in (bench, canon, cv):
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -495,9 +490,6 @@ def main(argv=None) -> int:
             )
             where = f" (violating direction leads {lead})"
         print(f"qbench: uncertified: {err}{where}", file=sys.stderr)
-        return 2
-    except SearchError as err:
-        print(f"qbench: uncertified: {err}", file=sys.stderr)
         return 2
     except ToolkitError as err:
         print(f"qbench: uncertified: {err}", file=sys.stderr)

@@ -58,6 +58,8 @@ NOISE_DEFICIT_TOL = 1e-5
 ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
+ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of the input-noise average
+KRAUS_MAX_BYTES = 2**30  # largest amplifier-after-attenuator Kraus array built
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
 
 
@@ -129,13 +131,12 @@ class CvParams:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Gauss–Hermite node counts for the fidelity oracle (per real axis)."""
+    """Gauss–Hermite nodes per real axis of the fidelity oracle's prior."""
 
     nodes: int = 24
-    beta_nodes: int = 16
 
     def __post_init__(self) -> None:
-        if self.nodes < 2 or self.beta_nodes < 2:
+        if self.nodes < 2:
             raise ContractError("quadrature needs at least 2 nodes per axis")
 
 
@@ -592,9 +593,16 @@ def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
 def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
     """Real Kraus set {A_k L_j} (index k · n_max + j) of the attenuator ``eta``
     followed by the amplifier ``gain``; the attenuator's own at gain 1."""
-    loss = _attenuator_kraus(eta, n_max)
     if gain == 1.0:
-        return loss
+        return _attenuator_kraus(eta, n_max)
+    # n_max² real operators take 8·n_max⁴ bytes: refused before allocating
+    if 8 * n_max**4 > KRAUS_MAX_BYTES:
+        raise CutoffError(
+            f"Kraus set of gain {gain} at n_max={n_max} needs "
+            f"{8 * n_max**4 / 2**20:.0f} MiB, past the {KRAUS_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((KRAUS_MAX_BYTES // 8) ** 0.25),
+        )
+    loss = _attenuator_kraus(eta, n_max)
     amp = _amplifier_kraus(gain, n_max)
     return np.matmul(amp[:, None], loss[None]).reshape(-1, n_max, n_max)
 
@@ -814,7 +822,7 @@ def average_fidelity_oracle(
         betas = np.zeros(1, dtype=complex)
         w_beta = np.ones(1)
     else:
-        betas, w_beta = _gh_complex_nodes(quad.beta_nodes, params.mu)
+        betas, w_beta = _gh_complex_nodes(ORACLE_BETA_NODES, params.mu)
     inputs = (alphas[:, None] + betas[None, :]).reshape(-1)
     target_seed = np.conj(alphas) if params.conjugate else alphas
     targets = (params.g * target_seed)[:, None].repeat(betas.size, axis=1).reshape(-1)

@@ -23,7 +23,7 @@ thresholds collapse to a closed form ``d * pnr(omega)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,10 @@ SUPPORT_TOL = 1e-9
 # CUT_TOL * max(1, |tr Y|) and give up after CUT_ROUNDS_PER_COORD * d_in**2 rounds.
 CUT_TOL = 1e-6
 CUT_ROUNDS_PER_COORD = 50
+# A seesaw start stops on a sweep gaining <= SEESAW_TOL * max(1, |value|) or after
+# SEESAW_MAX_ITER sweeps.
+SEESAW_TOL = 1e-12
+SEESAW_MAX_ITER = 1000
 
 
 def __getattr__(name: str):
@@ -66,19 +70,11 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class PnrConfig:
-    """Knobs for the product-numerical-range search.
-
-    ``restarts`` counts random initial points on top of the structured
-    ones (Schmidt pair of the top eigenvector, computational-basis
-    states).  ``grid`` additionally runs the certified grid oracle and
-    uses it to tighten the reported bracket.
-    """
+    """Random starts of the product-numerical-range search: ``restarts`` points
+    drawn from ``seed``, on top of the structured ones (Schmidt pair of the top
+    eigenvector, computational-basis states)."""
 
     restarts: int = DEFAULT_RESTARTS
-    tol: float = 1e-12
-    max_iter: int = 1000
-    grid: bool = False
-    grid_mesh: float = 0.05
     seed: int | None = DEFAULT_SEED
 
 
@@ -88,8 +84,8 @@ class PnrResult:
 
     ``value`` is the best certified-feasible objective found, ``lower``
     and ``upper`` bracket the true maximum (``lower == value`` always;
-    ``upper`` is the spectral bound, possibly tightened by the grid
-    oracle).  The maximizers are unit vectors on the two factors.
+    ``upper`` is the spectral bound, tightened by the grid oracle on
+    two-qubit operators).  The maximizers are unit vectors on the two factors.
     """
 
     value: float
@@ -264,16 +260,31 @@ def _seesaw_batch(
     return best, a, b, sweeps
 
 
-def _starts(m4: np.ndarray, restarts: int, seed: int | None) -> np.ndarray:
-    """Input-side starting vectors: structured ones, then ``restarts`` random."""
-    d_out, d_in = m4.shape[:2]
-    _, top = _top_eigvec(m4.reshape(d_out * d_in, d_out * d_in))
-    # Schmidt pair of the top eigenvector seeds the input-side vector.
-    _, _, vh = np.linalg.svd(top.reshape(d_out, d_in))
+def _starts(top: np.ndarray, restarts: int, seed: int | None) -> np.ndarray:
+    """Input-side starting vectors: the Schmidt vector of M's top eigenvector
+    ``top`` (a d_out × d_in matrix), the basis, then ``restarts`` random."""
+    d_in = top.shape[1]
+    _, _, vh = np.linalg.svd(top)
     z = np.random.default_rng(seed).normal(size=(restarts, 2, d_in))
     return np.vstack(
         [vh[:1].conj(), np.eye(d_in, dtype=complex), z[:, 0] + 1j * z[:, 1]]
     )
+
+
+def _search(m4: np.ndarray, top: np.ndarray, cfg: PnrConfig) -> tuple:
+    """Batched seesaw from every start: the best value, its phase-fixed
+    maximizers ``(a, b)``, the start count and the total sweep count."""
+    starts = _starts(top.reshape(m4.shape[:2]), cfg.restarts, cfg.seed)
+    vals, a, b, sweeps = _seesaw_batch(m4, starts, SEESAW_TOL, SEESAW_MAX_ITER)
+    k = int(np.argmax(vals))
+    value = float(vals[k])
+    a, b = _phase_fix(a[k]), _phase_fix(b[k])
+    check = _pnr_value(m4, a, b)
+    if abs(check - value) > 1e-9 * max(1.0, abs(value)):
+        raise ArithmeticError(
+            f"maximizer does not reproduce the search value: {check} vs {value}"
+        )
+    return value, a, b, len(starts), int(sweeps.sum())
 
 
 def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrResult:
@@ -281,32 +292,20 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
 
     Runs an alternating top-eigenvector seesaw, all starts batched, from
     structured and random starting points; each start stops on its own
-    ``cfg.tol``.  Each sweep is monotone, so the reported value is a
+    ``SEESAW_TOL``.  Each sweep is monotone, so the reported value is a
     true lower bound; ``upper`` is the largest eigenvalue of ``M`` (a
-    product maximum can never exceed it), optionally tightened by the
-    certified grid oracle when ``cfg.grid`` is set.
+    product maximum can never exceed it), tightened by the certified grid
+    oracle when both factors are at most qubits.
     """
-    cfg = cfg or PnrConfig()
     if not m.is_hermitian():
         raise ContractError("product numerical range needs a Hermitian operator")
-    d_out, d_in = m.dims
-    m4 = m.matrix.reshape(d_out, d_in, d_out, d_in)
-    starts = _starts(m4, cfg.restarts, cfg.seed)
-    vals, a, b, sweeps = _seesaw_batch(m4, starts, cfg.tol, cfg.max_iter)
-    k = int(np.argmax(vals))
-    value = float(vals[k])
-    a = _phase_fix(a[k])
-    b = _phase_fix(b[k])
-    check = _pnr_value(m4, a, b)
-    if abs(check - value) > 1e-9 * max(1.0, abs(value)):
-        raise ArithmeticError(
-            f"maximizer does not reproduce the search value: {check} vs {value}"
-        )
-    eigs, _ = hermitian_eig(m)
+    m4 = m.matrix.reshape(m.dims * 2)
+    eigs, vecs = hermitian_eig(m)
+    value, a, b, restarts, sweeps = _search(m4, vecs[:, -1], cfg or PnrConfig())
     upper = float(eigs[-1])
     method = "seesaw"
-    if cfg.grid:
-        bracket = pnr_grid_oracle(m, cfg.grid_mesh)
+    if max(m.dims) <= 2:
+        bracket = pnr_grid_oracle(m)
         value = max(value, bracket.lower)
         # roundoff in the grid bound can undercut a certified-feasible
         # value by ~1e-15; never report an inverted bracket
@@ -319,8 +318,8 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
         lower=value,
         upper=upper,
         method=method,
-        restarts=len(starts),
-        iterations=int(sweeps.sum()),
+        restarts=restarts,
+        iterations=sweeps,
     )
 
 
@@ -330,8 +329,11 @@ def _sphere_grid(dim: int, mesh: float) -> tuple[np.ndarray, float]:
     Hyperspherical parametrisation: magnitude angles on [0, pi/2] (the
     first on [0, pi] carries no phase for dim == 2), one phase per
     trailing component.  Every parameter has gradient norm <= 1, so the
-    covering radius is bounded by (number of parameters) * mesh / 2.
+    covering radius is bounded by (number of parameters) * mesh / 2.  C^1
+    has one state up to phase, so its grid is exact.
     """
+    if dim == 1:
+        return np.ones((1, 1), dtype=complex), 0.0
     if dim == 2:
         thetas = np.arange(0.0, np.pi + mesh, mesh)
         phis = np.arange(0.0, 2 * np.pi, mesh)
@@ -530,7 +532,6 @@ def det_benchmark(
     m4 = omega.matrix.reshape(d_out, d_in, d_out, d_in)
     basis = _hermitian_basis(d_in)  # Y = sum_k y_k basis[k]
     cost = np.trace(basis, axis1=1, axis2=2).real
-    separation = replace(cfg, grid=False)
     inputs, floors, preps = [], [], []
 
     def add_cut(b: np.ndarray) -> None:
@@ -549,13 +550,12 @@ def det_benchmark(
         if lp.status != 0:
             raise ArithmeticError(f"master LP failed: {lp.message}")
         y = np.tensordot(lp.x, basis, axes=1)
-        cut = product_numerical_range(
-            Operator(omega.matrix - np.kron(np.eye(d_out), y), omega.dims), separation
-        )
-        converged = cut.value <= CUT_TOL * max(1.0, abs(lp.fun))
+        gap = omega.matrix - np.kron(np.eye(d_out), y)
+        cut, _, cut_b, _, _ = _search(gap.reshape(m4.shape), _top_eigvec(gap)[1], cfg)
+        converged = cut <= CUT_TOL * max(1.0, abs(lp.fun))
         if converged:
             break
-        add_cut(cut.maximizer_b)
+        add_cut(cut_b)
 
     # The duals p_i make the POVM p_i |b_i><b_i|, each outcome preparing the
     # top eigenvector of <b_i|omega|b_i>; S^-1/2 absorbs the solver's
@@ -589,7 +589,7 @@ def det_benchmark(
     )
     if not converged:
         raise SearchError(
-            f"cutting planes still cut {cut.value:.3e} after {rounds} rounds",
+            f"cutting planes still cut {cut:.3e} after {rounds} rounds",
             best=report,
         )
     return report
@@ -686,9 +686,11 @@ def optimal_mp_channel(
     if not check_covariance(omega, rep):
         raise ContractError("performance operator is not covariant for this group")
     _check_irreducible(rep)
-    pnr = product_numerical_range(omega, cfg)
-    phi = pnr.maximizer_b
-    psi = pnr.maximizer_a
+    if not omega.is_hermitian():
+        raise ContractError("performance operator must be Hermitian")
+    # only the maximizers are used, so the search runs without a certificate
+    _, top = _top_eigvec(omega.matrix)
+    _, psi, phi, _, _ = _search(omega.matrix.reshape(omega.dims * 2), top, cfg or PnrConfig())
     d_in = rep.dim_in
     povm = []
     outputs = []

@@ -347,10 +347,11 @@ def channel_to_json(c: Channel) -> dict:
 
 def channel_from_json(data: dict) -> Channel:
     try:
-        kraus = [
-            np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
-            for k in data["kraus"]
-        ]
+        kraus = []
+        for k in data["kraus"]:
+            re, im = np.asarray(k["re"], dtype=float), np.asarray(k["im"], dtype=float)
+            # an all-zero imaginary part keeps a real operator real
+            kraus.append(re + 1j * im if im.any() else re)
         tp = bool(data.get("trace_preserving", True))
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed channel JSON: {exc}") from exc

@@ -84,6 +84,21 @@ class TestBenchmarkCommand:
         assert code == 0
         assert abs(out["value"] - 2.0 / 3.0) < 1e-6
 
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2)])
+    def test_omega_with_a_one_dimensional_factor(self, capsys, tmp_path, dims):
+        # the grid over C^1 is the one state [1]: the bracket closes exactly
+        m = _gram(np.random.default_rng(3), 2)
+        m /= np.trace(m).real
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(operator_to_json(Operator(m, dims))))
+        code, out, _ = run_cli(capsys, "benchmark", "--omega", str(path))
+        # the maximally mixed reference scales the operator by d_in
+        top = dims[1] * np.linalg.eigvalsh(m)[-1]
+        assert code == 0
+        assert out["certified"] and out["method"] == "grid"
+        assert abs(out["value"] - top) < 1e-12
+        assert abs(out["upper"] - top) < 1e-12
+
     def test_det_test_file(self, capsys, tmp_path):
         det = canonical_det_test(teleport_test(2).omega).as_det_test()
         path = tmp_path / "det.json"
@@ -271,6 +286,14 @@ class TestCvCommand:
         assert abs(out["value"] - 0.5) < 2e-3
         assert "n_max" in out["note"]
 
+    def test_heterodyne_mp_past_the_kraus_cap_falls_back(self, capsys):
+        # 8·200⁴ bytes of Kraus operators is refused before it is allocated
+        code, out, _ = run_cli(capsys, "cv", "--device", "heterodyne-mp", "--cutoff", "200")
+        assert code == 0
+        assert out["method"] == "oracle"
+        assert out["score"] is None
+        assert "n_max=200" in out["note"]
+
     def test_kraus_file_device(self, capsys, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
@@ -346,9 +369,10 @@ class TestCvCommand:
         assert flag in err
 
     def test_seeded_runs_are_byte_identical(self, capsys):
-        main(["cv", "--device", "vacuum", "--cutoff", "24", "--seed", "3"])
+        # cv draws nothing at random, so it takes no --seed
+        main(["cv", "--device", "vacuum", "--cutoff", "24"])
         first = capsys.readouterr().out
-        main(["cv", "--device", "vacuum", "--cutoff", "24", "--seed", "3"])
+        main(["cv", "--device", "vacuum", "--cutoff", "24"])
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
 
@@ -376,6 +400,20 @@ class TestEnvironment:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert res.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("canonical", "--omega", "f", "--restarts", "3"),
+            ("cv", "--device", "identity", "--seed", "3"),
+            ("benchmark", "--builtin", "chsh", "--mu", "2"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_no_subcommand_prints_help(self, capsys):
         code = main([])

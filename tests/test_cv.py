@@ -41,9 +41,11 @@ from qbench.cv import (
     tmsv,
     two_mode_squeezer,
     vacuum_device,
+    KRAUS_MAX_BYTES,
     _charge_transfer,
     _coherent_amplitudes,
     _fold_noise,
+    _gaussian_kraus,
     _noise_transfer,
     _readout,
     _score_vectors,
@@ -693,6 +695,19 @@ class TestAnalyticDevices:
         finally:
             tracemalloc.stop()
         assert peak < device.kraus.nbytes, (peak, device.kraus.nbytes)
+
+    def test_kraus_past_the_byte_cap_is_refused_before_allocating(self):
+        # gain > 1 stacks n_max² operators: 8·200⁴ bytes = 12.8 GB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError) as err:
+                _gaussian_kraus(0.5, 2.0, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        n = err.value.suggested_n_max
+        assert n == 107 and 8 * n**4 <= KRAUS_MAX_BYTES < 8 * (n + 1) ** 4
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ContractError):

@@ -139,9 +139,11 @@ class TestProductNumericalRange:
         m = rand_bipartite_hermitian(d_out, d_in, np.random.default_rng(seed))
         m4 = m.matrix.reshape(d_out, d_in, d_out, d_in)
         cfg = PnrConfig(restarts=restarts, seed=seed)
-        starts = engine._starts(m4, cfg.restarts, cfg.seed)
-        vals, _, _, _ = engine._seesaw_batch(m4, starts, cfg.tol, cfg.max_iter)
-        ref = np.array([seesaw_reference(m4, b0, cfg.tol, cfg.max_iter) for b0 in starts])
+        top = np.linalg.eigh(m.matrix)[1][:, -1].reshape(d_out, d_in)
+        starts = engine._starts(top, cfg.restarts, cfg.seed)
+        tol, max_iter = engine.SEESAW_TOL, engine.SEESAW_MAX_ITER
+        vals, _, _, _ = engine._seesaw_batch(m4, starts, tol, max_iter)
+        ref = np.array([seesaw_reference(m4, b0, tol, max_iter) for b0 in starts])
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-9)
         assert np.all(vals <= np.linalg.eigvalsh(m.matrix)[-1] + 1e-12)
@@ -161,6 +163,29 @@ class TestProductNumericalRange:
         res = product_numerical_range(m, PnrConfig(restarts=256))
         assert res.restarts == 260
         assert len(calls) < res.restarts
+
+    def test_two_qubit_operators_get_the_grid_bracket(self):
+        # the Bell projector: spectral bound 1, product maximum 1/2
+        bell = np.array([1, 0, 0, 1]) / np.sqrt(2.0)
+        res = product_numerical_range(Operator(np.outer(bell, bell), (2, 2)), PnrConfig())
+        assert res.method == "grid"
+        assert abs(res.value - 0.5) < 1e-12
+        assert res.value <= res.upper < 0.6
+
+    def test_one_eigendecomposition_of_m(self, monkeypatch):
+        # the spectral bound and the Schmidt start share one eigh of M
+        m = rand_bipartite_hermitian(2, 3, np.random.default_rng(9))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            if a.shape == m.matrix.shape and np.allclose(a, m.matrix):
+                calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        product_numerical_range(m, PnrConfig())
+        assert len(calls) == 1
 
     def test_non_hermitian_rejected(self):
         g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
@@ -190,8 +215,38 @@ class TestGridOracle:
         with pytest.raises(ContractError):
             pnr_grid_oracle(teleport_test(2).omega, mesh=0.0)
 
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (1, 1)])
+    def test_one_dimensional_factor_is_exact(self, dims):
+        # C^1 holds one state up to phase: covering radius 0
+        m = rand_bipartite_hermitian(*dims, np.random.default_rng(4))
+        br = pnr_grid_oracle(m)
+        top = np.linalg.eigvalsh(m.matrix)[-1]
+        assert br.points == 1 and br.cover_radius == 0.0
+        assert abs(br.lower - top) < 1e-12 and abs(br.upper - top) < 1e-12
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Calls made to ``engine.pnr_grid_oracle`` during the test."""
+    calls = []
+    grid = engine.pnr_grid_oracle
+
+    def counting_grid(*args, **kwargs):
+        calls.append(1)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "pnr_grid_oracle", counting_grid)
+    return calls
+
 
 class TestDetBenchmark:
+    def test_grid_only_for_the_final_bracket(self, grid_calls):
+        # separation runs the seesaw alone; the grid certifies the result once
+        omega = rand_separable(2, 2, np.random.default_rng(6))
+        report = det_benchmark(omega, PnrConfig())
+        assert report.converged and report.method == "grid"
+        assert len(grid_calls) == 1
+
     def test_teleport_generic_path(self):
         report = det_benchmark(teleport_test(2).omega, FAST)
         assert abs(report.value - 2.0 / 3.0) < 1e-6
@@ -380,6 +435,11 @@ class TestOptimalMpChannel:
         c = optimal_mp_channel(t.omega, pauli_rep(), FAST)
         s, _ = score_prob(t, c)
         assert abs(s - 0.75) < 1e-6
+
+    def test_runs_no_grid_bracket(self, grid_calls):
+        # only the maximizers are used, so no certificate is computed
+        optimal_mp_channel(teleport_test(2).omega, heisenberg_weyl_rep(2), FAST)
+        assert not grid_calls
 
     def test_resulting_channel_is_mp(self):
         c = optimal_mp_channel(teleport_test(2).omega, heisenberg_weyl_rep(2), FAST)

@@ -332,6 +332,7 @@ class TestJson:
         c = Channel(np.stack([np.sqrt(0.3) * np.eye(3), np.sqrt(0.7) * np.eye(3)[::-1]]))
         assert c.kraus.dtype == np.float64
         c2 = channel_from_json(channel_to_json(c))
+        assert c2.kraus.dtype == np.float64
         assert np.array_equal(c2.kraus, c.kraus)
         assert c2.trace_preserving and (c2.dims_in, c2.dims_out) == (3, 3)
 
