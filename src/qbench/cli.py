@@ -369,8 +369,8 @@ def cmd_cv(args) -> tuple[dict, int]:
         if analytic is None:
             raise
         note = str(err)
-    oracle = average_fidelity_oracle(
-        analytic if analytic is not None else device, params, cutoff, quad
+    oracle = _checked(
+        average_fidelity_oracle, analytic if analytic is not None else device, params, cutoff, quad
     )
 
     diff = None if score is None else abs(score - oracle)

@@ -21,9 +21,11 @@ identity is ``W_c = S_θ† (G_θ ⊗ I) S_θ`` at ``tanh θ = c`` for ``c < 1``
 where the ``c⁻²`` Jacobian comes from rescaling the integration variable.
 ``S_θ = exp[θ(ab − a†b†)]`` is fixed by the displacement covariance
 ``S_θ (D(α)⊗D(β)) S_θ† = D(α cosh θ − β̄ sinh θ) ⊗ D(β cosh θ − ᾱ sinh θ)``.
-The setup's squeezer and homodyne stages therefore measure ``W_c``, and
-``run_setup`` reads ``W_c`` from its exact closed form on every fidelity
-branch; the dense squeezer and Gaussian observable remain as references.
+The setup's squeezer and homodyne stages therefore measure ``W_c``; the
+conjugation test's beamsplitter and no-click photodetector measure its
+plain-reference form.  ``run_setup`` reads every branch's observable from
+the exact closed form at the one scale ``c = g·k``; the dense squeezer,
+beamsplitter and Gaussian observable remain as references.
 
 Sector storage.  W_c conserves the photon-number difference p − q, the
 beamsplitter the total p + q, so each is stored as one dense block per
@@ -59,7 +61,7 @@ ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
 ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of the input-noise average
-KRAUS_MAX_BYTES = 2**30  # largest amplifier-after-attenuator Kraus array built
+ARRAY_MAX_BYTES = 2**30  # largest array a builder, the noise fold or the oracle allocates
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
 
 
@@ -123,6 +125,11 @@ class CvParams:
         return self.mu * math.sqrt(self.x) / (self.lam + self.mu)
 
     @property
+    def c(self) -> float:
+        """Scale of the pair observable every branch reads out."""
+        return self.g * self.k
+
+    @property
     def nu(self) -> float:
         if math.isinf(self.mu) or self.g == 0:
             return math.inf
@@ -148,8 +155,8 @@ class CvSetup:
     ``bs_t`` the beamsplitter transmissivity of the conjugation branch,
     ``g_port`` the mode index (0 = device output, 1 = reference) carrying
     the Gaussian observable, and ``weight`` the scalar multiplying the raw
-    expectation value.  They describe the optical setup; the fidelity
-    branches are scored with the pair observable W_c it measures.
+    expectation value.  They describe the optical setup only: every branch
+    is scored with the closed-form pair observable it measures.
     """
 
     params: CvParams
@@ -167,15 +174,15 @@ class CvSetup:
 # states
 
 
-def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Kept amplitudes e^{-|alpha|²/2} alpha^n/sqrt(n!), assembled in log space."""
+def _coherent_amplitudes(alpha, n_max: int) -> np.ndarray:
+    """Kept amplitudes e^{-|α|²/2} α^n/sqrt(n!) of each amplitude in ``alpha``
+    along a new last axis, assembled in log space; ``xlogy`` keeps 0⁰ = 1."""
     n = np.arange(n_max)
-    if alpha == 0:
-        v = np.zeros(n_max, dtype=complex)
-        v[0] = 1.0
-        return v
-    log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
+    mag = np.abs(alpha)
+    out = np.exp(1j * n * np.angle(alpha))
+    out *= np.exp(xlogy(n, mag) - 0.5 * gammaln(n + 1.0) - 0.5 * mag**2)
+    return out
 
 
 def coherent_tail(alpha: complex, n_max: int) -> float:
@@ -276,8 +283,9 @@ def displaced_thermal(alpha: complex, mu: float, cutoff: FockCutoff) -> Operator
     return Operator(rho, (cutoff.n_max,))
 
 
-def tmsv(x: float, cutoff: FockCutoff) -> PureState:
-    """Two-mode squeezed vacuum sqrt(1-x) sum x^{n/2} |n,n>."""
+def _tmsv_amplitudes(x: float, cutoff: FockCutoff) -> np.ndarray:
+    """The real amplitudes ψ_n ∝ x^{n/2} of ``tmsv`` on |n, n⟩, normalized
+    after the leakage check."""
     if not (0 <= x < 1):
         raise ContractError(f"tmsv parameter must lie in [0, 1), got {x}")
     leak = x**cutoff.n_max
@@ -287,18 +295,14 @@ def tmsv(x: float, cutoff: FockCutoff) -> PureState:
             f"tmsv(x={x:.6f}) leaks {leak:.2e} past n_max={cutoff.n_max}",
             suggested_n_max=suggested,
         )
+    psi = np.sqrt(x) ** np.arange(cutoff.n_max)
+    return psi / np.linalg.norm(psi)
+
+
+def tmsv(x: float, cutoff: FockCutoff) -> PureState:
+    """Two-mode squeezed vacuum sqrt(1-x) sum x^{n/2} |n,n>."""
     d = cutoff.n_max
-    amp = np.zeros((d, d), dtype=complex)
-    coeff = math.sqrt(1 - x) * np.sqrt(x) ** np.arange(d)
-    np.fill_diagonal(amp, coeff)
-    vec = amp.reshape(-1)
-    return PureState(vec / np.linalg.norm(vec), (d, d))
-
-
-def _tmsv_diagonal(x: float, cutoff: FockCutoff) -> np.ndarray:
-    """The real amplitudes ψ_n of ``tmsv`` on |n, n⟩."""
-    state = tmsv(x, cutoff)
-    return state.amplitudes.reshape(cutoff.n_max, cutoff.n_max).diagonal().real.copy()
+    return PureState(np.diag(_tmsv_amplitudes(x, cutoff)), (d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +600,11 @@ def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
     if gain == 1.0:
         return _attenuator_kraus(eta, n_max)
     # n_max² real operators take 8·n_max⁴ bytes: refused before allocating
-    if 8 * n_max**4 > KRAUS_MAX_BYTES:
+    if 8 * n_max**4 > ARRAY_MAX_BYTES:
         raise CutoffError(
             f"Kraus set of gain {gain} at n_max={n_max} needs "
-            f"{8 * n_max**4 / 2**20:.0f} MiB, past the {KRAUS_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((KRAUS_MAX_BYTES // 8) ** 0.25),
+            f"{8 * n_max**4 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES // 8) ** 0.25),
         )
     loss = _attenuator_kraus(eta, n_max)
     amp = _amplifier_kraus(gain, n_max)
@@ -619,17 +623,15 @@ def heterodyne_mp_channel(q: float, cutoff: FockCutoff) -> Channel:
 # setup construction and execution
 
 
-def _fidelity_reduction(c: float) -> tuple[float, int, float]:
+def _fidelity_reduction(c: float) -> tuple[float | None, int | None, float]:
     """Squeezer angle, observable port, and weight measuring W_c.
 
     For c < 1 the observable sits on the amplified port at tanh θ = c; for
     c > 1 the ports mirror and the variable change costs a 1/c² Jacobian.
+    No finite squeezing reaches c = 1, so that setup has no angle or port.
     """
     if abs(c - 1.0) < 1e-12:
-        raise ContractError(
-            "gain exactly at the squeezer boundary (c = 1) has no finite-angle "
-            "reduction; perturb the parameters"
-        )
+        return None, None, 1.0
     if c < 1.0:
         return math.atanh(c), 0, 1.0
     return math.atanh(1.0 / c), 1, 1.0 / (c * c)
@@ -637,42 +639,31 @@ def _fidelity_reduction(c: float) -> tuple[float, int, float]:
 
 def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
     """Select the measurement branch and lay out the stage list."""
-    x = params.x
-    stages = [f"tmsv(x={x:.6f})", "device"]
+    c = params.c
+    stages = [f"tmsv(x={params.x:.6f})", "device"]
+    if math.isfinite(params.nu):
+        stages.append(f"noise(nu={params.nu:.6f})")
+    theta = port = bs_t = None
     if params.conjugate:
-        gk = params.g * params.k
-        weight = 1.0 / (gk * gk + 1.0)
-        bs_t = gk * gk / (gk * gk + 1.0)
-        if math.isfinite(params.nu):
-            stages.append(f"noise(nu={params.nu:.6f})")
+        branch = "conjugation"
+        weight = 1.0 / (c * c + 1.0)
+        bs_t = c * c / (c * c + 1.0)
         stages.append(f"beamsplitter(t={bs_t:.6f})")
         stages.append("photodetector(reference port, score on no-click)")
-        return CvSetup(
-            params=params,
-            cutoff=cutoff,
-            branch="conjugation",
-            x=x,
-            weight=weight,
-            bs_t=bs_t,
-            stages=tuple(stages),
-        )
-    if math.isfinite(params.mu):
-        branch = "mixed"
-        c = params.g * params.k
-        stages.append(f"noise(nu={params.nu:.6f})")
     else:
-        c = params.g / math.sqrt(params.lam + 1.0)
-        branch = "pure_low_gain" if params.g**2 <= params.lam + 1.0 else "pure_high_gain"
-    theta, port, weight = _fidelity_reduction(c)
-    stages.append(f"pair_observable(c={c:.6f})")
+        pure = "pure_low_gain" if c <= 1.0 else "pure_high_gain"
+        branch = "mixed" if math.isfinite(params.mu) else pure
+        theta, port, weight = _fidelity_reduction(c)
+        stages.append(f"pair_observable(c={c:.6f})")
     return CvSetup(
         params=params,
         cutoff=cutoff,
         branch=branch,
-        x=x,
+        x=params.x,
         weight=weight,
         theta=theta,
         g_port=port,
+        bs_t=bs_t,
         stages=tuple(stages),
     )
 
@@ -682,27 +673,29 @@ def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     ``[(flat_idx, O_d)]`` over the sectors it conserves, with the setup's
     additive noise folded onto it.
 
-    Conjugation: ``weight · r_a† r_a`` with ``r_a`` the ⟨a, 0| row of
-    beamsplitter sector a (the no-click readout).  Fidelity branches: the
-    closed-form pair observable ``W_c``, which the squeezer and the Gaussian
-    observable measure (module docstring).
+    Fidelity branches read the closed-form ``W_c``, which the squeezer and
+    the Gaussian observable measure (module docstring).  The conjugation
+    branch reads its plain-reference form on the total-photon sectors
+    a < n_max, where it equals the truncated beamsplitter's no-click readout
+    ``weight · r_a† r_a``, ``r_a`` the ⟨a, 0| row of sector a.
     """
     n_max = setup.cutoff.n_max
-    if setup.branch == "conjugation":
-        conserved = "total"
-        bs = _two_mode_blocks(math.acos(math.sqrt(setup.bs_t)), n_max, "beamsplitter")
-        # sector a < n_max holds (p, a − p) for p = 0..a, so ⟨a, 0| is its row a
-        blocks = [
-            (idx, setup.weight * np.outer(u[a].conj(), u[a]))
-            for a, (idx, u) in enumerate(bs[:n_max])
-        ]
-    else:
-        conserved = "difference"
-        th = math.tanh(setup.theta)
-        blocks = _pair_blocks(th if setup.g_port == 0 else 1.0 / th, n_max, True)
+    conjugate = setup.params.conjugate
     nu = setup.params.nu
+    # the fold peaks at ~117·n_max³ bytes: three (2n−1)·n² complex charge
+    # layouts, the n³ complex transfer and the readout blocks
+    if math.isfinite(nu) and 117 * n_max**3 > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"noise fold at n_max={n_max} needs {117 * n_max**3 / 2**20:.0f} MiB, "
+            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES / 117) ** (1 / 3)),
+        )
+    blocks = _pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate)
+    if conjugate:
+        blocks = blocks[:n_max]
     if math.isfinite(nu):
-        blocks = _fold_noise(blocks, _noise_transfer(nu, n_max), _sectors(n_max, conserved))
+        sectors = _sectors(n_max, "total" if conjugate else "difference")
+        blocks = _fold_noise(blocks, _noise_transfer(nu, n_max), sectors)
     return blocks
 
 
@@ -752,10 +745,9 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
 
     Returns ``(score, p_succ)``: the observable's expectation normalized by
     the device's success probability on the entangled input, and that
-    success probability itself.  One route for every branch: the readout
-    blocks (closed-form W_c, or the conjugation branch's beamsplitter rows)
-    with the additive-noise stage folded onto them, scored against the
-    device's pure decomposition ``(K_k ⊗ I)|tmsv⟩``.
+    success probability itself.  One route for every branch: the
+    closed-form readout blocks with the additive-noise stage folded onto
+    them, scored against the device's pure decomposition ``(K_k ⊗ I)|tmsv⟩``.
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
@@ -764,7 +756,7 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
             f"device acts on dimension {device.dims_in}->{device.dims_out}, "
             f"setup cutoff is {n_max}"
         )
-    psi = _tmsv_diagonal(setup.x, cutoff)
+    psi = _tmsv_amplitudes(setup.x, cutoff)
     readout = _readout(setup)
     # p_succ = Σ_x ψ_x² ‖K|x⟩‖², the column norms read in place
     flat = device.kraus.reshape(-1, n_max)
@@ -817,6 +809,15 @@ def average_fidelity_oracle(
     Trace-nonincreasing devices are scored conditionally on success.
     """
     quad = quad or QuadRule()
+    # about 64 bytes per quadrature point, and 64·n_max more for a Kraus
+    # device's coherent rows (inputs, targets, and one built or evolved block)
+    points = quad.nodes**2 * (1 if math.isinf(params.mu) else ORACLE_BETA_NODES**2)
+    nbytes = points * (64 + (64 * cutoff.n_max if isinstance(device, Channel) else 0))
+    if nbytes > ARRAY_MAX_BYTES:
+        raise ContractError(
+            f"oracle at {quad.nodes} nodes needs {nbytes / 2**20:.0f} MiB, "
+            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap"
+        )
     alphas, w_alpha = _gh_complex_nodes(quad.nodes, params.lam)
     if math.isinf(params.mu):
         betas = np.zeros(1, dtype=complex)
@@ -851,22 +852,18 @@ def average_fidelity_oracle(
             f"cutoff's amplitude range {limit:.2f}",
             suggested_n_max=suggest_cutoff(worst, ORACLE_NODE_TAIL),
         )
-    inputs, targets, weights = inputs[keep], targets[keep], weights[keep]
-    in_mat = np.stack([_coherent_column(z, n_max) for z in inputs], axis=1)
-    tg_mat = np.stack([_coherent_column(z, n_max) for z in targets], axis=1)
-    num = np.zeros(inputs.size)
-    den = np.zeros(inputs.size)
+    weights = weights[keep]
+    in_rows = _coherent_amplitudes(inputs[keep], n_max)
+    tg_bras = _coherent_amplitudes(targets[keep].conj(), n_max)  # ⟨target| rows
+    for rows in (in_rows, tg_bras):
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    num = np.zeros(weights.size)
+    den = np.zeros(weights.size)
     for k in device.kraus:
-        evolved = k @ in_mat
-        overlap = np.einsum("ij,ij->j", tg_mat.conj(), evolved)
-        num += np.abs(overlap) ** 2
-        den += np.einsum("ij,ij->j", evolved.conj(), evolved).real
+        evolved = in_rows @ k.T
+        num += np.abs(np.einsum("ji,ji->j", tg_bras, evolved)) ** 2
+        den += np.einsum("ji,ji->j", evolved.conj(), evolved).real
     return float(np.sum(weights * num) / np.sum(weights * den))
-
-
-def _coherent_column(z: complex, n_max: int) -> np.ndarray:
-    v = _coherent_amplitudes(z, n_max)
-    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------

@@ -324,60 +324,41 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
 
 
 def _sphere_grid(dim: int, mesh: float) -> tuple[np.ndarray, float]:
-    """All-states grid on C^dim with its covering radius in 2-norm.
+    """All-states grid on C^1 or C^2 with its covering radius in 2-norm.
 
-    Hyperspherical parametrisation: magnitude angles on [0, pi/2] (the
-    first on [0, pi] carries no phase for dim == 2), one phase per
-    trailing component.  Every parameter has gradient norm <= 1, so the
-    covering radius is bounded by (number of parameters) * mesh / 2.  C^1
-    has one state up to phase, so its grid is exact.
+    C^1 has one state up to phase, so its grid is exact.  On C^2 the Bloch
+    angles run over [0, pi] × [0, 2 pi); d(state)/d(theta) has norm 1/2 and
+    d/d(phi) at most 1, so the covering radius is mesh · (1/2 + 1) / 2.
     """
     if dim == 1:
         return np.ones((1, 1), dtype=complex), 0.0
-    if dim == 2:
-        thetas = np.arange(0.0, np.pi + mesh, mesh)
-        phis = np.arange(0.0, 2 * np.pi, mesh)
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        states = np.stack(
-            [np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()],
-            axis=1,
-        )
-        # d(state)/d(theta) has norm 1/2, d/d(phi) at most 1.
-        radius = 0.5 * mesh * (0.5 + 1.0)
-        return states, radius
-    n_mag = dim - 1
-    mags = [np.arange(0.0, np.pi / 2 + mesh, mesh)] * n_mag
-    phases = [np.arange(0.0, 2 * np.pi, mesh)] * (dim - 1)
-    grids = np.meshgrid(*mags, *phases, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    count = flat[0].size
-    states = np.empty((count, dim), dtype=complex)
-    sin_prod = np.ones(count)
-    for k in range(n_mag):
-        states[:, k] = sin_prod * np.cos(flat[k])
-        sin_prod = sin_prod * np.sin(flat[k])
-    states[:, dim - 1] = sin_prod
-    for k in range(1, dim):
-        states[:, k] = states[:, k] * np.exp(1j * flat[n_mag + k - 1])
-    radius = 0.5 * mesh * (2 * dim - 2)
-    return states, radius
+    thetas = np.arange(0.0, np.pi + mesh, mesh)
+    phis = np.arange(0.0, 2 * np.pi, mesh)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    states = np.stack(
+        [np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()],
+        axis=1,
+    )
+    return states, 0.5 * mesh * (0.5 + 1.0)
 
 
 def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
     """Certified bracket on the product numerical range by exhaustion.
 
-    Grids the smaller factor's state space and solves the other factor
-    exactly by eigendecomposition.  The upper bound follows from the
-    Lipschitz constant 2*||M||_2 of the objective in the gridded vector
-    together with the grid's covering radius.  Guarded to small total
-    dimension; the grid size is exponential in the gridded factor.
+    Grids the smaller factor's state space, which must be at most a
+    qubit, and solves the other factor exactly by eigendecomposition.  The
+    upper bound follows from the Lipschitz constant 2*||M||_2 of the
+    objective in the gridded vector together with the grid's covering
+    radius.  The total dimension is capped at 16, which bounds the
+    conditioned blocks.
     """
     if not m.is_hermitian():
         raise ContractError("grid oracle needs a Hermitian operator")
     d_out, d_in = m.dims
-    if d_out * d_in > 16:
+    if min(d_out, d_in) > 2 or d_out * d_in > 16:
         raise DimensionError(
-            f"grid oracle limited to total dimension 16, got {d_out * d_in}"
+            f"grid oracle needs a qubit factor and total dimension at most 16, "
+            f"got dims {m.dims}"
         )
     if mesh <= 0 or mesh > 0.5:
         raise ContractError(f"mesh must lie in (0, 0.5], got {mesh}")

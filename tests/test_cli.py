@@ -294,6 +294,22 @@ class TestCvCommand:
         assert out["score"] is None
         assert "n_max=200" in out["note"]
 
+    def test_noise_past_the_byte_cap_falls_back(self, capsys):
+        # the noise fold at n_max 300 is refused before it is built
+        code, out, _ = run_cli(
+            capsys, "cv", "--device", "identity", "--mu", "4", "--lambda", "4", "--cutoff", "300"
+        )
+        assert code == 0
+        assert out["method"] == "oracle" and out["certified"]
+        assert "n_max=300" in out["note"]
+
+    def test_boundary_gain_is_scored(self, capsys):
+        # c = g·k = 1 has no squeezer angle, but W_1 has its closed form
+        code, out, _ = run_cli(capsys, "cv", "--device", "identity", "--g", "2", "--lambda", "3")
+        assert code == 0 and out["certified"]
+        assert out["setup"]["theta"] is None and out["setup"]["g_port"] is None
+        assert abs(out["score"] - 0.75) < 1e-6
+
     def test_kraus_file_device(self, capsys, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
@@ -340,6 +356,9 @@ class TestCvCommand:
             "beamsplitter(t=0.210526)",
             "photodetector(reference port, score on no-click)",
         ]
+        # g = 0 targets the vacuum, and no noise runs
+        _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8", "--g", "0", "--mu", "2")
+        assert out["setup"]["stages"][2:] == ["pair_observable(c=0.000000)"]
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -360,6 +379,7 @@ class TestCvCommand:
             (("benchmark", "--builtin", "teleport", "--dim", "0"), "dimension >= 2"),
             (("benchmark", "--builtin", "teleport:abc"), "'abc' is not an integer"),
             (("benchmark", "--builtin", "equator:x"), "'x' is not an integer"),
+            (("cv", "--device", "identity", "--mu", "2", "--nodes", "1024"), "MiB cap"),
         ],
     )
     def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):

@@ -41,7 +41,7 @@ from qbench.cv import (
     tmsv,
     two_mode_squeezer,
     vacuum_device,
-    KRAUS_MAX_BYTES,
+    ARRAY_MAX_BYTES,
     _charge_transfer,
     _coherent_amplitudes,
     _fold_noise,
@@ -80,8 +80,8 @@ def _grid_heterodyne_channel(q: float, n_max: int) -> Channel:
     axis = step * np.arange(-math.ceil(radius / step), math.ceil(radius / step) + 1)
     gammas = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
     gammas = gammas[np.abs(gammas) <= radius]
-    meas = np.array([_coherent_amplitudes(g, n_max) for g in gammas])
-    prep = np.array([_coherent_amplitudes(q * g, n_max) for g in gammas])
+    meas = _coherent_amplitudes(gammas, n_max)
+    prep = _coherent_amplitudes(q * gammas, n_max)
     kraus = math.sqrt(step * step / math.pi) * prep[:, :, None] * meas.conj()[:, None, :]
     flat = kraus.reshape(-1, n_max)
     top = np.max(np.linalg.eigvalsh(flat.conj().T @ flat))
@@ -495,6 +495,29 @@ class TestNoiseTransferMatrix:
         small, tall = _noise_transfer(4.0, 16), _noise_transfer(4.0, 32)
         assert np.max(np.abs(small - tall[:16, :16, :16])) < 1e-14
 
+    def test_conjugation_readout_is_closed_form(self, monkeypatch):
+        # the no-click readout comes from W_c's plain-reference form, not
+        # from exponentiating beamsplitter sectors
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        _readout(build_setup(CvParams(g=1.0, lam=1.0, conjugate=True), _cutoff(20)))
+        assert not calls
+
+    def test_noise_fold_past_the_byte_cap_is_refused_before_allocating(self):
+        # the fold peaks at ~117·n_max³ bytes: about 3 GiB at n_max 300
+        setup = build_setup(CvParams(lam=4.0, mu=4.0), _cutoff(300))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError) as err:
+                _readout(setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        n = err.value.suggested_n_max
+        assert 117 * n**3 <= ARRAY_MAX_BYTES < 117 * (n + 1) ** 3
+
     def test_conjugation_rows_match_full_beamsplitter(self):
         n = 8
         cut = _cutoff(n, 1e-2)
@@ -707,7 +730,7 @@ class TestAnalyticDevices:
             tracemalloc.stop()
         assert peak < 2**20, peak
         n = err.value.suggested_n_max
-        assert n == 107 and 8 * n**4 <= KRAUS_MAX_BYTES < 8 * (n + 1) ** 4
+        assert n == 107 and 8 * n**4 <= ARRAY_MAX_BYTES < 8 * (n + 1) ** 4
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ContractError):
@@ -758,9 +781,15 @@ class TestSetupConstruction:
         assert abs(p_big.x - p_pure.x) < 1e-8
         assert abs(p_big.k - p_pure.k) < 1e-8
 
-    def test_boundary_gain_rejected(self):
-        with pytest.raises(ContractError):
-            build_setup(CvParams(g=math.sqrt(2.0), lam=1.0), _cutoff(40))
+    def test_boundary_gain_has_no_angle(self):
+        # c = g·k = 1 has no finite squeezer angle; the score reads W_1 all the same
+        params = CvParams(g=2.0, lam=3.0)
+        cut = _cutoff(40)
+        setup = build_setup(params, cut)
+        assert setup.theta is None and setup.g_port is None and setup.weight == 1.0
+        for dev in (identity_device(), attenuator_device(0.8)):
+            score, _ = run_setup(setup, dev.materialize(cut))
+            assert abs(score - average_fidelity_oracle(dev, params, cut)) < 1e-6, dev.kind
 
     def test_json_round_trip_fields(self):
         setup = build_setup(CvParams(g=1.0, lam=1.0, mu=2.0), _cutoff(40))
@@ -847,12 +876,31 @@ class TestRunAgainstOracle:
         assert abs(score - 1.0) < 1e-6
 
     def test_channel_oracle_agrees_with_analytic(self):
-        cut = _cutoff(40)
-        params = CvParams(g=1.0, lam=1.0)
+        # the Kraus path (n_max loss operators) against the closed-form
+        # integrand: pure, noisy and conjugate targets
         dev = attenuator_device(0.8)
-        a = average_fidelity_oracle(dev, params, cut)
-        b = average_fidelity_oracle(dev.materialize(cut), params, cut)
-        assert abs(a - b) < 1e-6
+        for params, n_max in [
+            (CvParams(g=1.0, lam=1.0), 40),
+            (CvParams(g=1.0, lam=4.0, mu=4.0), 20),
+            (CvParams(g=1.2, lam=1.0, conjugate=True), 40),
+        ]:
+            cut = _cutoff(n_max)
+            a = average_fidelity_oracle(dev, params, cut)
+            b = average_fidelity_oracle(dev.materialize(cut), params, cut)
+            assert abs(a - b) < 1e-6, params
+
+    def test_oracle_past_the_byte_cap_is_refused_before_allocating(self):
+        # 1024² · 256 quadrature points at ~64 bytes each is ~16 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="cap"):
+                average_fidelity_oracle(
+                    identity_device(), CvParams(mu=2.0), _cutoff(40), QuadRule(1024)
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_mixed_identity_closed_form(self):
         cut = FockCutoff(40, leak_tol=1e-6)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,9 +209,18 @@ class TestGridOracle:
             assert br.lower - 1e-9 <= res.value <= br.upper + 1e-9
 
     def test_dimension_guard(self):
-        m = Operator(np.eye(18), (3, 6))
-        with pytest.raises(DimensionError):
-            pnr_grid_oracle(m)
+        # no qubit factor: a (3,3) grid at mesh 0.05 would hold ~1.7e7 states,
+        # a (4,4) one ~7e10, so both are refused before allocating
+        for dims in [(3, 6), (3, 3), (4, 4)]:
+            m = Operator(np.eye(dims[0] * dims[1]), dims)
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionError):
+                    pnr_grid_oracle(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (dims, peak)
 
     def test_mesh_guard(self):
         with pytest.raises(ContractError):
