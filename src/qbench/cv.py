@@ -40,16 +40,21 @@ gives its exact real Kraus set, and the noise is G = 1 + 1/ν after
 η = 1/G.  Both stages are phase covariant, so the noise acts on each
 mode-a charge δ (the bra-ket level difference) through one n_max × n_max
 transfer matrix, which ``run_setup`` folds onto the readout.
+
+Closed forms in log space.  Coherent amplitudes, the displacement, W_c and
+the attenuator and amplifier Kraus sets are assembled in log space from one
+table of ln k! built with ``math.lgamma`` (``_log_factorials``), and the
+coherent Poisson tail is a direct sum, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
 from .linalg import Operator, PureState
@@ -174,20 +179,47 @@ class CvSetup:
 # states
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0 .. n − 1, each from ``math.lgamma`` (a cumulative log
+    sum would gather rounding error as k grows)."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+
+
+def _xlogy(x, y) -> np.ndarray:
+    """x · ln y elementwise, with 0 · ln 0 = 0 so that y⁰ = 1 at y = 0 too."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
+
+
 def _coherent_amplitudes(alpha, n_max: int) -> np.ndarray:
     """Kept amplitudes e^{-|α|²/2} α^n/sqrt(n!) of each amplitude in ``alpha``
-    along a new last axis, assembled in log space; ``xlogy`` keeps 0⁰ = 1."""
+    along a new last axis, assembled in log space; ``_xlogy`` keeps 0⁰ = 1."""
     n = np.arange(n_max)
     alpha = np.asarray(alpha, dtype=complex)[..., None]
     mag = np.abs(alpha)
     out = np.exp(1j * n * np.angle(alpha))
-    out *= np.exp(xlogy(n, mag) - 0.5 * gammaln(n + 1.0) - 0.5 * mag**2)
+    out *= np.exp(_xlogy(n, mag) - 0.5 * _log_factorials(n_max) - 0.5 * mag**2)
     return out
 
 
 def coherent_tail(alpha: complex, n_max: int) -> float:
-    """Probability mass of ``|alpha>`` above the kept levels."""
-    return float(pdtrc(n_max - 1, abs(alpha) ** 2))
+    """Probability mass of ``|alpha>`` above the kept levels, P[X ≥ n_max] for
+    X ~ Poisson(|α|²): a direct sum started in log space at the boundary and
+    stepped by neighbour ratios away from the mean, so its terms fall (one
+    minus the head, summed downward, when n_max ≤ μ)."""
+    mu = abs(alpha) ** 2
+    if mu == 0 or n_max <= 0:
+        return float(n_max <= 0)
+    upward = n_max > mu
+    j = n_max if upward else n_max - 1
+    term = math.exp(j * math.log(mu) - mu - math.lgamma(j + 1.0))
+    total = 0.0
+    while term > 1e-17 * total:
+        total += term
+        j += 1 if upward else -1
+        term *= mu / j if upward else (j + 1) / mu
+    return total if upward else 1.0 - total
 
 
 def suggest_cutoff(alpha_max: float, tail_tol: float) -> int:
@@ -237,7 +269,7 @@ def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
     n = np.arange(n_max)
     if alpha == 0:
         return np.eye(n_max, dtype=complex)
-    log_fact = gammaln(n + 1.0)
+    log_fact = _log_factorials(n_max)
     m_idx, n_idx = np.meshgrid(n, n, indexing="ij")
 
     def triangular(z: complex, lower: bool) -> np.ndarray:
@@ -246,7 +278,7 @@ def displacement_operator(alpha: complex, n_max: int) -> np.ndarray:
         d = np.where(keep, diff, 0)
         big, small = (m_idx, n_idx) if lower else (n_idx, m_idx)
         mag = np.exp(
-            d * math.log(abs(z)) + 0.5 * (log_fact[big] - log_fact[small]) - gammaln(d + 1.0)
+            d * math.log(abs(z)) + 0.5 * (log_fact[big] - log_fact[small]) - log_fact[d]
         )
         phase = np.exp(1j * d * np.angle(z))
         return np.where(keep, mag * phase, 0.0)
@@ -326,26 +358,32 @@ def _sector_exponential(coupling: np.ndarray, theta: float) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def _two_mode_blocks(angle: float, n_max: int, kind: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``[(flat_idx, block)]`` per conserved sector of the two-mode squeezer
+def _two_mode_blocks(
+    angle: float, n_max: int, kind: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(flat_idx, block)`` per conserved sector of the two-mode squeezer
     (difference sectors) or the beamsplitter (total sectors, sector ``a``
     holding p + q = a)."""
-    out = []
     for idx in _sectors(n_max, "difference" if kind == "squeezer" else "total"):
         p, q = np.divmod(idx, n_max)
         if kind == "squeezer":
             # descent direction is ab: (p, q) -> (p-1, q-1), coefficient sqrt(pq)
-            block = _sector_exponential(np.sqrt(p * q), angle)
+            yield idx, _sector_exponential(np.sqrt(p * q), angle)
         else:
             # descent direction is ab†: (p, q) -> (p-1, q+1); the generator wants
             # the raising combination a†b - ab†, hence the negated angle
-            block = _sector_exponential(np.sqrt(p * (q + 1)), -angle)
-        out.append((idx, block))
-    return out
+            yield idx, _sector_exponential(np.sqrt(p * (q + 1)), -angle)
 
 
 def _assemble(n_max: int, blocks) -> np.ndarray:
-    """Dense n_max² × n_max² matrix of a sector-blocked operator."""
+    """Dense n_max² × n_max² matrix of a sector-blocked operator; its
+    16·n_max⁴ bytes are refused past the cap before any block is built."""
+    if 16 * n_max**4 > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"dense two-mode matrix at n_max={n_max} needs "
+            f"{16 * n_max**4 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES // 16) ** 0.25),
+        )
     mat = np.zeros((n_max * n_max, n_max * n_max), dtype=complex)
     for idx, block in blocks:
         mat[np.ix_(idx, idx)] = block
@@ -399,24 +437,23 @@ def heterodyne_weight(gamma, theta: float):
 
 def _pair_blocks(
     c: float, n_max: int, conjugate_reference: bool
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``[(flat_idx, block)]`` of the pair observable, from its closed form
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(flat_idx, block)`` per sector of the pair observable, by ascending
+    charge, from its closed form
     ``W[(p,q),(p',q')] = c^{p+p'} k! / (s^{k+1} √(p! q! p'! q'!))``, s = 1 + c².
 
     With the conjugate reference ``k = p + q'`` and W conserves p − q; with
     the plain reference ``k = p + q`` and W conserves p + q.
     """
-    log_fact = gammaln(np.arange(2 * n_max) + 1.0)
+    log_fact = _log_factorials(2 * n_max)
+    # _xlogy keeps c^0 = 1 at c = 0 (zero gain reads out vacuum ⊗ I)
+    log_c = _xlogy(np.arange(n_max), c)
     log_s = math.log1p(c * c)
-    out = []
     for idx in _sectors(n_max, "difference" if conjugate_reference else "total"):
         p, q = np.divmod(idx, n_max)
-        # xlogy keeps c^0 = 1 at c = 0 (zero gain reads out vacuum ⊗ I)
-        half = xlogy(p, c) - 0.5 * (log_fact[p] + log_fact[q])
+        half = log_c[p] - 0.5 * (log_fact[p] + log_fact[q])
         k = p[:, None] + (q[None, :] if conjugate_reference else q[:, None])
-        log_w = half[:, None] + half[None, :] + log_fact[k] - (k + 1) * log_s
-        out.append((idx, np.exp(log_w)))
-    return out
+        yield idx, np.exp(half[:, None] + half[None, :] + log_fact[k] - (k + 1) * log_s)
 
 
 def scaled_pair_observable(
@@ -570,12 +607,12 @@ def rescale_mp_device(q: float = 1.0) -> AnalyticDevice:
 
 def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
     """Stacked photon-loss Kraus set L_m = Σ_n √(C(n,m) t^{n−m} (1−t)^m) |n−m⟩⟨n|;
-    ``xlogy`` keeps 0⁰ = 1, so t = 0 gives the vacuum exactly."""
+    ``_xlogy`` keeps 0⁰ = 1, so t = 0 gives the vacuum exactly."""
     if t == 1.0:
         return np.eye(n_max)[None]
-    logs = gammaln(np.arange(n_max) + 1.0)
+    logs = _log_factorials(n_max)
     m, n = np.triu_indices(n_max)  # every m <= n
-    log_k = logs[n] - logs[m] - logs[n - m] + xlogy(n - m, t) + xlogy(m, 1.0 - t)
+    log_k = logs[n] - logs[m] - logs[n - m] + _xlogy(n - m, t) + _xlogy(m, 1.0 - t)
     out = np.zeros((n_max, n_max, n_max))
     out[m, n - m, n] = np.exp(0.5 * log_k)
     return out
@@ -584,11 +621,11 @@ def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
 def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
     """Stacked quantum-limited amplifier Kraus set, truncated to n + k < n_max:
     A_k = Σ_n √(C(n+k, k) (1−1/G)^k / G^{n+1}) |n+k⟩⟨n|."""
-    logs = gammaln(np.arange(n_max) + 1.0)
+    logs = _log_factorials(n_max)
     k, top = np.triu_indices(n_max)  # top = n + k
     n = top - k
     log_a = logs[top] - logs[n] - logs[k]
-    log_a += xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
+    log_a += _xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
     out = np.zeros((n_max, n_max, n_max))
     out[k, top, n] = np.exp(0.5 * log_a)
     return out
@@ -691,8 +728,7 @@ def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
             suggested_n_max=int((ARRAY_MAX_BYTES / 117) ** (1 / 3)),
         )
     blocks = _pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate)
-    if conjugate:
-        blocks = blocks[:n_max]
+    blocks = list(islice(blocks, n_max if conjugate else None))
     if math.isfinite(nu):
         sectors = _sectors(n_max, "total" if conjugate else "difference")
         blocks = _fold_noise(blocks, _noise_transfer(nu, n_max), sectors)
@@ -787,6 +823,8 @@ def amplitude_limit(n_max: int, tail_tol: float = ORACLE_TAIL_TOL) -> float:
 
 def _gh_complex_nodes(count: int, inv_var: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for ∫ d²z/π inv_var e^{-inv_var |z|²} f(z)."""
+    from numpy.polynomial.hermite import hermgauss  # kept off the cold import
+
     x, w = hermgauss(count)
     scale = 1.0 / math.sqrt(inv_var)
     z = scale * (x[:, None] + 1j * x[None, :])

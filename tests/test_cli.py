@@ -421,6 +421,19 @@ class TestEnvironment:
         )
         assert res.stdout.split() == ["False"]
 
+    def test_cold_import_loads_no_scipy_at_all(self):
+        probe = (
+            "import sys, qbench.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print('numpy.polynomial' in sys.modules)"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        loaded_scipy, loaded_polynomial = res.stdout.splitlines()
+        assert loaded_scipy == "[]"
+        assert loaded_polynomial == "False"
+
     @pytest.mark.parametrize(
         "argv",
         [

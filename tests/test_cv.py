@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc, xlogy
 from scipy.stats import binom, nbinom
 
 from qbench.cv import (
@@ -27,6 +27,7 @@ from qbench.cv import (
     beamsplitter,
     build_setup,
     coherent_state,
+    coherent_tail,
     displaced_thermal,
     displacement_operator,
     gaussian_observable,
@@ -42,14 +43,18 @@ from qbench.cv import (
     two_mode_squeezer,
     vacuum_device,
     ARRAY_MAX_BYTES,
+    ORACLE_NODE_TAIL,
+    ORACLE_TAIL_TOL,
     _charge_transfer,
     _coherent_amplitudes,
     _fold_noise,
     _gaussian_kraus,
+    _log_factorials,
     _noise_transfer,
     _readout,
     _score_vectors,
     _sectors,
+    _xlogy,
 )
 from qbench.errors import (
     ContractError,
@@ -182,6 +187,76 @@ class TestStates:
         assert exc.value.suggested_n_max >= 46
 
 
+def _pdtrc_cutoff(alpha: float, tol: float) -> int:
+    """``suggest_cutoff``'s doubling-then-bisection, driven by scipy's ``pdtrc``."""
+    lo, hi = 1, 2
+    while pdtrc(hi - 1, alpha * alpha) > tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pdtrc(mid - 1, alpha * alpha) > tol else (lo, mid)
+    return hi
+
+
+def _pdtrc_amplitude_limit(n_max: int, tol: float) -> float:
+    """``amplitude_limit``'s bisection, driven by scipy's ``pdtrc``."""
+    lo, hi = 0.0, math.sqrt(3.0 * n_max) + 3.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if pdtrc(n_max - 1, mid * mid) <= tol else (lo, mid)
+    return lo
+
+
+class TestSpecialFunctionsAgainstScipy:
+    """The numpy-only closed forms against ``scipy.special`` as the reference."""
+
+    def test_coherent_tail_matches_pdtrc(self):
+        worst = 0.0
+        for n_max in range(1, 81):
+            for mu in np.linspace(0.0, 40.0, 161):
+                ref = pdtrc(n_max - 1, mu)
+                got = coherent_tail(math.sqrt(mu), n_max)
+                if ref == 0.0:
+                    assert got == 0.0, (n_max, mu, got)
+                else:
+                    worst = max(worst, abs(got - ref) / ref)
+        assert worst < 1e-12, worst
+
+    def test_coherent_tail_at_the_edges(self):
+        assert coherent_tail(0.0, 5) == 0.0
+        assert coherent_tail(2.0, 0) == 1.0
+        assert coherent_tail(30.0, 10) == 1.0  # the head underflows
+
+    def test_log_factorial_table_matches_gammaln(self):
+        n_max = 200
+        levels = np.arange(2 * n_max)
+        np.testing.assert_allclose(
+            _log_factorials(2 * n_max), gammaln(levels + 1.0), rtol=1e-15, atol=0
+        )
+
+    def test_xlogy_keeps_zero_to_the_zero(self):
+        x = np.array([0.0, 0.0, 1.0, 3.0, 2.5])
+        for y in (0.0, 0.3, 1.0, 7.5):
+            np.testing.assert_array_equal(_xlogy(x, y), xlogy(x, y))
+        mags = np.array([[0.0], [0.4], [2.0]])
+        levels = np.arange(5)
+        np.testing.assert_allclose(_xlogy(levels, mags), xlogy(levels, mags), rtol=1e-15)
+
+    def test_suggest_cutoff_matches_pdtrc_bisection(self):
+        pairs = [(0.1 * i, 10.0**-e) for i in range(66) for e in range(4, 14)]
+        assert len(pairs) == 660
+        mismatches = [
+            (a, tol) for a, tol in pairs if suggest_cutoff(a, tol) != _pdtrc_cutoff(a, tol)
+        ]
+        assert not mismatches
+
+    @pytest.mark.parametrize("tol", [ORACLE_TAIL_TOL, ORACLE_NODE_TAIL])
+    def test_amplitude_limit_matches_pdtrc_bisection(self, tol):
+        for n_max in range(10, 81, 10):
+            got, ref = amplitude_limit(n_max, tol), _pdtrc_amplitude_limit(n_max, tol)
+            assert abs(got - ref) <= 1e-12 * ref, (n_max, got, ref)
+
+
 class TestStageUnitaries:
     def test_squeezer_zero_angle(self):
         s = two_mode_squeezer(0.0, _cutoff(10))
@@ -258,6 +333,41 @@ class TestStageUnitaries:
         )
         fid = abs(np.vdot(vref, b.matrix @ vin)) ** 2
         assert fid >= 1.0 - 1e-6
+
+    def test_dense_references_past_the_byte_cap_are_refused_before_allocating(
+        self, monkeypatch
+    ):
+        # a dense two-mode matrix takes 16·n_max⁴ bytes: 0.98 GiB at n_max 90,
+        # 1.02 GiB at 91
+        builders = (
+            lambda cut: two_mode_squeezer(0.3, cut),
+            lambda cut: beamsplitter(0.5, cut),
+            lambda cut: scaled_pair_observable(0.5, cut),
+        )
+        tracemalloc.start()
+        try:
+            for build in builders:
+                with pytest.raises(CutoffError) as err:
+                    build(_cutoff(91))
+                assert err.value.suggested_n_max == 90
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert 16 * 90**4 <= ARRAY_MAX_BYTES < 16 * 91**4
+
+        # at n_max 90 the check passes and the dense allocation is reached
+        class Reached(Exception):
+            pass
+
+        def zeros(shape, dtype=float):
+            raise Reached(shape)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        for build in builders:
+            with pytest.raises(Reached) as reached:
+                build(_cutoff(90))
+            assert reached.value.args[0] == (8100, 8100)
 
 
 def _quadrature_pair_observable(c: float, n: int, conjugate_reference: bool) -> np.ndarray:
@@ -1029,8 +1139,6 @@ class TestRunAgainstOracle:
             )
 
     def test_amplitude_limit_scaling(self):
-        from qbench.cv import coherent_tail
-
         assert amplitude_limit(40) > amplitude_limit(20)
         assert coherent_tail(amplitude_limit(40), 40) <= 1e-6
 
