@@ -355,23 +355,21 @@ def cmd_cv(args) -> tuple[dict, int]:
     cutoff = _checked(FockCutoff, args.cutoff)
     quad = _checked(QuadRule, nodes=args.nodes) if args.nodes is not None else None
     device = _resolve_device(args.device)
-    analytic = device if isinstance(device, AnalyticDevice) else None
+    analytic = isinstance(device, AnalyticDevice)
     setup = build_setup(params, cutoff)
 
     score = p_succ = None
     note = None
     try:
-        channel = device.materialize(cutoff) if analytic is not None else device
+        channel = device.materialize(cutoff) if analytic else device
         score, p_succ = run_setup(setup, channel)
     except CutoffError as err:
         # the closed-form oracle needs no truncation, so a representable
         # analytic device still yields a certified value
-        if analytic is None:
+        if not analytic:
             raise
         note = str(err)
-    oracle = _checked(
-        average_fidelity_oracle, analytic if analytic is not None else device, params, cutoff, quad
-    )
+    oracle = _checked(average_fidelity_oracle, device, params, cutoff, quad)
 
     diff = None if score is None else abs(score - oracle)
     if score is None:
@@ -386,6 +384,8 @@ def cmd_cv(args) -> tuple[dict, int]:
         "score": score,
         "p_succ": p_succ,
         "oracle": oracle,
+        "oracle_method": "closed_form" if analytic else "quadrature",
+        "oracle_nodes": None if analytic else (quad or QuadRule()).nodes,
         "abs_diff": diff,
         "value": oracle if score is None else score,
         "method": method,
@@ -439,11 +439,13 @@ def build_parser() -> _Parser:
 
     cv = sub.add_parser(
         "cv",
-        help="score an optical device against the quadrature oracle",
+        help="score an optical device against the exact reference",
         description="Run a device through the single-setup coherent-state "
-        "benchmark and cross-check against the average-fidelity oracle. "
-        "When the cutoff cannot hold the run but the device has a closed "
-        "form, the oracle value alone is reported (method 'oracle').",
+        "benchmark and cross-check against the exact average fidelity: the "
+        "closed form for a built-in device, Gauss-Hermite quadrature for an "
+        "@kraus.json device. When the cutoff cannot hold the run but the "
+        "device has a closed form, the oracle value alone is reported "
+        "(method 'oracle').",
     )
     cv.add_argument(
         "--device",
@@ -451,7 +453,9 @@ def build_parser() -> _Parser:
         help="identity | vacuum | attenuator:t | scale:q | heterodyne-mp | @kraus.json",
     )
     cv.add_argument("--cutoff", type=int, default=40, help="Fock levels per mode")
-    cv.add_argument("--nodes", type=int, help="quadrature nodes per axis for the oracle")
+    cv.add_argument(
+        "--nodes", type=int, help="quadrature nodes per axis of an @kraus.json device's oracle"
+    )
     cv.add_argument("--conjugate", action="store_true", help="score against the conjugate target")
     cv.add_argument("--mu", type=float, default=math.inf, help="input noise inverse variance")
     cv.set_defaults(func=cmd_cv)

@@ -9,8 +9,10 @@ its heterodyne realization, and two independent ways to score a device:
 * ``run_setup`` drives the single-setup measurement chain — prepare one
   entangled input, apply the device once, apply the post-processing stages,
   read out one observable;
-* ``average_fidelity_oracle`` integrates the average fidelity over the
-  Gaussian ensemble of (noisy) coherent states by Gauss–Hermite quadrature.
+* ``average_fidelity_oracle`` gives the exact average fidelity over the
+  Gaussian ensemble of (noisy) coherent states: in closed form for an
+  ``AnalyticDevice``, which maps every coherent input to a displaced
+  thermal state, and by Gauss–Hermite quadrature for a Kraus ``Channel``.
 
 Their agreement on a device is the claim the toolkit exists to check.
 
@@ -65,7 +67,7 @@ NOISE_DEFICIT_TOL = 1e-5
 ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
-ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of the input-noise average
+ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of a Kraus oracle's input noise
 ARRAY_MAX_BYTES = 2**30  # largest array a builder, the noise fold or the oracle allocates
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
 
@@ -143,7 +145,7 @@ class CvParams:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Gauss–Hermite nodes per real axis of the fidelity oracle's prior."""
+    """Gauss–Hermite nodes per real axis of the prior in a Kraus device's oracle."""
 
     nodes: int = 24
 
@@ -203,6 +205,23 @@ def _coherent_amplitudes(alpha, n_max: int) -> np.ndarray:
     return out
 
 
+def _log_poisson(j: int, mu: float) -> float:
+    """ln(e^{−μ} μ^j / j!).  Past small j it is j·ln(μ/j) + (j − μ) − r(j),
+    with the Stirling remainder r(j) = ln j! − (j ln j − j) from its series,
+    so the large parts j ln μ, μ and ln j! are never formed and cancelled."""
+    if j < 30:
+        return j * math.log(mu) - mu - math.lgamma(j + 1.0)
+    # the first omitted series term, 1/(1188 j⁹), is below 5e-17 from j = 30
+    inv, inv2 = 1.0 / j, 1.0 / (j * j)
+    series = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    remainder = 0.5 * math.log(2.0 * math.pi * j) + series
+    # near μ = j the difference μ − j is exact (Sterbenz) and log1p keeps the
+    # small logarithm's relative precision; away from it the quotient does
+    ratio = mu * inv
+    log_ratio = math.log1p((mu - j) * inv) if 0.5 <= ratio <= 2.0 else math.log(ratio)
+    return j * log_ratio + (j - mu) - remainder
+
+
 def coherent_tail(alpha: complex, n_max: int) -> float:
     """Probability mass of ``|alpha>`` above the kept levels, P[X ≥ n_max] for
     X ~ Poisson(|α|²): a direct sum started in log space at the boundary and
@@ -213,7 +232,7 @@ def coherent_tail(alpha: complex, n_max: int) -> float:
         return float(n_max <= 0)
     upward = n_max > mu
     j = n_max if upward else n_max - 1
-    term = math.exp(j * math.log(mu) - mu - math.lgamma(j + 1.0))
+    term = math.exp(_log_poisson(j, mu))
     total = 0.0
     while term > 1e-17 * total:
         total += term
@@ -584,6 +603,24 @@ class AnalyticDevice:
         v = np.asarray(v, dtype=complex)
         return np.exp(-np.abs(math.sqrt(eta * gain) * u - v) ** 2 / gain) / gain
 
+    def average_fidelity(self, params: CvParams) -> float:
+        """``pure_fidelity`` averaged over the scenario's inputs, in closed form.
+
+        The input u = α + β has α ~ λ e^{−λ|α|²} and β ~ μ e^{−μ|β|²}, and the
+        target is gα (gᾱ on the conjugation branch).  Averaging the Gaussian
+        kernel over β widens its G to G + t, t = κ²/μ with κ = √(ηG); over
+        the two real axes of α it leaves F = 1/√((G + s₁)(G + s₂)) with
+        s₁ = (κ − g)²/λ + t and s₂ = (κ ∓ g)²/λ + t, the sign + only under
+        conjugation.
+        """
+        eta, gain = self.eta_gain
+        kappa = math.sqrt(eta * gain)
+        t = 0.0 if math.isinf(params.mu) else kappa * kappa / params.mu
+        g, lam = params.g, params.lam
+        s1 = (kappa - g) ** 2 / lam + t
+        s2 = (kappa + g if params.conjugate else kappa - g) ** 2 / lam + t
+        return 1.0 / math.sqrt((gain + s1) * (gain + s2))
+
     def materialize(self, cutoff: FockCutoff) -> Channel:
         eta, gain = self.eta_gain
         return Channel(_gaussian_kraus(eta, gain, cutoff.n_max), trace_preserving=gain == 1.0)
@@ -806,7 +843,7 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle
+# exact reference
 
 
 def amplitude_limit(n_max: int, tail_tol: float = ORACLE_TAIL_TOL) -> float:
@@ -838,19 +875,33 @@ def average_fidelity_oracle(
     cutoff: FockCutoff,
     quad: QuadRule | None = None,
 ) -> float:
-    """Average fidelity over the Gaussian ensemble by direct quadrature.
+    """Exact average fidelity over the Gaussian ensemble of (noisy) inputs.
 
-    ``device`` may be an :class:`AnalyticDevice` (closed-form integrand, no
-    truncation) or a :class:`Channel` of Fock-space Kraus operators, in
-    which case quadrature nodes whose coherent amplitudes the cutoff cannot
-    hold are dropped — with a hard budget on the probability mass lost.
+    An :class:`AnalyticDevice` gets its closed form
+    (:meth:`AnalyticDevice.average_fidelity`): no node, no truncation, and
+    ``cutoff`` and ``quad`` go unused.  A :class:`Channel` of Fock-space
+    Kraus operators is integrated by Gauss–Hermite quadrature at
+    ``quad.nodes`` per α axis and ``ORACLE_BETA_NODES`` per β axis; nodes
+    whose coherent amplitudes the cutoff cannot hold are dropped, with a
+    hard budget on the probability mass lost, and a node count whose arrays
+    would pass ``ARRAY_MAX_BYTES`` is refused before any node is placed.
     Trace-nonincreasing devices are scored conditionally on success.
     """
+    if isinstance(device, AnalyticDevice):
+        return device.average_fidelity(params)
+    if not isinstance(device, Channel):
+        raise ContractError(f"cannot score a device of type {type(device).__name__}")
+    n_max = cutoff.n_max
+    if device.dims_in != n_max or device.dims_out != n_max:
+        raise DimensionError(
+            f"device dimension {device.dims_in}->{device.dims_out} does not "
+            f"match cutoff {n_max}"
+        )
     quad = quad or QuadRule()
-    # about 64 bytes per quadrature point, and 64·n_max more for a Kraus
-    # device's coherent rows (inputs, targets, and one built or evolved block)
+    # about 64·(n_max + 1) bytes per quadrature point: the nodes, weights and
+    # the coherent rows (inputs, targets, and one built or evolved block)
     points = quad.nodes**2 * (1 if math.isinf(params.mu) else ORACLE_BETA_NODES**2)
-    nbytes = points * (64 + (64 * cutoff.n_max if isinstance(device, Channel) else 0))
+    nbytes = points * 64 * (n_max + 1)
     if nbytes > ARRAY_MAX_BYTES:
         raise ContractError(
             f"oracle at {quad.nodes} nodes needs {nbytes / 2**20:.0f} MiB, "
@@ -866,19 +917,6 @@ def average_fidelity_oracle(
     target_seed = np.conj(alphas) if params.conjugate else alphas
     targets = (params.g * target_seed)[:, None].repeat(betas.size, axis=1).reshape(-1)
     weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-
-    if isinstance(device, AnalyticDevice):
-        vals = device.pure_fidelity(inputs, targets)
-        return float(np.sum(weights * vals) / np.sum(weights))
-
-    if not isinstance(device, Channel):
-        raise ContractError(f"cannot score a device of type {type(device).__name__}")
-    n_max = cutoff.n_max
-    if device.dims_in != n_max or device.dims_out != n_max:
-        raise DimensionError(
-            f"device dimension {device.dims_in}->{device.dims_out} does not "
-            f"match cutoff {n_max}"
-        )
     limit = amplitude_limit(n_max, ORACLE_NODE_TAIL)
     need = np.maximum(np.abs(inputs), np.abs(targets))
     keep = need <= limit

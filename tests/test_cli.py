@@ -326,6 +326,30 @@ class TestCvCommand:
         assert code == 2
         assert "tmsv" in err
 
+    def test_builtin_device_reference_is_the_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8", "--nodes", "48")
+        assert code == 0
+        assert out["oracle_method"] == "closed_form" and out["oracle_nodes"] is None
+        assert abs(out["oracle"] - 1.0 / (1.0 + (1.0 - math.sqrt(0.8)) ** 2)) < 1e-15
+
+    def test_kraus_device_reference_is_the_quadrature(self, capsys, tmp_path):
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
+        _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30")
+        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 24
+        _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32")
+        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 32
+
+    def test_conjugate_run_within_the_old_quadrature_error_is_certified(self, capsys):
+        # the run is within 1.1e-10 of the exact 0.16216545145; a 24-node
+        # quadrature read 0.16087 here and left the run uncertified
+        code, out, _ = run_cli(
+            capsys, "cv", "--device", "attenuator:0.1737", "--g", "1.9234",
+            "--lambda", "0.6934", "--conjugate", "--cutoff", "40",
+        )
+        assert code == 0 and out["certified"]
+        assert out["abs_diff"] < 1e-9
+
     def test_unknown_device(self, capsys):
         code, _, err = run_cli(capsys, "cv", "--device", "teacup")
         assert code == 1
@@ -379,10 +403,15 @@ class TestCvCommand:
             (("benchmark", "--builtin", "teleport", "--dim", "0"), "dimension >= 2"),
             (("benchmark", "--builtin", "teleport:abc"), "'abc' is not an integer"),
             (("benchmark", "--builtin", "equator:x"), "'x' is not an integer"),
-            (("cv", "--device", "identity", "--mu", "2", "--nodes", "1024"), "MiB cap"),
+            # the closed form places no node, so the byte cap is a Kraus device's
+            (("cv", "--device", "@identity40", "--mu", "2", "--nodes", "1024"), "MiB cap"),
         ],
     )
-    def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):
+    def test_invalid_scenario_values_are_usage_errors(self, capsys, tmp_path, argv, flag):
+        if "@identity40" in argv:
+            path = tmp_path / "identity40.json"
+            path.write_text(json.dumps(channel_to_json(Channel.identity(40))))
+            argv = tuple(f"@{path}" if a == "@identity40" else a for a in argv)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out is None

@@ -222,6 +222,13 @@ class TestSpecialFunctionsAgainstScipy:
                     worst = max(worst, abs(got - ref) / ref)
         assert worst < 1e-12, worst
 
+    @pytest.mark.parametrize("alpha, n_max", [(100.0, 10**4), (40.0, 1700)])
+    def test_coherent_tail_matches_pdtrc_at_large_mean(self, alpha, n_max):
+        # ln of the first term is the small sum of parts near 1e5 in size,
+        # which a plain j ln μ − μ − ln j! would leave 1e-11 off
+        ref = pdtrc(n_max - 1, alpha * alpha)
+        assert abs(coherent_tail(alpha, n_max) - ref) <= 1e-13 * ref
+
     def test_coherent_tail_at_the_edges(self):
         assert coherent_tail(0.0, 5) == 0.0
         assert coherent_tail(2.0, 0) == 1.0
@@ -986,8 +993,9 @@ class TestRunAgainstOracle:
         assert abs(score - 1.0) < 1e-6
 
     def test_channel_oracle_agrees_with_analytic(self):
-        # the Kraus path (n_max loss operators) against the closed-form
-        # integrand: pure, noisy and conjugate targets
+        # the Kraus quadrature (n_max loss operators) against the closed
+        # form: pure, noisy and conjugate targets.  48 nodes, because the
+        # default 24 leave the anisotropic conjugation integrand 8.4e-5 off
         dev = attenuator_device(0.8)
         for params, n_max in [
             (CvParams(g=1.0, lam=1.0), 40),
@@ -996,16 +1004,16 @@ class TestRunAgainstOracle:
         ]:
             cut = _cutoff(n_max)
             a = average_fidelity_oracle(dev, params, cut)
-            b = average_fidelity_oracle(dev.materialize(cut), params, cut)
+            b = average_fidelity_oracle(dev.materialize(cut), params, cut, QuadRule(48))
             assert abs(a - b) < 1e-6, params
 
     def test_oracle_past_the_byte_cap_is_refused_before_allocating(self):
-        # 1024² · 256 quadrature points at ~64 bytes each is ~16 GiB
+        # 1024² · 256 quadrature points at ~64·41 bytes each is ~660 GiB
         tracemalloc.start()
         try:
             with pytest.raises(ContractError, match="cap"):
                 average_fidelity_oracle(
-                    identity_device(), CvParams(mu=2.0), _cutoff(40), QuadRule(1024)
+                    Channel.identity(40), CvParams(mu=2.0), _cutoff(40), QuadRule(1024)
                 )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1069,6 +1077,17 @@ class TestRunAgainstOracle:
         assert abs(score - want) < 1e-6
         oracle = average_fidelity_oracle(Channel.identity(40), params, cut)
         assert abs(score - oracle) < 1e-4
+
+    @pytest.mark.parametrize("lam", [1.0, 1.05, 1.1])
+    @pytest.mark.parametrize("c", [0.82, 0.95])
+    def test_conjugation_run_meets_the_exact_reference(self, lam, c):
+        # a cv-pure conjugation job: identity at n_max 40 and c = g·k in
+        # [0.82, 0.95].  The 24-node quadrature was up to 1.5e-4 off here;
+        # against the closed form all that is left is the run's truncation
+        params = CvParams(g=c * math.sqrt(lam + 1.0), lam=lam, conjugate=True)
+        cut = _cutoff(40)
+        score, _ = run_setup(build_setup(params, cut), identity_device().materialize(cut))
+        assert abs(score - average_fidelity_oracle(identity_device(), params, cut)) <= 1e-7
 
     def test_conjugation_score_below_one_for_identity(self):
         params = CvParams(g=1.0, lam=2.0, conjugate=True)
@@ -1142,3 +1161,45 @@ class TestRunAgainstOracle:
         assert amplitude_limit(40) > amplitude_limit(20)
         assert coherent_tail(amplitude_limit(40), 40) <= 1e-6
 
+
+# Gauss–Hermite rules for one real quadrature of the prior (α) and of the
+# input noise (β); enough nodes that the narrowest kernel drawn below,
+# the conjugation branch's (κ + g)²/λ = 18 at identity, g = 2, λ = 0.5, converges
+_ALPHA_RULE = hermgauss(256)
+_BETA_RULE = hermgauss(32)
+
+
+def _axis_average(dev: AnalyticDevice, g: float, lam: float, mu: float) -> float:
+    """``pure_fidelity`` on one real quadrature — input a + b, target g·a —
+    averaged by quadrature over a ~ e^{−λa²} and b ~ e^{−μb²}."""
+    x, wx = _ALPHA_RULE
+    a = x / math.sqrt(lam)
+    if math.isinf(mu):
+        b, wb = np.zeros(1), np.full(1, math.sqrt(math.pi))
+    else:
+        y, wb = _BETA_RULE
+        b = y / math.sqrt(mu)
+    vals = dev.pure_fidelity(a[:, None] + b[None, :], g * a[:, None]).real
+    return float(wx @ vals @ wb) / math.pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(AnalyticDevice._KINDS),
+    param=st.floats(0.0, 1.0),
+    g=st.floats(0.0, 2.0),
+    lam=st.floats(0.5, 8.0),
+    mu=st.one_of(st.just(math.inf), st.floats(1.0, 8.0)),
+    conjugate=st.booleans(),
+)
+def test_closed_form_matches_quadrature_of_the_kernel(kind, param, g, lam, mu, conjugate):
+    """The closed-form average fidelity against the Gaussian average of its
+    kernel.  The kernel e^{−|κu − v|²/G}/G is G times the product of its two
+    real quadratures, on which the prior, the input noise and the target all
+    act separately; the conjugate target flips the sign of g on the second."""
+    # attenuator transmissivity in [0, 1], re-preparation gain in [0, 2]
+    dev = AnalyticDevice(kind, {"attenuator": param, "rescale_mp": 2.0 * param}.get(kind, 1.0))
+    params = CvParams(g=g, lam=lam, mu=mu, conjugate=conjugate)
+    second = _axis_average(dev, -g if conjugate else g, lam, mu)
+    ref = dev.eta_gain[1] * _axis_average(dev, g, lam, mu) * second
+    assert abs(average_fidelity_oracle(dev, params, _cutoff(20)) - ref) <= 1e-8
