@@ -423,7 +423,11 @@ def build_parser() -> _Parser:
     bench.add_argument("--omega", help="performance-operator or probabilistic-test JSON")
     bench.add_argument("--test", help="deterministic-test JSON (state + observable)")
     bench.add_argument("--dim", type=int, default=2, help="teleport dimension")
-    bench.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="extra random starts")
+    bench.add_argument(
+        "--restarts", type=int, default=DEFAULT_RESTARTS,
+        help="extra random starts; with --test, the full start set confirms "
+        "that the cutting planes converged",
+    )
     bench.set_defaults(func=cmd_benchmark)
 
     canon = sub.add_parser(

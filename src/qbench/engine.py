@@ -14,11 +14,16 @@ operator.  The deterministic threshold is the linear program
     min tr Y  subject to  <a b|Omega|a b> <= <b|Y|b>  for every product (a, b),
 
 whose dual is the best measure-and-prepare score.  Cutting planes solve
-it: a master LP over Hermitian Y, with the seesaw as separation oracle.
-The LP duals are a POVM, so the bracket's lower end is the exact score of
-an explicit channel; its upper end is a certified product-range bound at
-the reference state ``Y / tr Y``.  For group-covariant tests both
-thresholds collapse to a closed form ``d * pnr(omega)``.
+it, with the seesaw as separation oracle.  The master LP over the cuts is
+solved as its dual, max sum_i p_i floor_i subject to
+sum_i p_i |b_i><b_i| = I and p >= 0, by a dense simplex in numpy: adding
+cuts adds columns, so each round starts from the last round's basis, and
+the start from an informationally complete cut set is feasible as it
+stands.  The simplex multipliers are Y; the weights p are a POVM, so the
+bracket's lower end is the exact score of an explicit channel; its upper
+end is a certified product-range bound at the reference state
+``Y / tr Y``.  For group-covariant tests both thresholds collapse to a
+closed form ``d * pnr(omega)``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,14 @@ SUPPORT_TOL = 1e-9
 # CUT_TOL * max(1, |tr Y|) and give up after CUT_ROUNDS_PER_COORD * d_in**2 rounds.
 CUT_TOL = 1e-6
 CUT_ROUNDS_PER_COORD = 50
+# Seesaw maximizers with |<b|b'>| > 1 - CUT_SAME_TOL make one cut.
+CUT_SAME_TOL = 1e-6
+# The master LP's simplex is optimal once no reduced cost exceeds
+# LP_TOL * max(1, max |floor|); it pivots only on entries above LP_PIVOT_TOL
+# and fails after LP_PIVOTS_PER_ROW * d_in**2 pivots in one solve.
+LP_TOL = 1e-11
+LP_PIVOT_TOL = 1e-9
+LP_PIVOTS_PER_ROW = 50
 # A seesaw start stops on a sweep gaining <= SEESAW_TOL * max(1, |value|) or after
 # SEESAW_MAX_ITER sweeps.
 SEESAW_TOL = 1e-12
@@ -175,6 +188,9 @@ class BenchmarkReport:
     method: str
     restarts: int
     converged: bool
+    # master LP solves and the cuts in the last one; 0 for the closed form
+    cut_rounds: int = 0
+    cuts: int = 0
     pnr: PnrResult | None = field(default=None, repr=False)
     # the measure-and-prepare channel scored as ``lower``; not in the JSON
     strategy: Channel | None = field(default=None, repr=False)
@@ -188,6 +204,8 @@ class BenchmarkReport:
             "method": self.method,
             "restarts": self.restarts,
             "converged": self.converged,
+            "cut_rounds": self.cut_rounds,
+            "cuts": self.cuts,
         }
 
 
@@ -196,15 +214,9 @@ class BenchmarkReport:
 
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    ph = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
-    return v / ph
-
-
-def _pnr_value(m4: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(
-        np.real(np.einsum("xrys,x,r,y,s->", m4, a.conj(), b.conj(), a, b))
-    )
+    """Rows of unit vectors ``v``, each turned so its largest entry is positive."""
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    return v / (top / np.abs(top))
 
 
 def _top_eigvec(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,20 +283,24 @@ def _starts(top: np.ndarray, restarts: int, seed: int | None) -> np.ndarray:
     )
 
 
-def _search(m4: np.ndarray, top: np.ndarray, cfg: PnrConfig) -> tuple:
-    """Batched seesaw from every start: the best value, its phase-fixed
-    maximizers ``(a, b)``, the start count and the total sweep count."""
-    starts = _starts(top.reshape(m4.shape[:2]), cfg.restarts, cfg.seed)
+def _search(m4: np.ndarray, starts: np.ndarray) -> tuple:
+    """Batched seesaw from every row of ``starts``: each start's value and
+    phase-fixed maximizers ``(a, b)``, best first, and the total sweep count.
+
+    Raises ``ArithmeticError`` unless every maximizer reproduces its value.
+    """
     vals, a, b, sweeps = _seesaw_batch(m4, starts, SEESAW_TOL, SEESAW_MAX_ITER)
-    k = int(np.argmax(vals))
-    value = float(vals[k])
-    a, b = _phase_fix(a[k]), _phase_fix(b[k])
-    check = _pnr_value(m4, a, b)
-    if abs(check - value) > 1e-9 * max(1.0, abs(value)):
+    order = np.argsort(-vals, kind="stable")
+    vals, a, b = vals[order], _phase_fix(a[order]), _phase_fix(b[order])
+    t = _pair_matrix(m4)
+    check = np.sum(_outer_rows(a) * (_outer_rows(b) @ t), axis=1).real
+    bad = np.abs(check - vals) > 1e-9 * np.maximum(1.0, np.abs(vals))
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise ArithmeticError(
-            f"maximizer does not reproduce the search value: {check} vs {value}"
+            f"maximizer does not reproduce the search value: {check[k]} vs {vals[k]}"
         )
-    return value, a, b, len(starts), int(sweeps.sum())
+    return vals, a, b, int(sweeps.sum())
 
 
 def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrResult:
@@ -301,7 +317,10 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
         raise ContractError("product numerical range needs a Hermitian operator")
     m4 = m.matrix.reshape(m.dims * 2)
     eigs, vecs = hermitian_eig(m)
-    value, a, b, restarts, sweeps = _search(m4, vecs[:, -1], cfg or PnrConfig())
+    cfg = cfg or PnrConfig()
+    starts = _starts(vecs[:, -1].reshape(m.dims), cfg.restarts, cfg.seed)
+    vals, a, b, sweeps = _search(m4, starts)
+    value, a, b = float(vals[0]), a[0], b[0]
     upper = float(eigs[-1])
     method = "seesaw"
     if max(m.dims) <= 2:
@@ -318,7 +337,7 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
         lower=value,
         upper=upper,
         method=method,
-        restarts=restarts,
+        restarts=len(starts),
         iterations=sweeps,
     )
 
@@ -469,6 +488,79 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.where(side > 0, e + et, np.where(side < 0, 1j * (e - et), e))
 
 
+def _ic_cuts(d: int) -> np.ndarray:
+    """The d² unit vectors e_j, (e_j + e_k)/√2 and (e_j + i e_k)/√2, j < k,
+    whose projectors span the d×d Hermitian matrices; the basis comes first."""
+    e = np.eye(d, dtype=complex)
+    j, k = np.triu_indices(d, 1)
+    return np.vstack([e, (e[j] + e[k]) / np.sqrt(2), (e[j] + 1j * e[k]) / np.sqrt(2)])
+
+
+def _master_lp(
+    cuts: np.ndarray, floors: np.ndarray, basic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dual of the cut LP, max Σ p_i floor_i s.t. Σ p_i |b_i><b_i| = I, p >= 0.
+
+    A dense primal simplex over the cut vectors ``b_i`` (rows of ``cuts``)
+    from the feasible basis ``basic``, d² column indices.  Returns the
+    optimal Y (the simplex multipliers: <b_i|Y|b_i> >= floor_i for every
+    cut, tr Y = Σ p_i floor_i), the weights p and the optimal basis, which
+    stays feasible when cuts are appended.  Raises ``ArithmeticError`` when
+    ``LP_PIVOTS_PER_ROW * d²`` pivots do not reach an optimum.
+    """
+    herm = _hermitian_basis(cuts.shape[1])
+    a = np.einsum("ir,krs,is->ki", cuts.conj(), herm, cuts).real
+    rhs = np.trace(herm, axis1=1, axis2=2).real
+    tol = LP_TOL * max(1.0, float(np.max(np.abs(floors))))
+    budget = LP_PIVOTS_PER_ROW * len(basic)
+    basic = basic.copy()
+    stalled = 0
+    for pivots in range(budget + 1):
+        inv = np.linalg.inv(a[:, basic])
+        x = inv @ rhs
+        y = floors[basic] @ inv
+        reduced = floors - y @ a
+        reduced[basic] = 0.0
+        entering = np.flatnonzero(reduced > tol)
+        if not entering.size:
+            p = np.zeros(len(floors))
+            p[basic] = np.maximum(x, 0.0)
+            return np.tensordot(y, herm, axes=1), p, basic
+        if pivots == budget:
+            raise ArithmeticError(f"master LP failed: no optimum after {budget} pivots")
+        # Dantzig's rule, and Bland's (lowest indices) once pivots stall,
+        # which cannot cycle on a degenerate vertex
+        if stalled < len(basic):
+            enter = entering[np.argmax(reduced[entering])]
+        else:
+            enter = entering[0]
+        step = inv @ a[:, enter]
+        rows = np.flatnonzero(step > LP_PIVOT_TOL)
+        if not rows.size:
+            raise ArithmeticError(f"master LP failed: cut {enter} has no pivot row")
+        ratio = np.maximum(x[rows], 0.0) / step[rows]
+        ties = rows[ratio <= ratio.min()]
+        basic[ties[np.argmin(basic[ties])]] = enter
+        stalled = stalled + 1 if ratio.min() <= 0.0 else 0
+
+
+def _cut_floors(m4: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each input vector b: max_a <a b|Omega|a b> and its maximizer a."""
+    d_out = m4.shape[0]
+    conditioned = (_outer_rows(cuts) @ _pair_matrix(m4)).reshape(-1, d_out, d_out)
+    return _top_eigvec(conditioned)
+
+
+def _violated_cuts(m4: np.ndarray, starts: np.ndarray, tol: float) -> tuple:
+    """Seesaw on ``m4`` from every start: the distinct input maximizers whose
+    value exceeds ``tol``, largest first, and the largest value.  Two
+    maximizers are the same when |<b|b'>| > 1 - CUT_SAME_TOL."""
+    vals, _, b, _ = _search(m4, starts)
+    b = b[vals > tol]
+    overlap = np.tril(np.abs(b.conj() @ b.T), -1)
+    return b[~np.any(overlap > 1.0 - CUT_SAME_TOL, axis=1)], float(vals[0])
+
+
 def det_benchmark(
     omega: Operator,
     cfg: PnrConfig | None = None,
@@ -476,15 +568,19 @@ def det_benchmark(
 ) -> BenchmarkReport:
     """Deterministic measure-and-prepare threshold for a performance operator.
 
-    Solves the module docstring's LP by Kelley cutting planes, from cuts at
-    the computational basis until no product pair violates Y by more than
-    ``CUT_TOL``.  ``lower`` and ``value`` are the exact score of
-    ``strategy``, the channel the LP duals define; ``upper`` is a certified
-    bound at ``tau_min`` (Y / tr Y, spectrum floored).  ``omega`` must be
-    PPT on the input factor.  A covariant, irreducibly-represented group
-    selects the closed form ``d_in * pnr(omega)`` instead (valid for any
-    Hermitian omega).  Raises ``SearchError`` with the last round's report
-    when the cut budget runs out.
+    Solves the module docstring's LP by Kelley cutting planes from an
+    informationally complete set of d_in² cuts.  Each round re-solves the
+    master LP from the last round's basis, then adds every distinct violated
+    maximizer of a seesaw started from a few structured vectors and the last
+    round's cuts; only when those find nothing does the full ``cfg`` start
+    set run, and the loop stops once it too finds no product pair violating
+    Y by more than ``CUT_TOL``.  ``lower`` and ``value`` are the exact score
+    of ``strategy``, the channel the LP duals define; ``upper`` is a
+    certified bound at ``tau_min`` (Y / tr Y, spectrum floored).  ``omega``
+    must be PPT on the input factor.  A covariant, irreducibly-represented
+    group selects the closed form ``d_in * pnr(omega)`` instead (valid for
+    any Hermitian omega).  Raises ``SearchError`` with the last round's
+    report when the cut budget runs out.
     """
     cfg = cfg or PnrConfig()
     d_out, d_in = omega.dims
@@ -507,48 +603,41 @@ def det_benchmark(
         )
 
     check_ppt(omega)
-    # the only scipy.optimize user; imported here to keep it off the cold start
-    from scipy.optimize import linprog
-
     m4 = omega.matrix.reshape(d_out, d_in, d_out, d_in)
-    basis = _hermitian_basis(d_in)  # Y = sum_k y_k basis[k]
-    cost = np.trace(basis, axis1=1, axis2=2).real
-    inputs, floors, preps = [], [], []
-
-    def add_cut(b: np.ndarray) -> None:
-        floor, prep = _top_eigvec(np.einsum("xrys,r,s->xy", m4, b.conj(), b))
-        inputs.append(b)
-        floors.append(floor)
-        preps.append(prep)
-
-    for e in np.eye(d_in, dtype=complex):
-        add_cut(e)
+    cuts = _ic_cuts(d_in)
+    floors = _cut_floors(m4, cuts)[0]
+    # p = 1 on the basis vectors is a vertex: the start needs no artificials
+    basic = np.arange(d_in * d_in)
+    fresh = np.empty((0, d_in), dtype=complex)
     rounds = CUT_ROUNDS_PER_COORD * d_in * d_in
-    for _ in range(rounds):
-        b = np.array(inputs)
-        rows = np.einsum("ir,krs,is->ik", b.conj(), basis, b).real
-        lp = linprog(cost, A_ub=-rows, b_ub=-np.array(floors), bounds=(None, None))
-        if lp.status != 0:
-            raise ArithmeticError(f"master LP failed: {lp.message}")
-        y = np.tensordot(lp.x, basis, axes=1)
+    for cut_rounds in range(1, rounds + 1):
+        y, p, basic = _master_lp(cuts, floors, basic)
         gap = omega.matrix - np.kron(np.eye(d_out), y)
-        cut, _, cut_b, _, _ = _search(gap.reshape(m4.shape), _top_eigvec(gap)[1], cfg)
-        converged = cut <= CUT_TOL * max(1.0, abs(lp.fun))
+        top = _top_eigvec(gap)[1].reshape(d_out, d_in)
+        tol = CUT_TOL * max(1.0, abs(np.trace(y).real))
+        gap4 = gap.reshape(m4.shape)
+        starts = np.vstack([_starts(top, 0, cfg.seed), fresh])
+        fresh, cut = _violated_cuts(gap4, starts, tol)
+        if not fresh.size:
+            # convergence is certified by the full start set alone
+            fresh, cut = _violated_cuts(gap4, _starts(top, cfg.restarts, cfg.seed), tol)
+        converged = not fresh.size
         if converged:
             break
-        add_cut(cut_b)
+        cuts = np.vstack([cuts, fresh])
+        floors = np.concatenate([floors, _cut_floors(m4, fresh)[0]])
 
-    # The duals p_i make the POVM p_i |b_i><b_i|, each outcome preparing the
-    # top eigenvector of <b_i|omega|b_i>; S^-1/2 absorbs the solver's
+    # The weights p_i make the POVM p_i |b_i><b_i|, each outcome preparing
+    # the top eigenvector of <b_i|omega|b_i>; S^-1/2 absorbs the simplex's
     # residual in S = sum_i p_i |b_i><b_i| = I.
-    p = -lp.ineqlin.marginals
     keep = np.flatnonzero(p > 0)
-    weighted = b[keep] * np.sqrt(p[keep])[:, None]
+    weighted = cuts[keep] * np.sqrt(p[keep])[:, None]
     root = psd_power_on_support(weighted.T @ weighted.conj(), -0.5)
     povm = [np.outer(v, v.conj()) for v in weighted @ root.T]
-    strategy = mp_channel(povm, [np.outer(preps[i], preps[i].conj()) for i in keep])
+    preps = _cut_floors(m4, cuts[keep])[1]
+    strategy = mp_channel(povm, [np.outer(v, v.conj()) for v in preps])
     if not strategy.trace_preserving:
-        raise ArithmeticError("master LP duals do not span the input space")
+        raise ArithmeticError("master LP weights do not span the input space")
     score = score_det_jam(omega, jamiolkowski(strategy))
 
     # Y is singular, up to the LP's tolerance, on input directions omega
@@ -565,12 +654,15 @@ def det_benchmark(
         method=final.method,
         restarts=final.restarts,
         converged=converged,
+        cut_rounds=cut_rounds,
+        cuts=len(p),
         pnr=final,
         strategy=strategy,
     )
     if not converged:
         raise SearchError(
-            f"cutting planes still cut {cut:.3e} after {rounds} rounds",
+            f"cutting planes still cut {cut:.3e} after {cut_rounds} rounds "
+            f"and {len(p)} cuts",
             best=report,
         )
     return report
@@ -670,8 +762,11 @@ def optimal_mp_channel(
     if not omega.is_hermitian():
         raise ContractError("performance operator must be Hermitian")
     # only the maximizers are used, so the search runs without a certificate
+    cfg = cfg or PnrConfig()
     _, top = _top_eigvec(omega.matrix)
-    _, psi, phi, _, _ = _search(omega.matrix.reshape(omega.dims * 2), top, cfg or PnrConfig())
+    starts = _starts(top.reshape(omega.dims), cfg.restarts, cfg.seed)
+    _, psi, phi, _ = _search(omega.matrix.reshape(omega.dims * 2), starts)
+    psi, phi = psi[0], phi[0]
     d_in = rep.dim_in
     povm = []
     outputs = []

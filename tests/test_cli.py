@@ -123,7 +123,9 @@ class TestBenchmarkCommand:
         assert 0.7519 <= out["lower"] <= out["upper"] <= 0.8401
 
     def test_det_bracket_is_pinned(self, capsys, tmp_path):
-        # the same reproducer; any valid cut sequence lands within CUT_TOL
+        # the same reproducer; any valid cut sequence puts ``lower`` within
+        # CUT_TOL of the optimum, while ``upper`` is the spectral bound at
+        # tau_min and moves with the cut sequence's Y
         rng = np.random.default_rng(1)
         m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(3))
         omega = Operator(m / np.trace(m).real, (2, 3))
@@ -133,7 +135,7 @@ class TestBenchmarkCommand:
         assert code == 0
         assert out["certified"]
         assert abs(out["lower"] - 0.7536382644) < 1e-6
-        assert abs(out["upper"] - 0.7819050928) < 1e-6
+        assert abs(out["upper"] - 0.7819270944) < 1e-6
 
     def test_malformed_json_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -462,6 +464,21 @@ class TestEnvironment:
         loaded_scipy, loaded_polynomial = res.stdout.splitlines()
         assert loaded_scipy == "[]"
         assert loaded_polynomial == "False"
+
+    def test_det_benchmark_loads_no_scipy(self, tmp_path):
+        # the cutting-plane loop's master LP is numpy's own simplex
+        path = tmp_path / "det.json"
+        test = canonical_det_test(teleport_test(2).omega).as_det_test()
+        path.write_text(json.dumps(det_test_to_json(test)))
+        probe = (
+            "import sys, qbench.cli\n"
+            f"code = qbench.cli.main(['benchmark', '--test', {str(path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert res.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from qbench import engine
 from qbench.engine import (
@@ -320,6 +321,54 @@ class TestDetBenchmark:
         payload = report.to_json()
         for key in ("value", "lower", "upper", "tau_min", "method", "restarts"):
             assert key in payload
+        assert payload["cut_rounds"] == payload["cuts"] == 0
+        generic = det_benchmark(teleport_test(2).omega, FAST).to_json()
+        # the loop starts from d_in**2 cuts and solves the master LP each round
+        assert generic["cut_rounds"] >= 1 and generic["cuts"] >= 4
+
+    def test_exhausted_pivot_budget_raises(self, monkeypatch):
+        # the first master LP needs no pivot; the first added cut does
+        monkeypatch.setattr(engine, "LP_PIVOTS_PER_ROW", 0)
+        omega = rand_separable(2, 2, np.random.default_rng(3))
+        with pytest.raises(ArithmeticError, match="master LP failed"):
+            det_benchmark(omega, FAST)
+
+
+class TestMasterLp:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        d_out=st.integers(1, 3),
+        d_in=st.integers(1, 4),
+        in_rank=st.integers(1, 4),
+        extra=st.integers(0, 30),
+        repeats=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_linprog(self, d_out, d_in, in_rank, extra, repeats, seed):
+        rng = np.random.default_rng(seed)
+        omega = rand_separable(d_out, d_in, rng, 2, min(in_rank, d_in))
+        z = rng.normal(size=(extra, 2, d_in))
+        drawn = z[:, 0] + 1j * z[:, 1]
+        cuts = np.vstack([engine._ic_cuts(d_in), drawn / np.linalg.norm(drawn, axis=1)[:, None]])
+        cuts = np.vstack([cuts, cuts[rng.integers(0, len(cuts), repeats)]])
+        floors, _ = engine._cut_floors(omega.matrix.reshape(d_out, d_in, d_out, d_in), cuts)
+
+        y, p, _ = engine._master_lp(cuts, floors, np.arange(d_in * d_in))
+
+        herm = engine._hermitian_basis(d_in)
+        rows = np.einsum("ir,krs,is->ik", cuts.conj(), herm, cuts).real
+        ref = linprog(
+            np.trace(herm, axis1=1, axis2=2).real, A_ub=-rows, b_ub=-floors,
+            bounds=(None, None),
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status == 0
+        trace = np.trace(y).real
+        assert abs(trace - ref.fun) <= 1e-9 * max(1.0, abs(trace))
+        assert np.all(p >= 0)
+        assert np.linalg.norm((cuts.T * p) @ cuts.conj() - np.eye(d_in)) <= 1e-10
+        # Y is the primal optimum: it meets every cut
+        assert np.all(np.einsum("ir,rs,is->i", cuts.conj(), y, cuts).real >= floors - 1e-9)
 
 
 class TestProbBenchmark:
