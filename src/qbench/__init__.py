@@ -84,7 +84,7 @@ _EXPORTS = {
     # truncated-Fock optics
     "FockCutoff": ".cv",
     "CvParams": ".cv",
-    "QuadRule": ".cv",
+    "OracleResult": ".cv",
     "CvSetup": ".cv",
     "coherent_state": ".cv",
     "thermal_state": ".cv",

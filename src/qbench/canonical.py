@@ -46,7 +46,7 @@ from .linalg import (
     state_to_json,
     support_rank,
 )
-from .model import DetTest, ProbTest, Channel, performance_operator
+from .model import DetTest, ProbTest, Channel, evolve_input, performance_operator
 
 RECIPE_TOL = 1e-9
 
@@ -186,21 +186,18 @@ def score_recipe(
     score to recover the raw value.
     """
     d_a, r = recipe.input_state.dims
-    if c.dims_in != d_a:
+    d_out = recipe.observable.dims[0]
+    if (c.dims_in, c.dims_out) != (d_a, d_out):
         raise DimensionError(
-            f"channel input {c.dims_in} does not match recipe input dim {d_a}"
+            f"channel {c.dims_in}->{c.dims_out} does not match recipe {d_a}->{d_out}"
         )
     psi = recipe.input_state.amplitudes.reshape(d_a, r)
-    evolved = np.zeros((c.dims_out, r, c.dims_out, r), dtype=complex)
-    for k in c.kraus:
-        vec = k @ psi
-        evolved += np.einsum("xr,ys->xrys", vec, vec.conj())
+    evolved = evolve_input(c, np.einsum("ar,bs->arbs", psi, psi.conj()))
     p = float(np.real(np.einsum("xrxr->", evolved)))
     if p <= p_min:
         raise VanishingSuccessError(
             f"success probability {p:.3e} at or below threshold {p_min:.0e}"
         )
-    d_out = recipe.observable.dims[0]
     o4 = recipe.observable.matrix.reshape(d_out, r, d_out, r)
     num = float(np.real(np.einsum("xrys,ysxr->", o4, evolved)))
     return num / p, p

@@ -45,7 +45,6 @@ from .cv import (
     AnalyticDevice,
     CvParams,
     FockCutoff,
-    QuadRule,
     attenuator_device,
     average_fidelity_oracle,
     build_setup,
@@ -184,7 +183,7 @@ def cmd_benchmark(args) -> tuple[dict, int]:
     if args.builtin is not None:
         name, _, param = args.builtin.partition(":")
         if name == "teleport":
-            dim = _builtin_count(param, args.dim)
+            dim = _builtin_count(param, 2)
             return _benchmark_prob(
                 _checked(teleport_test, dim), args, {"builtin": "teleport", "dim": dim}
             )
@@ -353,7 +352,6 @@ def _resolve_device(spec: str) -> AnalyticDevice | Channel:
 def cmd_cv(args) -> tuple[dict, int]:
     params = _checked(CvParams, g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
     cutoff = _checked(FockCutoff, args.cutoff)
-    quad = _checked(QuadRule, nodes=args.nodes) if args.nodes is not None else None
     device = _resolve_device(args.device)
     analytic = isinstance(device, AnalyticDevice)
     setup = build_setup(params, cutoff)
@@ -369,9 +367,9 @@ def cmd_cv(args) -> tuple[dict, int]:
         if not analytic:
             raise
         note = str(err)
-    oracle = _checked(average_fidelity_oracle, device, params, cutoff, quad)
+    oracle = average_fidelity_oracle(device, params, cutoff)
 
-    diff = None if score is None else abs(score - oracle)
+    diff = None if score is None else abs(score - oracle.value)
     if score is None:
         method, certified = "oracle", True
     else:
@@ -383,11 +381,12 @@ def cmd_cv(args) -> tuple[dict, int]:
         "setup": setup_to_json(setup),
         "score": score,
         "p_succ": p_succ,
-        "oracle": oracle,
-        "oracle_method": "closed_form" if analytic else "quadrature",
-        "oracle_nodes": None if analytic else (quad or QuadRule()).nodes,
+        "oracle": oracle.value,
+        "oracle_method": oracle.method,
+        "oracle_nodes": oracle.nodes,
+        "oracle_error": oracle.error,
         "abs_diff": diff,
-        "value": oracle if score is None else score,
+        "value": oracle.value if score is None else score,
         "method": method,
         "note": note,
         "certified": certified,
@@ -422,7 +421,6 @@ def build_parser() -> _Parser:
     )
     bench.add_argument("--omega", help="performance-operator or probabilistic-test JSON")
     bench.add_argument("--test", help="deterministic-test JSON (state + observable)")
-    bench.add_argument("--dim", type=int, default=2, help="teleport dimension")
     bench.add_argument(
         "--restarts", type=int, default=DEFAULT_RESTARTS,
         help="extra random starts; with --test, the full start set confirms "
@@ -457,9 +455,6 @@ def build_parser() -> _Parser:
         help="identity | vacuum | attenuator:t | scale:q | heterodyne-mp | @kraus.json",
     )
     cv.add_argument("--cutoff", type=int, default=40, help="Fock levels per mode")
-    cv.add_argument(
-        "--nodes", type=int, help="quadrature nodes per axis of an @kraus.json device's oracle"
-    )
     cv.add_argument("--conjugate", action="store_true", help="score against the conjugate target")
     cv.add_argument("--mu", type=float, default=math.inf, help="input noise inverse variance")
     cv.set_defaults(func=cmd_cv)

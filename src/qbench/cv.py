@@ -58,7 +58,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
+from .errors import ContractError, CutoffError, DimensionError, SearchError, VanishingSuccessError
 from .linalg import Operator, PureState
 from .model import Channel
 
@@ -68,6 +68,11 @@ ORACLE_TAIL_TOL = 1e-6
 ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
 ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
 ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of a Kraus oracle's input noise
+# α nodes per axis that a Kraus oracle tries in turn: the doublings up to
+# 256 (hermgauss is NaN by 384) and the points halfway between them from 16
+# on, so a finite-μ level can be confirmed by one still under the byte cap
+ORACLE_NODE_LEVELS = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+ORACLE_QUAD_TOL = 1e-6  # two successive levels this close end a Kraus oracle
 ARRAY_MAX_BYTES = 2**30  # largest array a builder, the noise fold or the oracle allocates
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
 
@@ -144,14 +149,18 @@ class CvParams:
 
 
 @dataclass(frozen=True)
-class QuadRule:
-    """Gauss–Hermite nodes per real axis of the prior in a Kraus device's oracle."""
+class OracleResult:
+    """The exact reference and how it was reached.
 
-    nodes: int = 24
+    ``method`` is ``closed_form`` (``nodes`` None, ``error`` 0.0) or
+    ``quadrature``: ``nodes`` Gauss–Hermite nodes per α axis, and ``error``
+    the difference from the level before it in ``ORACLE_NODE_LEVELS``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ContractError("quadrature needs at least 2 nodes per axis")
+    value: float
+    method: str
+    nodes: int | None = None
+    error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -869,45 +878,24 @@ def _gh_complex_nodes(count: int, inv_var: float) -> tuple[np.ndarray, np.ndarra
     return z.reshape(-1), ww.reshape(-1)
 
 
-def average_fidelity_oracle(
-    device,
-    params: CvParams,
-    cutoff: FockCutoff,
-    quad: QuadRule | None = None,
+def _quadrature(
+    device: Channel, params: CvParams, n_max: int, nodes: int, limit: float
 ) -> float:
-    """Exact average fidelity over the Gaussian ensemble of (noisy) inputs.
-
-    An :class:`AnalyticDevice` gets its closed form
-    (:meth:`AnalyticDevice.average_fidelity`): no node, no truncation, and
-    ``cutoff`` and ``quad`` go unused.  A :class:`Channel` of Fock-space
-    Kraus operators is integrated by Gauss–Hermite quadrature at
-    ``quad.nodes`` per α axis and ``ORACLE_BETA_NODES`` per β axis; nodes
-    whose coherent amplitudes the cutoff cannot hold are dropped, with a
-    hard budget on the probability mass lost, and a node count whose arrays
-    would pass ``ARRAY_MAX_BYTES`` is refused before any node is placed.
-    Trace-nonincreasing devices are scored conditionally on success.
-    """
-    if isinstance(device, AnalyticDevice):
-        return device.average_fidelity(params)
-    if not isinstance(device, Channel):
-        raise ContractError(f"cannot score a device of type {type(device).__name__}")
-    n_max = cutoff.n_max
-    if device.dims_in != n_max or device.dims_out != n_max:
-        raise DimensionError(
-            f"device dimension {device.dims_in}->{device.dims_out} does not "
-            f"match cutoff {n_max}"
-        )
-    quad = quad or QuadRule()
+    """Gauss–Hermite average fidelity of a Kraus device at ``nodes`` per α axis
+    and ``ORACLE_BETA_NODES`` per β axis.  Nodes whose coherent amplitudes
+    pass ``limit`` are dropped, with a hard budget on the probability mass
+    lost, and a level whose arrays would pass ``ARRAY_MAX_BYTES`` is refused
+    before any node is placed."""
     # about 64·(n_max + 1) bytes per quadrature point: the nodes, weights and
     # the coherent rows (inputs, targets, and one built or evolved block)
-    points = quad.nodes**2 * (1 if math.isinf(params.mu) else ORACLE_BETA_NODES**2)
+    points = nodes**2 * (1 if math.isinf(params.mu) else ORACLE_BETA_NODES**2)
     nbytes = points * 64 * (n_max + 1)
     if nbytes > ARRAY_MAX_BYTES:
-        raise ContractError(
-            f"oracle at {quad.nodes} nodes needs {nbytes / 2**20:.0f} MiB, "
+        raise CutoffError(
+            f"oracle at {nodes} nodes per axis needs {nbytes / 2**20:.0f} MiB, "
             f"past the {ARRAY_MAX_BYTES >> 20} MiB cap"
         )
-    alphas, w_alpha = _gh_complex_nodes(quad.nodes, params.lam)
+    alphas, w_alpha = _gh_complex_nodes(nodes, params.lam)
     if math.isinf(params.mu):
         betas = np.zeros(1, dtype=complex)
         w_beta = np.ones(1)
@@ -917,7 +905,6 @@ def average_fidelity_oracle(
     target_seed = np.conj(alphas) if params.conjugate else alphas
     targets = (params.g * target_seed)[:, None].repeat(betas.size, axis=1).reshape(-1)
     weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    limit = amplitude_limit(n_max, ORACLE_NODE_TAIL)
     need = np.maximum(np.abs(inputs), np.abs(targets))
     keep = need <= limit
     dropped = float(np.sum(weights[~keep]) / np.sum(weights))
@@ -940,6 +927,45 @@ def average_fidelity_oracle(
         num += np.abs(np.einsum("ji,ji->j", tg_bras, evolved)) ** 2
         den += np.einsum("ji,ji->j", evolved.conj(), evolved).real
     return float(np.sum(weights * num) / np.sum(weights * den))
+
+
+def average_fidelity_oracle(device, params: CvParams, cutoff: FockCutoff) -> OracleResult:
+    """Exact average fidelity over the Gaussian ensemble of (noisy) inputs.
+
+    An :class:`AnalyticDevice` gets its closed form
+    (:meth:`AnalyticDevice.average_fidelity`): no node, no truncation, and
+    ``cutoff`` goes unused.  A :class:`Channel` of Fock-space Kraus
+    operators is integrated by Gauss–Hermite quadrature at each of
+    ``ORACLE_NODE_LEVELS`` α nodes per axis in turn, until two successive
+    levels agree within ``ORACLE_QUAD_TOL``; their difference is the
+    reported ``error``.  A level past the byte cap or the dropped-mass
+    budget raises :class:`CutoffError`, and levels that never agree raise
+    :class:`SearchError`.  Trace-nonincreasing devices are scored
+    conditionally on success.
+    """
+    if isinstance(device, AnalyticDevice):
+        return OracleResult(device.average_fidelity(params), "closed_form")
+    if not isinstance(device, Channel):
+        raise ContractError(f"cannot score a device of type {type(device).__name__}")
+    n_max = cutoff.n_max
+    if device.dims_in != n_max or device.dims_out != n_max:
+        raise DimensionError(
+            f"device dimension {device.dims_in}->{device.dims_out} does not "
+            f"match cutoff {n_max}"
+        )
+    limit = amplitude_limit(n_max, ORACLE_NODE_TAIL)
+    value = diff = None
+    for nodes in ORACLE_NODE_LEVELS:
+        last, value = value, _quadrature(device, params, n_max, nodes, limit)
+        if last is not None:
+            diff = abs(value - last)
+            if diff <= ORACLE_QUAD_TOL:
+                return OracleResult(value, "quadrature", nodes, diff)
+    raise SearchError(
+        f"oracle quadrature unsettled at {nodes} nodes per axis: the last two "
+        f"levels differ by {diff:.2e}, past {ORACLE_QUAD_TOL:.0e}",
+        best=value,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -234,15 +234,20 @@ def jamiolkowski(c: Channel) -> Operator:
     return Operator(c4.reshape(d, d), (c.dims_out, c.dims_in))
 
 
+def evolve_input(c: Channel, sigma: np.ndarray) -> np.ndarray:
+    """(C ⊗ I)(sigma) on the (out, ref, out, ref) axes, for ``sigma`` on
+    (in, ref, in, ref): one contraction over the stacked Kraus array."""
+    return np.einsum("kxa,arbs,kyb->xrys", c.kraus, sigma, c.kraus.conj(), optimize=True)
+
+
 def apply_channel(c: Channel, rho: Operator) -> Operator:
     if rho.side != c.dims_in:
         raise DimensionError(
             f"state side {rho.side} does not match channel input {c.dims_in}"
         )
-    out = np.zeros((c.dims_out, c.dims_out), dtype=complex)
-    for k in c.kraus:
-        out += k @ rho.matrix @ k.conj().T
-    return Operator(out, (c.dims_out,))
+    d = c.dims_in
+    out = evolve_input(c, rho.matrix.reshape(d, 1, d, 1))
+    return Operator(out.reshape(c.dims_out, c.dims_out), (c.dims_out,))
 
 
 def score_det_direct(t: DetTest, c: Channel) -> float:
@@ -252,13 +257,8 @@ def score_det_direct(t: DetTest, c: Channel) -> float:
     d_a, d_r = t.sigma_AR.dims
     if c.dims_in != d_a or c.dims_out != t.observable.dims[0]:
         raise DimensionError("channel dims do not match the test")
-    sigma = t.sigma_AR.matrix.reshape(d_a, d_r, d_a, d_r)
+    evolved = evolve_input(c, t.sigma_AR.matrix.reshape(d_a, d_r, d_a, d_r))
     d_ap = c.dims_out
-    evolved = np.zeros((d_ap, d_r, d_ap, d_r), dtype=complex)
-    for k in c.kraus:
-        # (K ⊗ I) sigma (K ⊗ I)†, acting on the A indices only
-        tmp = np.einsum("xa,arbs->xrbs", k, sigma)
-        evolved += np.einsum("xrbs,yb->xrys", tmp, k.conj())
     value = np.einsum(
         "xrys,ysxr->", t.observable.matrix.reshape(d_ap, d_r, d_ap, d_r), evolved
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbench.canonical import (
     CanonicalTestRecipe,
@@ -115,6 +116,33 @@ class TestCanonicalConstruction:
         wrong = Operator(np.diag([0.7, 0.3]).astype(complex), (2,))
         with pytest.raises(ContractError):
             CanonicalTestRecipe(r.input_state, r.observable, wrong)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d_out=st.integers(1, 3),
+        d_in=st.integers(1, 3),
+        extra_kraus=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recipe_reproduces_omega_and_its_scores(self, d_out, d_in, extra_kraus, seed):
+        rng = np.random.default_rng(seed)
+        omega = rand_omega(d_out, d_in, rng)
+        c = rand_channel(d_in, d_out, -(-d_in // d_out) + extra_kraus, rng)
+        tol = 1e-9 * max(1.0, np.linalg.norm(omega.matrix))
+        recipe = canonical_det_test(omega)
+        test = recipe.as_det_test()
+        assert np.linalg.norm(performance_operator(test).matrix - omega.matrix) <= tol
+        via, _ = score_recipe(recipe, c)
+        assert abs(via - score_det_direct(test, c)) <= tol
+        assert abs(via - score_det_jam(omega, jamiolkowski(c))) <= tol
+
+    def test_channel_dims_must_match_the_recipe(self):
+        # a 2 -> 3 channel on a 2 -> 2 recipe
+        recipe = canonical_det_test(teleport_test(2).omega)
+        with pytest.raises(DimensionError, match="2->3"):
+            score_recipe(recipe, rand_channel(2, 3, 1, RNG))
 
 
 class TestProbPreservation:

@@ -11,8 +11,10 @@ import sys
 import numpy as np
 import pytest
 
+from qbench import cv
 from qbench.canonical import canonical_det_test
 from qbench.cli import main
+from qbench.cv import FockCutoff, attenuator_device
 from qbench.linalg import Operator, operator_to_json
 from qbench.model import Channel, channel_to_json, det_test_to_json, prob_test_to_json
 from qbench.presets import equator_test, teleport_test
@@ -38,7 +40,7 @@ def strip_timestamp(text: str) -> str:
 
 class TestBenchmarkCommand:
     def test_teleport_qubit(self, capsys):
-        code, out, _ = run_cli(capsys, "benchmark", "--builtin", "teleport", "--dim", "2")
+        code, out, _ = run_cli(capsys, "benchmark", "--builtin", "teleport")
         assert code == 0
         assert abs(out["value"] - 2.0 / 3.0) < 1e-6
         assert out["lower"] <= 2.0 / 3.0 + 1e-9
@@ -329,18 +331,43 @@ class TestCvCommand:
         assert "tmsv" in err
 
     def test_builtin_device_reference_is_the_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8", "--nodes", "48")
+        code, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8")
         assert code == 0
         assert out["oracle_method"] == "closed_form" and out["oracle_nodes"] is None
+        assert out["oracle_error"] == 0.0
         assert abs(out["oracle"] - 1.0 / (1.0 + (1.0 - math.sqrt(0.8)) ** 2)) < 1e-15
 
     def test_kraus_device_reference_is_the_quadrature(self, capsys, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
         _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30")
-        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 24
-        _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32")
-        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 32
+        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 16
+        assert out["oracle_error"] <= 1e-6
+        # the node count is measured, not set
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32"])
+        assert exc.value.code == 1
+
+    def test_conjugate_kraus_run_meets_its_reference(self, capsys, tmp_path):
+        # the conjugation kernel needs more nodes than a fidelity run
+        path = tmp_path / "device.json"
+        lossy = attenuator_device(0.8).materialize(FockCutoff(40))
+        path.write_text(json.dumps(channel_to_json(lossy)))
+        code, out, _ = run_cli(
+            capsys, "cv", "--device", f"@{path}", "--conjugate", "--g", "1.2", "--cutoff", "40"
+        )
+        assert code == 0 and out["abs_diff"] <= 1e-6
+        assert out["oracle_nodes"] > 16 and out["oracle_error"] <= 1e-6
+
+    def test_unsettled_kraus_reference_is_uncertified(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cv, "ORACLE_QUAD_TOL", 0.0)
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(channel_to_json(Channel.identity(20))))
+        code, out, err = run_cli(
+            capsys, "cv", "--device", f"@{path}", "--conjugate", "--lambda", "4", "--cutoff", "20"
+        )
+        assert code == 2 and out is None
+        assert "unsettled at 256 nodes" in err
 
     def test_conjugate_run_within_the_old_quadrature_error_is_certified(self, capsys):
         # the run is within 1.1e-10 of the exact 0.16216545145; a 24-node
@@ -399,21 +426,15 @@ class TestCvCommand:
             (("cv", "--device", "scale:inf"), "must be finite"),
             (("cv", "--device", "identity", "--cutoff", "1"), "n_max must exceed 1"),
             (("cv", "--device", "identity", "--cutoff", "0"), "n_max must exceed 1"),
-            (("cv", "--device", "identity", "--nodes", "1"), "at least 2 nodes"),
+            (("cv", "--device", "attenuator:1.5"), "outside [0, 1]"),
             (("benchmark", "--builtin", "teleport:1"), "dimension >= 2"),
             (("benchmark", "--builtin", "equator:2"), "at least 3 phases"),
-            (("benchmark", "--builtin", "teleport", "--dim", "0"), "dimension >= 2"),
+            (("cv", "--device", "identity", "--mu", "0"), "mu must be positive"),
             (("benchmark", "--builtin", "teleport:abc"), "'abc' is not an integer"),
             (("benchmark", "--builtin", "equator:x"), "'x' is not an integer"),
-            # the closed form places no node, so the byte cap is a Kraus device's
-            (("cv", "--device", "@identity40", "--mu", "2", "--nodes", "1024"), "MiB cap"),
         ],
     )
-    def test_invalid_scenario_values_are_usage_errors(self, capsys, tmp_path, argv, flag):
-        if "@identity40" in argv:
-            path = tmp_path / "identity40.json"
-            path.write_text(json.dumps(channel_to_json(Channel.identity(40))))
-            argv = tuple(f"@{path}" if a == "@identity40" else a for a in argv)
+    def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out is None
@@ -486,6 +507,8 @@ class TestEnvironment:
             ("canonical", "--omega", "f", "--restarts", "3"),
             ("cv", "--device", "identity", "--seed", "3"),
             ("benchmark", "--builtin", "chsh", "--mu", "2"),
+            ("benchmark", "--builtin", "teleport", "--dim", "3"),
+            ("cv", "--device", "identity", "--nodes", "32"),
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):

@@ -14,12 +14,12 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.special import gammaln, pdtrc, xlogy
 from scipy.stats import binom, nbinom
 
+from qbench import cv
 from qbench.cv import (
     AnalyticDevice,
     CvParams,
     CvSetup,
     FockCutoff,
-    QuadRule,
     additive_noise_channel,
     amplitude_limit,
     attenuator_device,
@@ -43,6 +43,7 @@ from qbench.cv import (
     two_mode_squeezer,
     vacuum_device,
     ARRAY_MAX_BYTES,
+    ORACLE_NODE_LEVELS,
     ORACLE_NODE_TAIL,
     ORACLE_TAIL_TOL,
     _charge_transfer,
@@ -60,6 +61,7 @@ from qbench.errors import (
     ContractError,
     CutoffError,
     DimensionError,
+    SearchError,
     VanishingSuccessError,
 )
 from qbench.model import Channel
@@ -906,7 +908,7 @@ class TestSetupConstruction:
         assert setup.theta is None and setup.g_port is None and setup.weight == 1.0
         for dev in (identity_device(), attenuator_device(0.8)):
             score, _ = run_setup(setup, dev.materialize(cut))
-            assert abs(score - average_fidelity_oracle(dev, params, cut)) < 1e-6, dev.kind
+            assert abs(score - average_fidelity_oracle(dev, params, cut).value) < 1e-6, dev.kind
 
     def test_json_round_trip_fields(self):
         setup = build_setup(CvParams(g=1.0, lam=1.0, mu=2.0), _cutoff(40))
@@ -928,8 +930,6 @@ class TestSetupConstruction:
                 CvParams(**bad)
         with pytest.raises(ContractError):
             FockCutoff(1)
-        with pytest.raises(ContractError):
-            QuadRule(nodes=1)
 
 
 class TestRunAgainstOracle:
@@ -950,7 +950,7 @@ class TestRunAgainstOracle:
             rescale_mp_device(1.0),
         ):
             score, p_succ = run_setup(setup, dev.materialize(cut))
-            oracle = average_fidelity_oracle(dev, params, cut)
+            oracle = average_fidelity_oracle(dev, params, cut).value
             assert abs(score - oracle) < 1e-4, dev.kind
             assert abs(oracle - expected[dev.kind]) < 1e-9, dev.kind
             assert p_succ > 0.99
@@ -968,7 +968,7 @@ class TestRunAgainstOracle:
         for dev in (identity_device(), attenuator_device(0.8)):
             score, _ = run_setup(setup, dev.materialize(cut))
             assert run_setup(direct, dev.materialize(cut))[0] == score
-            oracle = average_fidelity_oracle(dev, params, cut)
+            oracle = average_fidelity_oracle(dev, params, cut).value
             assert abs(score - oracle) < 1e-9, dev.kind
 
     @pytest.mark.parametrize("mu", [math.inf, 2.0])
@@ -994,8 +994,8 @@ class TestRunAgainstOracle:
 
     def test_channel_oracle_agrees_with_analytic(self):
         # the Kraus quadrature (n_max loss operators) against the closed
-        # form: pure, noisy and conjugate targets.  48 nodes, because the
-        # default 24 leave the anisotropic conjugation integrand 8.4e-5 off
+        # form: pure, noisy and conjugate targets; the anisotropic
+        # conjugation integrand takes the most node levels
         dev = attenuator_device(0.8)
         for params, n_max in [
             (CvParams(g=1.0, lam=1.0), 40),
@@ -1003,22 +1003,51 @@ class TestRunAgainstOracle:
             (CvParams(g=1.2, lam=1.0, conjugate=True), 40),
         ]:
             cut = _cutoff(n_max)
-            a = average_fidelity_oracle(dev, params, cut)
-            b = average_fidelity_oracle(dev.materialize(cut), params, cut, QuadRule(48))
+            a = average_fidelity_oracle(dev, params, cut).value
+            b = average_fidelity_oracle(dev.materialize(cut), params, cut).value
             assert abs(a - b) < 1e-6, params
 
+    @pytest.mark.parametrize("dev", [identity_device(), attenuator_device(0.8)])
+    def test_conjugation_quadrature_meets_the_closed_form(self, dev):
+        # the narrow conjugation kernel takes the most levels; the closed
+        # form checks the level the rule stops at
+        params = CvParams(g=1.2, lam=1.0, conjugate=True)
+        cut = _cutoff(40)
+        got = average_fidelity_oracle(dev.materialize(cut), params, cut)
+        assert got.method == "quadrature" and got.error <= 1e-6
+        assert abs(got.value - dev.average_fidelity(params)) <= 1e-5
+
+    def test_oracle_record(self):
+        params = CvParams(g=1.0, lam=1.0)
+        cut = _cutoff(30)
+        exact = average_fidelity_oracle(identity_device(), params, cut)
+        assert (exact.method, exact.nodes, exact.error) == ("closed_form", None, 0.0)
+        assert exact.value == identity_device().average_fidelity(params)
+        # the identity at g = 1 has a constant integrand: the first two levels agree
+        quad = average_fidelity_oracle(Channel.identity(30), params, cut)
+        assert (quad.method, quad.nodes) == ("quadrature", ORACLE_NODE_LEVELS[1])
+        assert quad.error <= 1e-12 and abs(quad.value - 1.0) <= 1e-12
+
     def test_oracle_past_the_byte_cap_is_refused_before_allocating(self):
-        # 1024² · 256 quadrature points at ~64·41 bytes each is ~660 GiB
+        # the first level, 8² · 16² points at ~64 · 1101 bytes each, is ~1.1 GiB
+        device, cut = Channel.identity(1100), _cutoff(1100)
         tracemalloc.start()
         try:
-            with pytest.raises(ContractError, match="cap"):
-                average_fidelity_oracle(
-                    Channel.identity(40), CvParams(mu=2.0), _cutoff(40), QuadRule(1024)
-                )
+            with pytest.raises(CutoffError, match="cap"):
+                average_fidelity_oracle(device, CvParams(mu=2.0), cut)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+    def test_oracle_levels_that_never_agree_raise(self, monkeypatch):
+        # the conjugation integrand moves between levels, so a zero
+        # tolerance is never met and every level runs
+        monkeypatch.setattr(cv, "ORACLE_QUAD_TOL", 0.0)
+        params = CvParams(g=1.0, lam=4.0, conjugate=True)
+        with pytest.raises(SearchError, match="differ by") as exc:
+            average_fidelity_oracle(Channel.identity(20), params, _cutoff(20))
+        assert abs(exc.value.best - identity_device().average_fidelity(params)) <= 1e-6
 
     def test_mixed_identity_closed_form(self):
         cut = FockCutoff(40, leak_tol=1e-6)
@@ -1033,7 +1062,7 @@ class TestRunAgainstOracle:
         setup = build_setup(params, cut)
         dev = attenuator_device(0.8)
         score, _ = run_setup(setup, dev.materialize(cut))
-        oracle = average_fidelity_oracle(dev, params, cut)
+        oracle = average_fidelity_oracle(dev, params, cut).value
         assert abs(score - oracle) < 1e-4
 
     def test_mixed_high_c_branch(self):
@@ -1044,7 +1073,7 @@ class TestRunAgainstOracle:
         setup = build_setup(params, cut)
         assert setup.g_port == 1 and setup.weight < 1.0
         score, _ = run_setup(setup, Channel.identity(48))
-        oracle = average_fidelity_oracle(identity_device(), params, cut)
+        oracle = average_fidelity_oracle(identity_device(), params, cut).value
         assert abs(score - oracle) < 1e-4
 
     def test_wider_parameter_grid_pure(self):
@@ -1056,7 +1085,7 @@ class TestRunAgainstOracle:
             setup = build_setup(params, cut)
             for dev in (identity_device(), vacuum_device()):
                 score, _ = run_setup(setup, dev.materialize(cut))
-                oracle = average_fidelity_oracle(dev, params, cut)
+                oracle = average_fidelity_oracle(dev, params, cut).value
                 assert abs(score - oracle) < 1e-4, (g, lam, dev.kind)
 
     def test_conjugation_pure_identity(self):
@@ -1065,7 +1094,7 @@ class TestRunAgainstOracle:
         setup = build_setup(params, cut)
         score, _ = run_setup(setup, Channel.identity(40))
         assert abs(score - 1.0 / math.sqrt(5.0)) < 1e-6
-        oracle = average_fidelity_oracle(Channel.identity(40), params, cut)
+        oracle = average_fidelity_oracle(Channel.identity(40), params, cut).value
         assert abs(score - oracle) < 1e-4
 
     def test_conjugation_mixed_identity(self):
@@ -1075,7 +1104,7 @@ class TestRunAgainstOracle:
         score, _ = run_setup(setup, Channel.identity(40))
         want = (2.0 / 3.0) * math.sqrt(3.0 / 11.0)
         assert abs(score - want) < 1e-6
-        oracle = average_fidelity_oracle(Channel.identity(40), params, cut)
+        oracle = average_fidelity_oracle(Channel.identity(40), params, cut).value
         assert abs(score - oracle) < 1e-4
 
     @pytest.mark.parametrize("lam", [1.0, 1.05, 1.1])
@@ -1087,11 +1116,11 @@ class TestRunAgainstOracle:
         params = CvParams(g=c * math.sqrt(lam + 1.0), lam=lam, conjugate=True)
         cut = _cutoff(40)
         score, _ = run_setup(build_setup(params, cut), identity_device().materialize(cut))
-        assert abs(score - average_fidelity_oracle(identity_device(), params, cut)) <= 1e-7
+        assert abs(score - average_fidelity_oracle(identity_device(), params, cut).value) <= 1e-7
 
     def test_conjugation_score_below_one_for_identity(self):
         params = CvParams(g=1.0, lam=2.0, conjugate=True)
-        val = average_fidelity_oracle(identity_device(), params, _cutoff(40))
+        val = average_fidelity_oracle(identity_device(), params, _cutoff(40)).value
         assert val < 1.0
 
     def test_noise_adjoint_route_equivalence(self):
@@ -1120,14 +1149,14 @@ class TestRunAgainstOracle:
         params = CvParams(g=1.0, lam=1.0)
         cut = _cutoff(40)
         best = (1.0 + params.lam) / (1.0 + params.lam + params.g**2)
-        got = average_fidelity_oracle(rescale_mp_device(0.5), params, cut)
+        got = average_fidelity_oracle(rescale_mp_device(0.5), params, cut).value
         assert abs(got - best) < 1e-9
         for q in (0.3, 0.7, 1.0):
-            assert average_fidelity_oracle(rescale_mp_device(q), params, cut) <= best + 1e-12
+            assert average_fidelity_oracle(rescale_mp_device(q), params, cut).value <= best + 1e-12
 
     def test_small_prior_oracle_and_cutoff_failure(self):
         params = CvParams(g=1.0, lam=0.01)
-        oracle = average_fidelity_oracle(rescale_mp_device(1.0), params, _cutoff(40))
+        oracle = average_fidelity_oracle(rescale_mp_device(1.0), params, _cutoff(40)).value
         assert abs(oracle - 0.5) < 1e-9
         with pytest.raises(CutoffError) as exc:
             setup = build_setup(params, _cutoff(40))
@@ -1202,4 +1231,4 @@ def test_closed_form_matches_quadrature_of_the_kernel(kind, param, g, lam, mu, c
     params = CvParams(g=g, lam=lam, mu=mu, conjugate=conjugate)
     second = _axis_average(dev, -g if conjugate else g, lam, mu)
     ref = dev.eta_gain[1] * _axis_average(dev, g, lam, mu) * second
-    assert abs(average_fidelity_oracle(dev, params, _cutoff(20)) - ref) <= 1e-8
+    assert abs(average_fidelity_oracle(dev, params, _cutoff(20)).value - ref) <= 1e-8
