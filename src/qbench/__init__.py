@@ -104,6 +104,7 @@ _EXPORTS = {
     "heterodyne_mp_channel": ".cv",
     "build_setup": ".cv",
     "run_setup": ".cv",
+    "run_analytic": ".cv",
     "average_fidelity_oracle": ".cv",
     "amplitude_limit": ".cv",
     "setup_to_json": ".cv",

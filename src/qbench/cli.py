@@ -50,6 +50,7 @@ from .cv import (
     build_setup,
     identity_device,
     rescale_mp_device,
+    run_analytic,
     run_setup,
     setup_to_json,
     vacuum_device,
@@ -359,8 +360,7 @@ def cmd_cv(args) -> tuple[dict, int]:
     score = p_succ = None
     note = None
     try:
-        channel = device.materialize(cutoff) if analytic else device
-        score, p_succ = run_setup(setup, channel)
+        score, p_succ = (run_analytic if analytic else run_setup)(setup, device)
     except CutoffError as err:
         # the closed-form oracle needs no truncation, so a representable
         # analytic device still yields a certified value
@@ -375,6 +375,11 @@ def cmd_cv(args) -> tuple[dict, int]:
     else:
         method = "setup+oracle"
         certified = diff <= CV_CERTIFY_TOL
+        if not certified and 1.0 - p_succ > CV_CERTIFY_TOL:
+            note = (
+                f"the device spills 1 - p_succ = {1.0 - p_succ:.2e} of the run past "
+                f"n_max={cutoff.n_max}; a taller --cutoff keeps more of it"
+            )
     payload = {
         "command": "cv",
         "device": args.device,

@@ -6,9 +6,10 @@ two-mode squeezed vacuum), the Gaussian stage operators (two-mode squeezer,
 beamsplitter, additive-noise channel), the diagonal Gaussian observable and
 its heterodyne realization, and two independent ways to score a device:
 
-* ``run_setup`` drives the single-setup measurement chain — prepare one
-  entangled input, apply the device once, apply the post-processing stages,
-  read out one observable;
+* ``run_setup`` (a Kraus ``Channel``) and ``run_analytic`` (an
+  ``AnalyticDevice``) drive the single-setup measurement chain — prepare
+  one entangled input, apply the device once, apply the post-processing
+  stages, read out one observable;
 * ``average_fidelity_oracle`` gives the exact average fidelity over the
   Gaussian ensemble of (noisy) coherent states: in closed form for an
   ``AnalyticDevice``, which maps every coherent input to a displaced
@@ -37,11 +38,14 @@ that want the matrix.
 
 Gaussian channels.  Every reference device and the additive noise ν is a
 quantum-limited amplifier of gain G after a pure-loss attenuator η
-(Caruso, Giovannetti, Holevo, NJP 8, 310 (2006)); ``_gaussian_kraus``
-gives its exact real Kraus set, and the noise is G = 1 + 1/ν after
-η = 1/G.  Both stages are phase covariant, so the noise acts on each
-mode-a charge δ (the bra-ket level difference) through one n_max × n_max
-transfer matrix, which ``run_setup`` folds onto the readout.
+(Caruso, Giovannetti, Holevo, NJP 8, 310 (2006)); the noise is
+G = 1 + 1/ν after η = 1/G.  Both stages are phase covariant, so the
+channel acts on each mode-a charge δ (the bra-ket level difference)
+through one n_max × n_max transfer matrix, ``_gaussian_transfer``: n_max³
+numbers in all.  The noise's transfer is folded onto the readout, and a
+reference device is scored from its own, sector by sector, against the
+same readout.  ``_gaussian_kraus`` gives the exact real Kraus set (n_max⁴
+numbers), which ``AnalyticDevice.materialize`` exports as a ``Channel``.
 
 Closed forms in log space.  Coherent amplitudes, the displacement, W_c and
 the attenuator and amplifier Kraus sets are assembled in log space from one
@@ -143,9 +147,10 @@ class CvParams:
 
     @property
     def nu(self) -> float:
-        if math.isinf(self.mu) or self.g == 0:
+        g2 = self.g**2  # zero also when a subnormal gain underflows
+        if math.isinf(self.mu) or g2 == 0:
             return math.inf
-        return (self.lam + self.mu) / self.g**2
+        return (self.lam + self.mu) / g2
 
 
 @dataclass(frozen=True)
@@ -512,28 +517,40 @@ def _charge_transfer(kraus) -> np.ndarray:
     """
     ks = np.asarray(kraus)
     n = ks.shape[-1]
-    out = np.zeros((n, n, n), dtype=complex)
+    out = np.zeros((n, n, n), dtype=ks.dtype)  # a real family stays real
     for d in range(n):
         out[d, d:, d:] = np.einsum("jxu,jxu->xu", ks[:, d:, d:], ks[:, : n - d, : n - d].conj())
     return out
 
 
-def _noise_transfer(nu: float, n_max: int) -> np.ndarray:
-    """Per-charge transfer matrices (see :func:`_charge_transfer`) of the
-    additive noise ``nu``: the amplifier of gain G = 1 + 1/ν after the
-    attenuator 1/G.
+def _gaussian_transfer(eta: float, gain: float, n_max: int) -> np.ndarray:
+    """Real per-charge transfer matrices (see :func:`_charge_transfer`) of the
+    attenuator ``eta`` followed by the amplifier ``gain``; the attenuator's
+    own at gain 1.
 
-    Every kept element is exact: the attenuator never raises the photon
-    number, so truncating between the two stages drops nothing.  What the
-    cutoff does lose is the amplifier's spill past n_max; that trace deficit
-    only needs to vanish where setup states live, so it is guarded on the
-    lower quarter of the levels.
+    Both stages are phase covariant, so charge δ passes through them as the
+    product of their n_max × n_max matrices.  Every kept element is exact:
+    the attenuator never raises the photon number, so truncating between the
+    two stages drops nothing.  Each stage's Kraus set and transfer are
+    n_max³ arrays.
+    """
+    transfer = _charge_transfer(_attenuator_kraus(eta, n_max))
+    if gain == 1.0:
+        return transfer
+    return _charge_transfer(_amplifier_kraus(gain, n_max)) @ transfer
+
+
+def _noise_transfer(nu: float, n_max: int) -> np.ndarray:
+    """Per-charge transfer matrices of the additive noise ``nu``: the
+    amplifier of gain G = 1 + 1/ν after the attenuator 1/G.
+
+    What the cutoff loses is the amplifier's spill past n_max; that trace
+    deficit only needs to vanish where setup states live, so it is guarded
+    on the lower quarter of the levels.
     """
     gain = 1.0 + 1.0 / nu
-    transfer = _charge_transfer(_amplifier_kraus(gain, n_max)) @ _charge_transfer(
-        _attenuator_kraus(1.0 / gain, n_max)
-    )
-    deficit = 1.0 - transfer[0].real.sum(axis=0)
+    transfer = _gaussian_transfer(1.0 / gain, gain, n_max)
+    deficit = 1.0 - transfer[0].sum(axis=0)
     guard = max(2, n_max // 4)
     worst = float(np.max(np.abs(deficit[:guard])))
     if worst > NOISE_DEFICIT_TOL:
@@ -577,8 +594,10 @@ class AnalyticDevice:
     heterodyne measurement, then re-preparation of ``q · γ`` with
     q = ``param`` (Hammerer, Wolf, Polzik, Cirac, PRL 94, 150503 (2005)),
     which on every coherent input gives mean qα and q² thermal photons too.
-    ``pure_fidelity`` gives the oracle an exact integrand with no Fock
-    truncation, and ``materialize`` the Kraus channel for the setup run.
+    ``average_fidelity`` is the oracle's closed form and ``pure_fidelity``
+    its integrand, with no Fock truncation.  ``transfer`` gives the setup
+    run (:func:`run_analytic`) the device's per-charge blocks, n_max³
+    numbers; ``materialize`` exports the n_max⁴ Kraus channel.
     """
 
     kind: str
@@ -630,7 +649,15 @@ class AnalyticDevice:
         s2 = (kappa + g if params.conjugate else kappa - g) ** 2 / lam + t
         return 1.0 / math.sqrt((gain + s1) * (gain + s2))
 
+    def transfer(self, n_max: int) -> np.ndarray:
+        """The device's per-charge transfer matrices T[δ, x, u] on n_max levels
+        (:func:`_gaussian_transfer`)."""
+        return _gaussian_transfer(*self.eta_gain, n_max)
+
     def materialize(self, cutoff: FockCutoff) -> Channel:
+        """The device as a Kraus :class:`Channel` on the cutoff, for export
+        (``channel_to_json``) and for :func:`run_setup`; up to n_max² real
+        operators, refused past the byte cap (:func:`_gaussian_kraus`)."""
         eta, gain = self.eta_gain
         return Channel(_gaussian_kraus(eta, gain, cutoff.n_max), trace_preserving=gain == 1.0)
 
@@ -809,27 +836,71 @@ def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray
     return [(idx, charge[layout(idx)]) for idx in sectors]
 
 
-def _score_vectors(readout, kraus: np.ndarray, psi: np.ndarray) -> float:
-    """Raw (unnormalized) Σ_k ⟨v_k|O|v_k⟩ over ``v_k = (K_k ⊗ I) Σ_x ψ_x |x, x⟩``,
-    i.e. ``v_k[(p, q)] = K_k[p, q] ψ_q``, scaled sector by sector so that
-    no copy of the Kraus array is made."""
-    n = kraus.shape[-1]
-    flat = kraus.reshape(kraus.shape[0], -1)
+def _kraus_gram(kraus: np.ndarray):
+    """Per-sector device Gram ``D_s = X_sᴴ X_s`` of a Kraus family, with
+    ``X_s[k, i] = K_k[p_i, q_i]`` gathered sector by sector, so that no copy
+    of the whole array is made."""
+    flat = kraus.reshape(len(kraus), -1)
+
+    def gram(idx: np.ndarray) -> np.ndarray:
+        x = flat[:, idx]
+        return x.conj().T @ x
+
+    return gram
+
+
+def _transfer_gram(transfer: np.ndarray, conjugate: bool):
+    """Per-sector device Gram of a phase-covariant device, read from its real
+    per-charge ``transfer`` (:func:`_gaussian_transfer`).
+
+    On a difference sector, p_i − p_j = q_i − q_j = δ, so for p_i ≥ p_j
+    ``D_ij = T[δ, p_i, q_i]``, mirrored for p_i < p_j.  On a total sector a
+    nonzero δ would shift p and q oppositely, which the device never does,
+    so only the diagonal ``T[0, p, q]`` is left.
+    """
+    n = transfer.shape[-1]
+
+    def gram(idx: np.ndarray) -> np.ndarray:
+        p, q = np.divmod(idx, n)
+        if conjugate:
+            return np.diag(transfer[0, p, q])
+        hi = np.maximum.outer(p, p)
+        return transfer[np.abs(np.subtract.outer(p, p)), hi, hi - (p[0] - q[0])]
+
+    return gram
+
+
+def _score_sectors(readout, gram, psi: np.ndarray) -> float:
+    """Raw (unnormalized) score Σ_s Σ_ij O_s[i,j] D_s[i,j] ψ_{q_i} ψ_{q_j}
+    of the readout blocks against the device Gram ``gram(idx)`` of each
+    sector, i.e. Σ_k ⟨v_k|O|v_k⟩ over ``v_k = (K_k ⊗ I) Σ_x ψ_x |x, x⟩``."""
+    n = psi.size
     total = 0.0
     for idx, o in readout:
-        x = flat[:, idx] * psi[idx % n]
-        total += float(np.sum((x.conj() @ o) * x).real)
+        w = psi[idx % n]
+        total += float((w @ (o * gram(idx)) @ w).real)
     return total
 
 
+def _conditioned(readout, gram, mass: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+    """``(score, p_succ)`` from the sector scorer, with p_succ = Σ_u ψ_u²·mass_u
+    and ``mass_u`` the device's output trace on input level u."""
+    p_succ = float(mass @ psi**2)
+    if p_succ < P_SUCC_MIN:
+        raise VanishingSuccessError(
+            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
+        )
+    return _score_sectors(readout, gram, psi) / p_succ, p_succ
+
+
 def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
-    """Score one device through the single-setup measurement chain.
+    """Score a Kraus device through the single-setup measurement chain.
 
     Returns ``(score, p_succ)``: the observable's expectation normalized by
     the device's success probability on the entangled input, and that
-    success probability itself.  One route for every branch: the
-    closed-form readout blocks with the additive-noise stage folded onto
-    them, scored against the device's pure decomposition ``(K_k ⊗ I)|tmsv⟩``.
+    success probability itself.  The closed-form readout blocks, with the
+    additive-noise stage folded onto them, are scored sector by sector
+    against the device Gram of ``(K_k ⊗ I)|tmsv⟩``.
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
@@ -840,15 +911,35 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
         )
     psi = _tmsv_amplitudes(setup.x, cutoff)
     readout = _readout(setup)
-    # p_succ = Σ_x ψ_x² ‖K|x⟩‖², the column norms read in place
+    # Σ_k ‖K_k|x⟩‖², the column norms read in place
     flat = device.kraus.reshape(-1, n_max)
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    p_succ = float(sum(np.einsum("ix,ix->x", r, r) for r in parts) @ psi**2)
-    if p_succ < P_SUCC_MIN:
-        raise VanishingSuccessError(
-            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
+    mass = sum(np.einsum("ix,ix->x", r, r) for r in parts)
+    return _conditioned(readout, _kraus_gram(device.kraus), mass, psi)
+
+
+def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
+    """:func:`run_setup` for an :class:`AnalyticDevice`, read from its
+    closed-form per-charge transfer instead of a Kraus array: the same
+    ``(score, p_succ)`` in O(n_max³) memory, with p_succ = Σ_u ψ_u² Σ_x T[0, x, u].
+    """
+    cutoff = setup.cutoff
+    n_max = cutoff.n_max
+    # a pure run peaks at ~30·n_max³ bytes: the readout blocks, then three
+    # of the stages' n³ Kraus sets, transfers and product at once (a noisy
+    # run's peak is the fold's, guarded in _readout)
+    if 32 * n_max**3 > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"charge-block run at n_max={n_max} needs "
+            f"{32 * n_max**3 / 2**20:.0f} MiB, "
+            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES / 32) ** (1 / 3)),
         )
-    return _score_vectors(readout, device.kraus, psi) / p_succ, p_succ
+    psi = _tmsv_amplitudes(setup.x, cutoff)
+    readout = _readout(setup)
+    transfer = device.transfer(n_max)
+    gram = _transfer_gram(transfer, setup.params.conjugate)
+    return _conditioned(readout, gram, transfer[0].sum(axis=0), psi)
 
 
 # ---------------------------------------------------------------------------

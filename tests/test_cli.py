@@ -290,13 +290,57 @@ class TestCvCommand:
         assert abs(out["value"] - 0.5) < 2e-3
         assert "n_max" in out["note"]
 
-    def test_heterodyne_mp_past_the_kraus_cap_falls_back(self, capsys):
-        # 8·200⁴ bytes of Kraus operators is refused before it is allocated
-        code, out, _ = run_cli(capsys, "cv", "--device", "heterodyne-mp", "--cutoff", "200")
-        assert code == 0
+    def test_heterodyne_mp_past_the_kraus_cap_is_scored(self, capsys):
+        # 8·120⁴ bytes of Kraus operators is past the cap (n_max 107), but the
+        # run reads the device's n_max³ charge blocks and builds none of them
+        code, out, _ = run_cli(capsys, "cv", "--device", "heterodyne-mp", "--cutoff", "120")
+        assert 8 * 120**4 > cv.ARRAY_MAX_BYTES
+        assert code == 0 and out["certified"]
+        assert out["method"] == "setup+oracle" and out["note"] is None
+        assert out["abs_diff"] < 1e-6
+
+    def test_heterodyne_mp_past_the_charge_block_cap_falls_back(self, capsys):
+        # the charge-block run takes ~32·n_max³ bytes: refused at n_max 400
+        code, out, _ = run_cli(capsys, "cv", "--device", "heterodyne-mp", "--cutoff", "400")
+        assert code == 0 and out["certified"]
         assert out["method"] == "oracle"
         assert out["score"] is None
-        assert "n_max=200" in out["note"]
+        assert "n_max=400" in out["note"]
+
+    @pytest.mark.parametrize(
+        "extra", [(), ("--mu", "4"), ("--conjugate",), ("--mu", "4", "--conjugate")]
+    )
+    @pytest.mark.parametrize(
+        "device", ["identity", "vacuum", "attenuator:0.8", "scale:0.6", "heterodyne-mp"]
+    )
+    def test_builtin_devices_are_run_without_a_kraus_array(
+        self, capsys, monkeypatch, device, extra
+    ):
+        def refuse(self, cutoff):
+            raise AssertionError("a built-in device was materialized")
+
+        monkeypatch.setattr(cv.AnalyticDevice, "materialize", refuse)
+        code, out, _ = run_cli(
+            capsys, "cv", "--device", device, "--lambda", "4", "--cutoff", "24", *extra
+        )
+        assert code == 0 and out["certified"]
+        assert out["method"] == "setup+oracle"
+
+    @pytest.mark.parametrize("n_max, spill", [(30, 0.198), (90, None)])
+    def test_uncertified_run_names_its_spill(self, capsys, n_max, spill):
+        # scale:3 spills 1 − p_succ past the cutoff, and the run is off the
+        # exact reference by about as much until a taller cutoff holds it
+        code, out, _ = run_cli(
+            capsys, "cv", "--device", "scale:3", "--g", "3", "--cutoff", str(n_max)
+        )
+        assert out["abs_diff"] > 1e-6
+        if spill is None:
+            assert code == 0 and out["certified"] and out["note"] is None
+            return
+        assert code == 2 and not out["certified"]
+        assert abs(1.0 - out["p_succ"] - spill) < 1e-3
+        assert f"1 - p_succ = {1.0 - out['p_succ']:.2e}" in out["note"]
+        assert f"n_max={n_max}" in out["note"]
 
     def test_noise_past_the_byte_cap_falls_back(self, capsys):
         # the noise fold at n_max 300 is refused before it is built

@@ -34,6 +34,7 @@ from qbench.cv import (
     heterodyne_mp_channel,
     identity_device,
     rescale_mp_device,
+    run_analytic,
     run_setup,
     scaled_pair_observable,
     setup_to_json,
@@ -50,10 +51,11 @@ from qbench.cv import (
     _coherent_amplitudes,
     _fold_noise,
     _gaussian_kraus,
+    _kraus_gram,
     _log_factorials,
     _noise_transfer,
     _readout,
-    _score_vectors,
+    _score_sectors,
     _sectors,
     _xlogy,
 )
@@ -62,6 +64,7 @@ from qbench.errors import (
     CutoffError,
     DimensionError,
     SearchError,
+    ToolkitError,
     VanishingSuccessError,
 )
 from qbench.model import Channel
@@ -600,8 +603,9 @@ class TestNoiseTransferMatrix:
         vectors = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         moved = np.einsum("jxa,kar->jkxr", ks, vectors).reshape(-1, n, n)
         ones = np.ones(n)
-        want = _score_vectors(readout, moved, ones)
-        assert abs(_score_vectors(folded, vectors, ones) - want) < 1e-10 * max(1.0, abs(want))
+        want = _score_sectors(readout, _kraus_gram(moved), ones)
+        got = _score_sectors(folded, _kraus_gram(vectors), ones)
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_channel_kraus_match_noise_transfer(self):
         # additive_noise_channel and run_setup apply one map
@@ -646,7 +650,7 @@ class TestNoiseTransferMatrix:
         flat = vectors.reshape(4, -1)
         u = beamsplitter(setup.bs_t, cut).matrix
         full = (u @ (flat.T @ flat.conj()) @ u.conj().T).reshape(n, n, n, n)
-        got = _score_vectors(_readout(setup), vectors, np.ones(n))
+        got = _score_sectors(_readout(setup), _kraus_gram(vectors), np.ones(n))
         assert abs(got - setup.weight * np.trace(full[:, 0, :, 0]).real) < 1e-10
 
     @pytest.mark.parametrize(
@@ -666,7 +670,7 @@ class TestNoiseTransferMatrix:
         vectors = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, :, None]
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, None, :]
-        got = _score_vectors(_readout(setup), vectors, np.ones(n))
+        got = _score_sectors(_readout(setup), _kraus_gram(vectors), np.ones(n))
         dense = _dense_score(setup, vectors)
         assert abs(got - dense) < 1e-12 * max(1.0, abs(dense))
 
@@ -838,6 +842,33 @@ class TestAnalyticDevices:
             tracemalloc.stop()
         assert peak < device.kraus.nbytes, (peak, device.kraus.nbytes)
 
+    def test_analytic_run_holds_no_kraus_array(self):
+        # heterodyne-mp at n_max 80: the Kraus export alone is 8·80⁴ = 328 MB
+        setup = build_setup(CvParams(g=1.0, lam=1.0), _cutoff(80))
+        device = rescale_mp_device(1.0)
+        run_analytic(setup, device)  # first-call costs outside the trace
+        tracemalloc.start()
+        try:
+            run_analytic(setup, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
+    def test_analytic_run_past_the_byte_cap_is_refused_before_allocating(self):
+        # the charge-block run takes ~32·n_max³ bytes: about 1.9 GiB at n_max 400
+        setup = build_setup(CvParams(g=1.0, lam=1.0), _cutoff(400))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="n_max=400") as err:
+                run_analytic(setup, rescale_mp_device(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        n = err.value.suggested_n_max
+        assert 32 * n**3 <= ARRAY_MAX_BYTES < 32 * (n + 1) ** 3
+
     def test_kraus_past_the_byte_cap_is_refused_before_allocating(self):
         # gain > 1 stacks n_max² operators: 8·200⁴ bytes = 12.8 GB here
         tracemalloc.start()
@@ -893,6 +924,8 @@ class TestSetupConstruction:
         setup = build_setup(p, _cutoff(40))
         assert setup.branch == "mixed"
         assert any(s.startswith("noise") for s in setup.stages)
+        # a gain whose square underflows adds no noise, like g = 0
+        assert CvParams(g=5e-324, mu=1.0).nu == math.inf
 
     def test_mu_limit_recovers_pure(self):
         p_big = CvParams(g=1.0, lam=1.0, mu=1e9)
@@ -1232,3 +1265,35 @@ def test_closed_form_matches_quadrature_of_the_kernel(kind, param, g, lam, mu, c
     second = _axis_average(dev, -g if conjugate else g, lam, mu)
     ref = dev.eta_gain[1] * _axis_average(dev, g, lam, mu) * second
     assert abs(average_fidelity_oracle(dev, params, _cutoff(20)).value - ref) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(AnalyticDevice._KINDS),
+    param=st.floats(0.0, 1.0),
+    g=st.floats(0.0, 2.0),
+    lam=st.floats(0.5, 8.0),
+    mu=st.one_of(st.just(math.inf), st.floats(1.0, 8.0)),
+    conjugate=st.booleans(),
+    n_max=st.integers(8, 30),
+)
+def test_charge_blocks_match_the_kraus_export(kind, param, g, lam, mu, conjugate, n_max):
+    """run_analytic, read from the device's closed-form charge blocks, against
+    run_setup on its materialized Kraus channel: the same score and p_succ,
+    or the same refusal."""
+    # attenuator transmissivity in [0, 1], re-preparation gain in [0, 1.5]
+    dev = AnalyticDevice(kind, {"attenuator": param, "rescale_mp": 1.5 * param}.get(kind, 1.0))
+    cut = FockCutoff(n_max, leak_tol=1e-3)
+    setup = build_setup(CvParams(g=g, lam=lam, mu=mu, conjugate=conjugate), cut)
+    results = []
+    for run in (lambda: run_analytic(setup, dev), lambda: run_setup(setup, dev.materialize(cut))):
+        try:
+            results.append(run())
+        except ToolkitError as err:
+            results.append(type(err))
+    blocks, kraus = results
+    if isinstance(blocks, type) or isinstance(kraus, type):
+        assert blocks is kraus
+        return
+    for a, b in zip(blocks, kraus):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (a, b)
