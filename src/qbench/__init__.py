@@ -106,7 +106,6 @@ _EXPORTS = {
     "run_setup": ".cv",
     "run_analytic": ".cv",
     "average_fidelity_oracle": ".cv",
-    "amplitude_limit": ".cv",
     "setup_to_json": ".cv",
     # errors
     "ToolkitError": ".errors",

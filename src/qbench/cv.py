@@ -13,7 +13,8 @@ its heterodyne realization, and two independent ways to score a device:
 * ``average_fidelity_oracle`` gives the exact average fidelity over the
   Gaussian ensemble of (noisy) coherent states: in closed form for an
   ``AnalyticDevice``, which maps every coherent input to a displaced
-  thermal state, and by Gauss–Hermite quadrature for a Kraus ``Channel``.
+  thermal state, and for a Kraus ``Channel`` as a finite Fock series, read
+  from the device's per-charge arrays against the coherent-state expansion.
 
 Their agreement on a device is the claim the toolkit exists to check.
 
@@ -62,23 +63,14 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ContractError, CutoffError, DimensionError, SearchError, VanishingSuccessError
+from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
 from .linalg import Operator, PureState
-from .model import Channel
+from .model import ARRAY_MAX_BYTES, Channel
 
 DEFAULT_LEAK_TOL = 1e-8
 NOISE_DEFICIT_TOL = 1e-5
-ORACLE_TAIL_TOL = 1e-6
-ORACLE_NODE_TAIL = 1e-4  # per-node Poisson-tail bound for keeping a node
-ORACLE_DROP_BUDGET = 1e-5  # total probability mass the oracle may drop
-ORACLE_BETA_NODES = 16  # Gauss–Hermite nodes per axis of a Kraus oracle's input noise
-# α nodes per axis that a Kraus oracle tries in turn: the doublings up to
-# 256 (hermgauss is NaN by 384) and the points halfway between them from 16
-# on, so a finite-μ level can be confirmed by one still under the byte cap
-ORACLE_NODE_LEVELS = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
-ORACLE_QUAD_TOL = 1e-6  # two successive levels this close end a Kraus oracle
-ARRAY_MAX_BYTES = 2**30  # largest array a builder, the noise fold or the oracle allocates
 P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
+SERIES_BYTES = 40  # peak bytes per n_max³ of the Kraus-device series (~34 measured)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +147,13 @@ class CvParams:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """The exact reference and how it was reached.
-
-    ``method`` is ``closed_form`` (``nodes`` None, ``error`` 0.0) or
-    ``quadrature``: ``nodes`` Gauss–Hermite nodes per α axis, and ``error``
-    the difference from the level before it in ``ORACLE_NODE_LEVELS``.
-    """
+    """The exact reference and how it was reached: ``method`` is
+    ``closed_form`` for an :class:`AnalyticDevice` and ``fock_series`` for a
+    Kraus :class:`Channel`; neither places a node or carries an error
+    estimate."""
 
     value: float
     method: str
-    nodes: int | None = None
-    error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -377,10 +365,12 @@ def tmsv(x: float, cutoff: FockCutoff) -> PureState:
 def _sectors(n_max: int, conserved: str) -> list[np.ndarray]:
     """Flat indices ``p * n_max + q`` of each sector on which the photon-number
     ``difference`` p − q or ``total`` p + q is fixed, by ascending charge;
-    each sector is ordered by ascending p."""
+    each sector is ordered by ascending p (one stable sort by charge, split
+    where the charge changes)."""
     p, q = np.divmod(np.arange(n_max * n_max), n_max)
-    charge = p - q if conserved == "difference" else p + q
-    return [np.flatnonzero(charge == value) for value in np.unique(charge)]
+    charge = p - q + n_max - 1 if conserved == "difference" else p + q  # from 0
+    order = np.argsort(charge, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(charge))[:-1])
 
 
 def _sector_exponential(coupling: np.ndarray, theta: float) -> np.ndarray:
@@ -507,19 +497,26 @@ def scaled_pair_observable(
 # additive-noise channel
 
 
-def _charge_transfer(kraus) -> np.ndarray:
+def _charge_transfer(kraus, conjugate: bool = False) -> np.ndarray:
     """Per-charge transfer matrices ``T[δ, x, u] = Σ_j K_j[x, u] conj(K_j[x−δ, u−δ])``
-    of a phase-covariant Kraus family, for δ = 0 .. n − 1.
+    of a Kraus family, for δ = 0 .. n − 1.
 
-    Phase covariance means the map sends |u⟩⟨u−δ| into the span of the
-    |x⟩⟨x−δ|, so ``T[δ]`` is the whole action on charge δ; charge −δ is
-    ``T[−δ, x, u] = conj(T[δ, x+δ, u+δ])``.
+    ``T[δ]`` carries |u⟩⟨u−δ| to the |x⟩⟨x−δ|: the part of the map that
+    keeps charge δ, which is all that a phase average over coherent inputs
+    and targets reads, whatever the family.  For a phase-covariant family it
+    is the whole map, and charge −δ is ``T[−δ, x, u] = conj(T[δ, x+δ, u+δ])``.
+    ``conjugate`` gives the part that reverses charge,
+    ``A[δ, x, u] = Σ_j K_j[x, u−δ] conj(K_j[x−δ, u])`` (|u−δ⟩⟨u| to |x⟩⟨x−δ|),
+    which a phase-conjugating target reads; it vanishes off δ = 0 for a
+    phase-covariant family, and ``A[0] = T[0]``.
     """
     ks = np.asarray(kraus)
     n = ks.shape[-1]
     out = np.zeros((n, n, n), dtype=ks.dtype)  # a real family stays real
     for d in range(n):
-        out[d, d:, d:] = np.einsum("jxu,jxu->xu", ks[:, d:, d:], ks[:, : n - d, : n - d].conj())
+        hi, lo = ks[:, d:], ks[:, : n - d]  # rows x and x − δ
+        a, b = (hi[:, :, : n - d], lo[:, :, d:]) if conjugate else (hi[:, :, d:], lo[:, :, : n - d])
+        out[d, d:, d:] = np.einsum("jxu,jxu->xu", a, b.conj())
     return out
 
 
@@ -946,93 +943,52 @@ def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
 # exact reference
 
 
-def amplitude_limit(n_max: int, tail_tol: float = ORACLE_TAIL_TOL) -> float:
-    """Largest coherent amplitude the cutoff represents within ``tail_tol``."""
-    lo, hi = 0.0, math.sqrt(3.0 * n_max) + 3.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if coherent_tail(mid, n_max) <= tail_tol:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _fock_series(device: Channel, params: CvParams, n_max: int) -> float:
+    """Average fidelity of a Kraus device as a finite Fock series.
 
-
-def _gh_complex_nodes(count: int, inv_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for ∫ d²z/π inv_var e^{-inv_var |z|²} f(z)."""
-    from numpy.polynomial.hermite import hermgauss  # kept off the cold import
-
-    x, w = hermgauss(count)
-    scale = 1.0 / math.sqrt(inv_var)
-    z = scale * (x[:, None] + 1j * x[None, :])
-    ww = (w[:, None] * w[None, :]) / math.pi
-    return z.reshape(-1), ww.reshape(-1)
-
-
-def _quadrature(
-    device: Channel, params: CvParams, n_max: int, nodes: int, limit: float
-) -> float:
-    """Gauss–Hermite average fidelity of a Kraus device at ``nodes`` per α axis
-    and ``ORACLE_BETA_NODES`` per β axis.  Nodes whose coherent amplitudes
-    pass ``limit`` are dropped, with a hard budget on the probability mass
-    lost, and a level whose arrays would pass ``ARRAY_MAX_BYTES`` is refused
-    before any node is placed."""
-    # about 64·(n_max + 1) bytes per quadrature point: the nodes, weights and
-    # the coherent rows (inputs, targets, and one built or evolved block)
-    points = nodes**2 * (1 if math.isinf(params.mu) else ORACLE_BETA_NODES**2)
-    nbytes = points * 64 * (n_max + 1)
-    if nbytes > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"oracle at {nodes} nodes per axis needs {nbytes / 2**20:.0f} MiB, "
-            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap"
+    Expanding the target ⟨gα| and the input |α⟩ over the kept levels, the
+    prior's phase average leaves, per charge δ, the device's array from
+    :func:`_charge_transfer` against the radial weights λ·k!/s^{k+1} ·
+    g^{2m−δ}/√(m!(m−δ)!u!(u−δ)!), s = λ + 1 + g², k = m + u − δ; charge −δ
+    adds the conjugate.  At finite μ the target, given the input u = α + β,
+    is |g′u⟩, g′ = gμ/(λ+μ), under the noise ν = (λ+μ)/g², and u has prior
+    λ′ = λμ/(λ+μ): the pure series at (λ′, g′) of ``T_ν[δ] @ T[δ]`` (the
+    noise is self-dual), conditioned on the device's own mass.  It reads
+    neither the readout blocks nor the tmsv, so it checks the run's reduction.
+    """
+    transfer = _charge_transfer(device.kraus, params.conjugate)
+    mass = transfer[0].sum(axis=0).real  # Σ_k ‖K_k|u⟩‖²
+    lam, g = params.lam, params.g
+    if math.isfinite(params.mu):
+        shrink = params.mu / (params.lam + params.mu)
+        lam, g = lam * shrink, g * shrink
+        if math.isfinite(params.nu):
+            transfer = _noise_transfer(params.nu, n_max) @ transfer
+    log_fact = _log_factorials(2 * n_max)
+    radial = log_fact - np.arange(1, 2 * n_max + 1) * math.log1p(lam + g * g)
+    d, m, u = np.ogrid[:n_max, :n_max, :n_max]
+    m_lo, u_lo = np.maximum(m - d, 0), np.maximum(u - d, 0)
+    log_w = radial[m + u_lo] + _xlogy(m + m_lo, g) - 0.5 * (log_fact[m] + log_fact[m_lo])
+    log_w -= 0.5 * (log_fact[u] + log_fact[u_lo])
+    weights = np.where((m >= d) & (u >= d), np.exp(log_w), 0.0)
+    weights[1:] *= 2.0  # charge −δ adds the conjugate of charge δ
+    p_succ = lam * float(mass @ np.exp(-np.arange(1, n_max + 1) * math.log1p(lam)))
+    if p_succ < P_SUCC_MIN:
+        raise VanishingSuccessError(
+            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
         )
-    alphas, w_alpha = _gh_complex_nodes(nodes, params.lam)
-    if math.isinf(params.mu):
-        betas = np.zeros(1, dtype=complex)
-        w_beta = np.ones(1)
-    else:
-        betas, w_beta = _gh_complex_nodes(ORACLE_BETA_NODES, params.mu)
-    inputs = (alphas[:, None] + betas[None, :]).reshape(-1)
-    target_seed = np.conj(alphas) if params.conjugate else alphas
-    targets = (params.g * target_seed)[:, None].repeat(betas.size, axis=1).reshape(-1)
-    weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    need = np.maximum(np.abs(inputs), np.abs(targets))
-    keep = need <= limit
-    dropped = float(np.sum(weights[~keep]) / np.sum(weights))
-    if dropped > ORACLE_DROP_BUDGET:
-        worst = float(np.max(need))
-        raise CutoffError(
-            f"quadrature drops {dropped:.2e} probability mass beyond the "
-            f"cutoff's amplitude range {limit:.2f}",
-            suggested_n_max=suggest_cutoff(worst, ORACLE_NODE_TAIL),
-        )
-    weights = weights[keep]
-    in_rows = _coherent_amplitudes(inputs[keep], n_max)
-    tg_bras = _coherent_amplitudes(targets[keep].conj(), n_max)  # ⟨target| rows
-    for rows in (in_rows, tg_bras):
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    num = np.zeros(weights.size)
-    den = np.zeros(weights.size)
-    for k in device.kraus:
-        evolved = in_rows @ k.T
-        num += np.abs(np.einsum("ji,ji->j", tg_bras, evolved)) ** 2
-        den += np.einsum("ji,ji->j", evolved.conj(), evolved).real
-    return float(np.sum(weights * num) / np.sum(weights * den))
+    return lam * float(np.sum(transfer.real * weights)) / p_succ
 
 
 def average_fidelity_oracle(device, params: CvParams, cutoff: FockCutoff) -> OracleResult:
     """Exact average fidelity over the Gaussian ensemble of (noisy) inputs.
 
     An :class:`AnalyticDevice` gets its closed form
-    (:meth:`AnalyticDevice.average_fidelity`): no node, no truncation, and
-    ``cutoff`` goes unused.  A :class:`Channel` of Fock-space Kraus
-    operators is integrated by Gauss–Hermite quadrature at each of
-    ``ORACLE_NODE_LEVELS`` α nodes per axis in turn, until two successive
-    levels agree within ``ORACLE_QUAD_TOL``; their difference is the
-    reported ``error``.  A level past the byte cap or the dropped-mass
-    budget raises :class:`CutoffError`, and levels that never agree raise
-    :class:`SearchError`.  Trace-nonincreasing devices are scored
-    conditionally on success.
+    (:meth:`AnalyticDevice.average_fidelity`): no truncation, and ``cutoff``
+    goes unused.  A :class:`Channel` of Fock-space Kraus operators on the
+    cutoff's levels gets the Fock series of the device as given
+    (:func:`_fock_series`), scored conditionally on success; its n_max³
+    arrays are refused past ``ARRAY_MAX_BYTES`` before any is built.
     """
     if isinstance(device, AnalyticDevice):
         return OracleResult(device.average_fidelity(params), "closed_form")
@@ -1044,19 +1000,13 @@ def average_fidelity_oracle(device, params: CvParams, cutoff: FockCutoff) -> Ora
             f"device dimension {device.dims_in}->{device.dims_out} does not "
             f"match cutoff {n_max}"
         )
-    limit = amplitude_limit(n_max, ORACLE_NODE_TAIL)
-    value = diff = None
-    for nodes in ORACLE_NODE_LEVELS:
-        last, value = value, _quadrature(device, params, n_max, nodes, limit)
-        if last is not None:
-            diff = abs(value - last)
-            if diff <= ORACLE_QUAD_TOL:
-                return OracleResult(value, "quadrature", nodes, diff)
-    raise SearchError(
-        f"oracle quadrature unsettled at {nodes} nodes per axis: the last two "
-        f"levels differ by {diff:.2e}, past {ORACLE_QUAD_TOL:.0e}",
-        best=value,
-    )
+    if SERIES_BYTES * n_max**3 > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"oracle series at n_max={n_max} needs "
+            f"{SERIES_BYTES * n_max**3 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES / SERIES_BYTES) ** (1 / 3)),
+        )
+    return OracleResult(_fock_series(device, params, n_max), "fock_series")
 
 
 # ---------------------------------------------------------------------------

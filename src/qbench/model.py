@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ContractError,
+    CutoffError,
     DimensionError,
     ImaginaryResidueError,
     VanishingSuccessError,
@@ -30,6 +31,7 @@ from .linalg import (
 )
 
 IMAG_TOL = 1e-9  # absolute imaginary-residue tolerance on all trace scores
+ARRAY_MAX_BYTES = 2**30  # largest array a builder, a channel file or the oracle allocates
 
 
 @dataclass(frozen=True)
@@ -335,24 +337,68 @@ def mp_channel(povm, outputs, rank_tol: float = 1e-12) -> Channel:
 # ---------------------------------------------------------------------------
 
 def channel_to_json(c: Channel) -> dict:
+    """Compact form: the Kraus array's ``shape``, the flat ``index`` of every
+    entry that is not +0.0, and their ``re`` parts, plus ``im`` for a complex
+    family; each float is written at full precision, so the array reads back
+    bit for bit."""
+    flat = c.kraus.reshape(-1)
+    index = np.flatnonzero(flat.view(np.uint8).reshape(flat.size, -1).any(axis=1))
+    kraus = {"shape": list(c.kraus.shape), "index": index.tolist(), "re": flat.real[index].tolist()}
+    if np.iscomplexobj(flat):
+        kraus["im"] = flat.imag[index].tolist()
     return {
-        "kraus": [
-            {"re": k.real.tolist(), "im": k.imag.tolist()} for k in c.kraus
-        ],
+        "kraus": kraus,
         "trace_preserving": c.trace_preserving,
         "dims_in": c.dims_in,
         "dims_out": c.dims_out,
     }
 
 
+def _compact_kraus(data: dict) -> np.ndarray:
+    """The Kraus array of a compact ``kraus`` entry; its dense size is checked
+    against ``ARRAY_MAX_BYTES`` before anything is allocated."""
+    shape = tuple(int(n) for n in data["shape"])
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"shape {shape} is not (K, d_out, d_in)")
+    size = shape[0] * shape[1] * shape[2]
+    if 16 * size > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"channel file declares a {shape} Kraus array, {16 * size / 2**20:.0f} MiB "
+            f"as complex, past the {ARRAY_MAX_BYTES >> 20} MiB cap"
+        )
+    index = np.asarray(data["index"])
+    re = np.asarray(data["re"], dtype=float)
+    im = np.asarray(data["im"], dtype=float) if "im" in data else None
+    if index.ndim != 1 or re.shape != index.shape or (im is not None and im.shape != re.shape):
+        raise ValueError("index, re and im must be lists of one length")
+    if index.size and index.dtype.kind not in "iu":
+        raise ValueError("an index is not an integer")
+    index = index.astype(np.int64)
+    ordered = np.sort(index)  # np.unique would import numpy.ma (~10 ms cold)
+    if index.size and (ordered[0] < 0 or ordered[-1] >= size):
+        raise ValueError(f"an index lies outside the {size} entries of the shape")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("an index is repeated")
+    out = np.zeros(size, dtype=float if im is None else complex)
+    out[index] = re if im is None else re + 1j * im
+    return out.reshape(shape)
+
+
 def channel_from_json(data: dict) -> Channel:
+    """A channel from :func:`channel_to_json`'s compact form, or from the
+    dense form, one ``{"re", "im"}`` pair of nested lists per operator."""
     try:
-        kraus = []
-        for k in data["kraus"]:
-            re, im = np.asarray(k["re"], dtype=float), np.asarray(k["im"], dtype=float)
-            # an all-zero imaginary part keeps a real operator real
-            kraus.append(re + 1j * im if im.any() else re)
+        if isinstance(data["kraus"], dict):
+            kraus = _compact_kraus(data["kraus"])
+        else:
+            kraus = []
+            for k in data["kraus"]:
+                re, im = np.asarray(k["re"], dtype=float), np.asarray(k["im"], dtype=float)
+                # an all-zero imaginary part keeps a real operator real
+                kraus.append(re + 1j * im if im.any() else re)
         tp = bool(data.get("trace_preserving", True))
+    except CutoffError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed channel JSON: {exc}") from exc
     return Channel(kraus, tp, data.get("dims_in"), data.get("dims_out"))

@@ -13,7 +13,7 @@ import pytest
 
 from qbench import cv
 from qbench.canonical import canonical_det_test
-from qbench.cli import main
+from qbench.cli import build_parser, main
 from qbench.cv import FockCutoff, attenuator_device
 from qbench.linalg import Operator, operator_to_json
 from qbench.model import Channel, channel_to_json, det_test_to_json, prob_test_to_json
@@ -381,37 +381,38 @@ class TestCvCommand:
         assert out["oracle_error"] == 0.0
         assert abs(out["oracle"] - 1.0 / (1.0 + (1.0 - math.sqrt(0.8)) ** 2)) < 1e-15
 
-    def test_kraus_device_reference_is_the_quadrature(self, capsys, tmp_path):
+    def test_kraus_device_reference_is_the_fock_series(self, capsys, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
         _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30")
-        assert out["oracle_method"] == "quadrature" and out["oracle_nodes"] == 16
-        assert out["oracle_error"] <= 1e-6
-        # the node count is measured, not set
+        assert out["oracle_method"] == "fock_series" and out["oracle_nodes"] is None
+        assert out["oracle_error"] == 0.0
+        # the run and the series score the same truncated device
+        assert out["abs_diff"] <= 1e-14
+        # no node count to set
         with pytest.raises(SystemExit) as exc:
             main(["cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32"])
         assert exc.value.code == 1
 
     def test_conjugate_kraus_run_meets_its_reference(self, capsys, tmp_path):
-        # the conjugation kernel needs more nodes than a fidelity run
+        # under conjugation the run also truncates the beamsplitter sectors
         path = tmp_path / "device.json"
         lossy = attenuator_device(0.8).materialize(FockCutoff(40))
         path.write_text(json.dumps(channel_to_json(lossy)))
         code, out, _ = run_cli(
             capsys, "cv", "--device", f"@{path}", "--conjugate", "--g", "1.2", "--cutoff", "40"
         )
-        assert code == 0 and out["abs_diff"] <= 1e-6
-        assert out["oracle_nodes"] > 16 and out["oracle_error"] <= 1e-6
+        assert code == 0 and out["abs_diff"] <= 1e-7
+        assert out["oracle_method"] == "fock_series" and out["oracle_error"] == 0.0
 
-    def test_unsettled_kraus_reference_is_uncertified(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cv, "ORACLE_QUAD_TOL", 0.0)
-        path = tmp_path / "device.json"
-        path.write_text(json.dumps(channel_to_json(Channel.identity(20))))
-        code, out, err = run_cli(
-            capsys, "cv", "--device", f"@{path}", "--conjugate", "--lambda", "4", "--cutoff", "20"
-        )
-        assert code == 2 and out is None
-        assert "unsettled at 256 nodes" in err
+    def test_parser_is_built_once_and_keeps_no_flags(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run_cli(capsys, "cv", "--device", "identity", "--conjugate", "--mu", "2")
+        assert code == 0 and out["setup"]["conjugate"] and out["setup"]["mu"] == 2.0
+        code, out, _ = run_cli(capsys, "cv", "--device", "identity")
+        assert code == 0
+        assert out["setup"]["conjugate"] is False and out["setup"]["mu"] is None
+        assert out["setup"]["branch"] == "pure_low_gain"
 
     def test_conjugate_run_within_the_old_quadrature_error_is_certified(self, capsys):
         # the run is within 1.1e-10 of the exact 0.16216545145; a 24-node
@@ -529,6 +530,24 @@ class TestEnvironment:
         loaded_scipy, loaded_polynomial = res.stdout.splitlines()
         assert loaded_scipy == "[]"
         assert loaded_polynomial == "False"
+
+    def test_kraus_file_run_loads_no_scipy(self, tmp_path):
+        # the Kraus-device reference is a Fock series, with no quadrature
+        # rule, and neither the file reader nor the sectors call np.unique,
+        # which imports numpy.ma
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(channel_to_json(attenuator_device(0.8).materialize(FockCutoff(40)))))
+        probe = (
+            "import sys, qbench.cli\n"
+            f"code = qbench.cli.main(['cv', '--device', '@' + {str(path)!r}, '--conjugate', "
+            "'--mu', '3'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert res.stdout.splitlines()[-1] == "0 [] False False"
 
     def test_det_benchmark_loads_no_scipy(self, tmp_path):
         # the cutting-plane loop's master LP is numpy's own simplex

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qbench.errors import ContractError, DimensionError, VanishingSuccessError
+from qbench.cv import FockCutoff, attenuator_device, rescale_mp_device
+from qbench.errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
 from qbench.linalg import Operator, partial_trace, partial_transpose
 from qbench.model import (
+    ARRAY_MAX_BYTES,
     Channel,
     DetTest,
     Ensemble,
@@ -353,3 +358,70 @@ class TestJson:
     def test_malformed_channel_rejected(self):
         with pytest.raises(ContractError):
             channel_from_json({"kraus": "nope"})
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            rand_channel(3, 2, 3, np.random.default_rng(5)),
+            attenuator_device(0.7).materialize(FockCutoff(12)),
+            rescale_mp_device(0.8).materialize(FockCutoff(6)),
+        ],
+        ids=["complex", "attenuator", "heterodyne"],
+    )
+    def test_compact_round_trip_is_bit_identical(self, channel):
+        data = json.loads(json.dumps(channel_to_json(channel)))
+        assert set(data["kraus"]) == (
+            {"shape", "index", "re", "im"} if np.iscomplexobj(channel.kraus)
+            else {"shape", "index", "re"}
+        )
+        back = channel_from_json(data)
+        assert back.kraus.dtype == channel.kraus.dtype  # a real family stays real
+        assert back.kraus.shape == channel.kraus.shape
+        assert back.kraus.tobytes() == channel.kraus.tobytes()
+        assert back.trace_preserving == channel.trace_preserving
+        assert (back.dims_in, back.dims_out) == (channel.dims_in, channel.dims_out)
+
+    def test_compact_export_keeps_only_nonzero_entries(self):
+        channel = attenuator_device(0.7).materialize(FockCutoff(30))
+        kraus = channel_to_json(channel)["kraus"]
+        assert kraus["shape"] == [30, 30, 30]
+        assert len(kraus["index"]) == np.count_nonzero(channel.kraus) == 30 * 31 // 2
+
+    def test_hand_written_dense_file_still_reads(self):
+        text = """{"kraus": [{"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+                             {"re": [[0, 0], [0, 0.6]], "im": [[0, 0], [0, 0.8]]}],
+                   "trace_preserving": true}"""
+        c = channel_from_json(json.loads(text))
+        want = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 0.6 + 0.8j]]])
+        assert np.array_equal(c.kraus, want) and c.trace_preserving
+
+    def test_compact_shape_past_the_cap_is_refused_before_allocating(self):
+        side = int((ARRAY_MAX_BYTES // 16) ** (1 / 3)) + 2
+        data = {"kraus": {"shape": [side, side, side], "index": [0], "re": [1.0]}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="MiB"):
+                channel_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            {"shape": [1, 2, 2], "index": [0, 4], "re": [1.0, 1.0]},  # out of range
+            {"shape": [1, 2, 2], "index": [-1], "re": [1.0]},  # negative
+            {"shape": [1, 2, 2], "index": [0, 0], "re": [0.5, 0.5]},  # repeated
+            {"shape": [1, 2, 2], "index": [0, 3], "re": [1.0]},  # re too short
+            {"shape": [1, 2, 2], "index": [0, 3], "re": [1.0, 1.0], "im": [0.0]},
+            {"shape": [1, 2, 2], "index": [0.5], "re": [1.0]},  # not an integer
+            {"shape": [2, 2], "index": [0], "re": [1.0]},  # not (K, d_out, d_in)
+            {"shape": [1, 2, 2], "index": [0, 3]},  # no values
+        ],
+        ids=["past-end", "negative", "repeated", "short-re", "short-im", "float-index",
+             "flat-shape", "no-values"],
+    )
+    def test_malformed_compact_channel_rejected(self, kraus):
+        with pytest.raises(ContractError, match="malformed channel JSON"):
+            channel_from_json({"kraus": kraus})
