@@ -43,10 +43,14 @@ quantum-limited amplifier of gain G after a pure-loss attenuator η
 G = 1 + 1/ν after η = 1/G.  Both stages are phase covariant, so the
 channel acts on each mode-a charge δ (the bra-ket level difference)
 through one n_max × n_max transfer matrix, ``_gaussian_transfer``: n_max³
-numbers in all.  The noise's transfer is folded onto the readout, and a
-reference device is scored from its own, sector by sector, against the
-same readout.  ``_gaussian_kraus`` gives the exact real Kraus set (n_max⁴
-numbers), which ``AnalyticDevice.materialize`` exports as a ``Channel``.
+numbers in all.  Each Kraus operator of a stage shifts the photon number by
+its own fixed amount, so a stage's transfer is read from its n_max × n_max
+amplitude matrix, the entry-wise sum of its Kraus set, with no Kraus stack
+built.  The noise's transfer is folded onto the readout, and a reference
+device is scored from its own, sector by sector, against the same readout;
+the conjugation branch reads the device's charge 0 alone.
+``_gaussian_kraus`` gives the exact real Kraus set (n_max⁴ numbers), which
+only ``AnalyticDevice.materialize`` exports as a ``Channel``.
 
 Closed forms in log space.  Coherent amplitudes, the displacement, W_c and
 the attenuator and amplifier Kraus sets are assembled in log space from one
@@ -520,21 +524,25 @@ def _charge_transfer(kraus, conjugate: bool = False) -> np.ndarray:
     return out
 
 
-def _gaussian_transfer(eta: float, gain: float, n_max: int) -> np.ndarray:
+def _gaussian_transfer(eta: float, gain: float, n_max: int, charge0: bool = False) -> np.ndarray:
     """Real per-charge transfer matrices (see :func:`_charge_transfer`) of the
     attenuator ``eta`` followed by the amplifier ``gain``; the attenuator's
-    own at gain 1.
+    own at gain 1.  ``charge0`` builds charge 0 alone, shape (1, n, n).
 
+    Each Kraus operator of either stage shifts the photon number by its own
+    fixed amount, so the sum over operators in ``T[δ, x, u]`` has one nonzero
+    term, and a stage's transfer is ``M[x, u] · M[x−δ, u−δ]`` of its n × n
+    amplitude matrix M: ``_charge_transfer(M[None])``, with no Kraus stack.
     Both stages are phase covariant, so charge δ passes through them as the
-    product of their n_max × n_max matrices.  Every kept element is exact:
-    the attenuator never raises the photon number, so truncating between the
-    two stages drops nothing.  Each stage's Kraus set and transfer are
-    n_max³ arrays.
+    product of their matrices.  Every kept element is exact: the attenuator
+    never raises the photon number, so truncating between the two stages
+    drops nothing.
     """
-    transfer = _charge_transfer(_attenuator_kraus(eta, n_max))
-    if gain == 1.0:
-        return transfer
-    return _charge_transfer(_amplifier_kraus(gain, n_max)) @ transfer
+    stages = [_attenuator_amplitudes(eta, n_max)]
+    if gain != 1.0:
+        stages.append(_amplifier_amplitudes(gain, n_max))
+    transfers = [(m * m)[None] if charge0 else _charge_transfer(m[None]) for m in stages]
+    return transfers[0] if len(transfers) == 1 else transfers[1] @ transfers[0]
 
 
 def _noise_transfer(nu: float, n_max: int) -> np.ndarray:
@@ -594,7 +602,9 @@ class AnalyticDevice:
     ``average_fidelity`` is the oracle's closed form and ``pure_fidelity``
     its integrand, with no Fock truncation.  ``transfer`` gives the setup
     run (:func:`run_analytic`) the device's per-charge blocks, n_max³
-    numbers; ``materialize`` exports the n_max⁴ Kraus channel.
+    numbers built from the two stages' n_max² amplitude matrices (charge 0
+    alone, n_max², under conjugation); only ``materialize`` builds the
+    n_max⁴ Kraus channel.
     """
 
     kind: str
@@ -646,10 +656,10 @@ class AnalyticDevice:
         s2 = (kappa + g if params.conjugate else kappa - g) ** 2 / lam + t
         return 1.0 / math.sqrt((gain + s1) * (gain + s2))
 
-    def transfer(self, n_max: int) -> np.ndarray:
-        """The device's per-charge transfer matrices T[δ, x, u] on n_max levels
-        (:func:`_gaussian_transfer`)."""
-        return _gaussian_transfer(*self.eta_gain, n_max)
+    def transfer(self, n_max: int, charge0: bool = False) -> np.ndarray:
+        """The device's per-charge transfer matrices T[δ, x, u] on n_max levels,
+        or charge 0 alone (:func:`_gaussian_transfer`)."""
+        return _gaussian_transfer(*self.eta_gain, n_max, charge0)
 
     def materialize(self, cutoff: FockCutoff) -> Channel:
         """The device as a Kraus :class:`Channel` on the cutoff, for export
@@ -675,30 +685,56 @@ def rescale_mp_device(q: float = 1.0) -> AnalyticDevice:
     return AnalyticDevice("rescale_mp", q)
 
 
-def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
-    """Stacked photon-loss Kraus set L_m = Σ_n √(C(n,m) t^{n−m} (1−t)^m) |n−m⟩⟨n|;
-    ``_xlogy`` keeps 0⁰ = 1, so t = 0 gives the vacuum exactly."""
-    if t == 1.0:
-        return np.eye(n_max)[None]
+def _attenuator_amplitudes(t: float, n_max: int) -> np.ndarray:
+    """Amplitude matrix of the photon-loss channel, the entry-wise sum of its
+    Kraus set L_m = Σ_n √(C(n,m) t^{n−m} (1−t)^m) |n−m⟩⟨n|: L_m holds the
+    entries with u − x = m.  ``_xlogy`` keeps 0⁰ = 1, so t = 0 gives the
+    vacuum and t = 1 the identity exactly."""
     logs = _log_factorials(n_max)
     m, n = np.triu_indices(n_max)  # every m <= n
     log_k = logs[n] - logs[m] - logs[n - m] + _xlogy(n - m, t) + _xlogy(m, 1.0 - t)
-    out = np.zeros((n_max, n_max, n_max))
-    out[m, n - m, n] = np.exp(0.5 * log_k)
+    out = np.zeros((n_max, n_max))
+    out[n - m, n] = np.exp(0.5 * log_k)
     return out
 
 
-def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
-    """Stacked quantum-limited amplifier Kraus set, truncated to n + k < n_max:
-    A_k = Σ_n √(C(n+k, k) (1−1/G)^k / G^{n+1}) |n+k⟩⟨n|."""
+def _amplifier_amplitudes(gain: float, n_max: int) -> np.ndarray:
+    """Amplitude matrix of the quantum-limited amplifier truncated to
+    n + k < n_max, the entry-wise sum of its Kraus set
+    A_k = Σ_n √(C(n+k, k) (1−1/G)^k / G^{n+1}) |n+k⟩⟨n|: A_k holds the
+    entries with x − u = k."""
     logs = _log_factorials(n_max)
     k, top = np.triu_indices(n_max)  # top = n + k
     n = top - k
     log_a = logs[top] - logs[n] - logs[k]
     log_a += _xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
-    out = np.zeros((n_max, n_max, n_max))
-    out[k, top, n] = np.exp(0.5 * log_a)
+    out = np.zeros((n_max, n_max))
+    out[top, n] = np.exp(0.5 * log_a)
     return out
+
+
+def _split_diagonals(amplitudes: np.ndarray) -> np.ndarray:
+    """The Kraus set behind a stage's amplitude matrix: operator k holds the
+    entries with |x − u| = k, since each operator shifts the photon number by
+    its own fixed amount."""
+    n_max = amplitudes.shape[-1]
+    x, u = np.indices((n_max, n_max))
+    out = np.zeros((n_max, n_max, n_max))
+    out[np.abs(x - u), x, u] = amplitudes
+    return out
+
+
+def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
+    """Stacked photon-loss Kraus set (see :func:`_attenuator_amplitudes`); the
+    one identity operator at t = 1."""
+    if t == 1.0:
+        return np.eye(n_max)[None]
+    return _split_diagonals(_attenuator_amplitudes(t, n_max))
+
+
+def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
+    """Stacked amplifier Kraus set (see :func:`_amplifier_amplitudes`)."""
+    return _split_diagonals(_amplifier_amplitudes(gain, n_max))
 
 
 def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
@@ -922,9 +958,11 @@ def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
-    # a pure run peaks at ~30·n_max³ bytes: the readout blocks, then three
-    # of the stages' n³ Kraus sets, transfers and product at once (a noisy
-    # run's peak is the fold's, guarded in _readout)
+    # a pure fidelity run peaks at ~30·n_max³ bytes (29.5 measured with
+    # tracemalloc at n_max 150): the ~5.3·n³ readout blocks, then the two
+    # stages' transfers and their product, 8·n³ each; a conjugation run
+    # holds ~3·n³ (one charge); a noisy run's peak is the fold's, guarded in
+    # _readout
     if 32 * n_max**3 > ARRAY_MAX_BYTES:
         raise CutoffError(
             f"charge-block run at n_max={n_max} needs "
@@ -934,7 +972,8 @@ def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
         )
     psi = _tmsv_amplitudes(setup.x, cutoff)
     readout = _readout(setup)
-    transfer = device.transfer(n_max)
+    # the conjugation branch reads charge 0 alone (see _transfer_gram)
+    transfer = device.transfer(n_max, charge0=setup.params.conjugate)
     gram = _transfer_gram(transfer, setup.params.conjugate)
     return _conditioned(readout, gram, transfer[0].sum(axis=0), psi)
 

@@ -316,10 +316,12 @@ class TestCvCommand:
     def test_builtin_devices_are_run_without_a_kraus_array(
         self, capsys, monkeypatch, device, extra
     ):
-        def refuse(self, cutoff):
-            raise AssertionError("a built-in device was materialized")
+        def refuse(*args):
+            raise AssertionError("a built-in device built a Kraus array")
 
         monkeypatch.setattr(cv.AnalyticDevice, "materialize", refuse)
+        for builder in ("_attenuator_kraus", "_amplifier_kraus", "_gaussian_kraus"):
+            monkeypatch.setattr(cv, builder, refuse)
         code, out, _ = run_cli(
             capsys, "cv", "--device", device, "--lambda", "4", "--cutoff", "24", *extra
         )

@@ -48,6 +48,7 @@ from qbench.cv import (
     _coherent_amplitudes,
     _fold_noise,
     _gaussian_kraus,
+    _gaussian_transfer,
     _kraus_gram,
     _log_factorials,
     _noise_transfer,
@@ -891,6 +892,29 @@ class TestAnalyticDevices:
         n = err.value.suggested_n_max
         assert n == 107 and 8 * n**4 <= ARRAY_MAX_BYTES < 8 * (n + 1) ** 4
 
+    def test_charge_zero_build_is_charge_zero_of_the_full_array(self):
+        # the conjugation run's charge-0 build, bit for bit
+        for eta, gain in [(1.0, 1.0), (0.0, 1.0), (0.63, 1.0), (0.5, 2.0), (0.2, 3.7)]:
+            for n in (2, 17, 40):
+                full = _gaussian_transfer(eta, gain, n)
+                zero = _gaussian_transfer(eta, gain, n, charge0=True)
+                assert zero.shape == (1, n, n)
+                np.testing.assert_array_equal(zero, full[:1])
+
+    def test_conjugation_run_builds_charge_zero_only(self):
+        # heterodyne-mp at n_max 150 under conjugation: readout blocks and
+        # n² matrices, against 86 MiB with every charge built
+        setup = build_setup(CvParams(g=1.0, lam=1.0, conjugate=True), _cutoff(150))
+        device = rescale_mp_device(1.0)
+        run_analytic(setup, device)  # first-call costs outside the trace
+        tracemalloc.start()
+        try:
+            run_analytic(setup, device)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ContractError):
             AnalyticDevice("amplifier")
@@ -1345,6 +1369,22 @@ def _axis_average(dev: AnalyticDevice, g: float, lam: float, mu: float) -> float
         b = y / math.sqrt(mu)
     vals = dev.pure_fidelity(a[:, None] + b[None, :], g * a[:, None]).real
     return float(wx @ vals @ wb) / math.pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    gain=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+    n_max=st.integers(2, 24),
+)
+def test_stage_transfers_match_the_combined_kraus_set(eta, gain, n_max):
+    """The per-charge arrays built from each stage's amplitude matrix against
+    ``_charge_transfer`` of the combined Kraus set {A_k L_j}: n_max² operators
+    summed per element, an independent route."""
+    got = _gaussian_transfer(eta, gain, n_max)
+    want = _charge_transfer(_gaussian_kraus(eta, gain, n_max))
+    assert got.shape == want.shape == (n_max, n_max, n_max)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @settings(max_examples=100, deadline=None)
