@@ -915,23 +915,33 @@ def _score_sectors(readout, gram, psi: np.ndarray) -> float:
     return total
 
 
-def _conditioned(readout, gram, mass: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+def _conditioned(
+    readout, gram, mass: np.ndarray, psi: np.ndarray, trace_preserving: bool
+) -> tuple[float, float]:
     """``(score, p_succ)`` from the sector scorer, with p_succ = Σ_u ψ_u²·mass_u
-    and ``mass_u`` the device's output trace on input level u."""
+    and ``mass_u`` the device's output trace on input level u.
+
+    Only a device that is not trace preserving is scored conditioned on
+    success (divided by p_succ).  A trace-preserving device loses 1 − p_succ
+    only to its spill past the cutoff, on levels the target barely overlaps;
+    dividing by p_succ would inflate its score by about F·(1 − p_succ).
+    """
     p_succ = float(mass @ psi**2)
     if p_succ < P_SUCC_MIN:
         raise VanishingSuccessError(
             f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
         )
-    return _score_sectors(readout, gram, psi) / p_succ, p_succ
+    raw = _score_sectors(readout, gram, psi)
+    return (raw if trace_preserving else raw / p_succ), p_succ
 
 
 def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
     """Score a Kraus device through the single-setup measurement chain.
 
-    Returns ``(score, p_succ)``: the observable's expectation normalized by
-    the device's success probability on the entangled input, and that
-    success probability itself.  The closed-form readout blocks, with the
+    Returns ``(score, p_succ)``: the observable's expectation, normalized by
+    the device's success probability on the entangled input when the device
+    is not ``trace_preserving``, and that success probability (the mass the
+    cutoff keeps) itself.  The closed-form readout blocks, with the
     additive-noise stage folded onto them, are scored sector by sector
     against the device Gram of ``(K_k ⊗ I)|tmsv⟩``.
     """
@@ -948,13 +958,14 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
     flat = device.kraus.reshape(-1, n_max)
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     mass = sum(np.einsum("ix,ix->x", r, r) for r in parts)
-    return _conditioned(readout, _kraus_gram(device.kraus), mass, psi)
+    return _conditioned(readout, _kraus_gram(device.kraus), mass, psi, device.trace_preserving)
 
 
 def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
     """:func:`run_setup` for an :class:`AnalyticDevice`, read from its
-    closed-form per-charge transfer instead of a Kraus array: the same
-    ``(score, p_succ)`` in O(n_max³) memory, with p_succ = Σ_u ψ_u² Σ_x T[0, x, u].
+    closed-form per-charge transfer instead of a Kraus array, in O(n_max³)
+    memory, with p_succ = Σ_u ψ_u² Σ_x T[0, x, u].  Every built-in device is
+    trace preserving, so its score is never divided by p_succ.
     """
     cutoff = setup.cutoff
     n_max = cutoff.n_max
@@ -975,7 +986,7 @@ def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
     # the conjugation branch reads charge 0 alone (see _transfer_gram)
     transfer = device.transfer(n_max, charge0=setup.params.conjugate)
     gram = _transfer_gram(transfer, setup.params.conjugate)
-    return _conditioned(readout, gram, transfer[0].sum(axis=0), psi)
+    return _conditioned(readout, gram, transfer[0].sum(axis=0), psi, trace_preserving=True)
 
 
 # ---------------------------------------------------------------------------

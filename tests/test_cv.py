@@ -1138,6 +1138,21 @@ class TestRunAgainstOracle:
         want = 0.5 if math.isinf(mu) else 2.0 / 5.0
         assert abs(score - want) < 1e-9
 
+    @pytest.mark.parametrize(
+        "q, g, lam, mu, n_max",
+        [(1.14997, 0.72624, 1.00773, math.inf, 30), (1.2, 1.0, 1.0, math.inf, 30),
+         (1.18, 1.1, 6.0, 6.0, 20)],
+    )
+    def test_trace_preserving_device_is_scored_unconditioned(self, q, g, lam, mu, n_max):
+        # the amplifier spills 6e-5 to 2e-4 past these cutoffs; divided by
+        # p_succ the score was 2.6e-5 to 6.9e-5 above the closed form
+        dev = rescale_mp_device(q)
+        params = CvParams(g=g, lam=lam, mu=mu)
+        setup = build_setup(params, FockCutoff(n_max, 1e-3))
+        score, p_succ = run_analytic(setup, dev)
+        assert 1.0 - p_succ > 5e-5
+        assert abs(score - dev.average_fidelity(params)) <= 2e-9
+
     def test_subnormalized_device_same_score(self):
         cut = _cutoff(40)
         setup = build_setup(CvParams(g=1.0, lam=1.0), cut)
@@ -1422,13 +1437,17 @@ def test_closed_form_matches_quadrature_of_the_kernel(kind, param, g, lam, mu, c
 def test_charge_blocks_match_the_kraus_export(kind, param, g, lam, mu, conjugate, n_max):
     """run_analytic, read from the device's closed-form charge blocks, against
     run_setup on its materialized Kraus channel: the same score and p_succ,
-    or the same refusal."""
+    or the same refusal.  A gain > 1 export spills past the cutoff and is
+    flagged not trace preserving, so run_setup scores it conditioned on
+    success, and its score · p_succ is the built-in device's score."""
     # attenuator transmissivity in [0, 1], re-preparation gain in [0, 1.5]
     dev = AnalyticDevice(kind, {"attenuator": param, "rescale_mp": 1.5 * param}.get(kind, 1.0))
     cut = FockCutoff(n_max, leak_tol=1e-3)
     setup = build_setup(CvParams(g=g, lam=lam, mu=mu, conjugate=conjugate), cut)
+    export = dev.materialize(cut)
+    assert export.trace_preserving == (dev.eta_gain[1] == 1.0)
     results = []
-    for run in (lambda: run_analytic(setup, dev), lambda: run_setup(setup, dev.materialize(cut))):
+    for run in (lambda: run_analytic(setup, dev), lambda: run_setup(setup, export)):
         try:
             results.append(run())
         except ToolkitError as err:
@@ -1437,5 +1456,7 @@ def test_charge_blocks_match_the_kraus_export(kind, param, g, lam, mu, conjugate
     if isinstance(blocks, type) or isinstance(kraus, type):
         assert blocks is kraus
         return
+    if not export.trace_preserving:
+        kraus = (kraus[0] * kraus[1], kraus[1])
     for a, b in zip(blocks, kraus):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (a, b)
