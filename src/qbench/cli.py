@@ -60,6 +60,7 @@ from .engine import DEFAULT_RESTARTS, DEFAULT_SEED, PnrConfig, det_benchmark, pr
 from .errors import ContractError, CutoffError, SupportError, ToolkitError
 from .linalg import Operator, operator_from_json, operator_to_json
 from .model import (
+    ARRAY_MAX_BYTES,
     Channel,
     ProbTest,
     channel_from_json,
@@ -73,6 +74,10 @@ from .presets import chsh_test, equator_test, teleport_test
 
 CV_CERTIFY_TOL = 1e-3  # run vs oracle disagreement past this is uncertified
 CHECK_TOL = 1e-9  # canonical round trip and check-channel agreement
+# json.load's peak bytes per byte of file (tracemalloc): 2.8–9 on the number
+# arrays of channel, operator and test files, up to 25 on runs of empty
+# containers
+JSON_PEAK_PER_BYTE = 25
 
 
 class _UsageError(Exception):
@@ -93,7 +98,16 @@ def _timestamp() -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The one reader of ``@kraus.json``, ``--omega`` and ``--test`` files; a
+    file whose parse could pass ``ARRAY_MAX_BYTES`` is refused unread."""
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if JSON_PEAK_PER_BYTE * size > ARRAY_MAX_BYTES:
+            raise CutoffError(
+                f"{path} holds {size} bytes, and parsing it may take "
+                f"{JSON_PEAK_PER_BYTE * size / 2**20:.0f} MiB, "
+                f"past the {ARRAY_MAX_BYTES >> 20} MiB cap"
+            )
         try:
             return json.load(fh)
         except json.JSONDecodeError as err:

@@ -53,7 +53,7 @@ the conjugation branch reads the device's charge 0 alone.
 only ``AnalyticDevice.materialize`` exports as a ``Channel``.
 
 Closed forms in log space.  Coherent amplitudes, the displacement, W_c and
-the attenuator and amplifier Kraus sets are assembled in log space from one
+the attenuator and amplifier amplitude matrices are assembled in log space from one
 table of ln k! built with ``math.lgamma`` (``_log_factorials``), and the
 coherent Poisson tail is a direct sum, so the module needs numpy alone.
 """
@@ -732,11 +732,6 @@ def _attenuator_kraus(t: float, n_max: int) -> np.ndarray:
     return _split_diagonals(_attenuator_amplitudes(t, n_max))
 
 
-def _amplifier_kraus(gain: float, n_max: int) -> np.ndarray:
-    """Stacked amplifier Kraus set (see :func:`_amplifier_amplitudes`)."""
-    return _split_diagonals(_amplifier_amplitudes(gain, n_max))
-
-
 def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
     """Real Kraus set {A_k L_j} (index k · n_max + j) of the attenuator ``eta``
     followed by the amplifier ``gain``; the attenuator's own at gain 1."""
@@ -750,7 +745,7 @@ def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
             suggested_n_max=int((ARRAY_MAX_BYTES // 8) ** 0.25),
         )
     loss = _attenuator_kraus(eta, n_max)
-    amp = _amplifier_kraus(gain, n_max)
+    amp = _split_diagonals(_amplifier_amplitudes(gain, n_max))
     return np.matmul(amp[:, None], loss[None]).reshape(-1, n_max, n_max)
 
 

@@ -146,19 +146,32 @@ class TestRoundTripProperties:
 
 
 class TestProbPreservation:
-    def test_random_tests_and_lossy_devices(self):
-        for _ in range(10):
-            g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-            m = g @ g.conj().T
-            omega = Operator(m / np.trace(m).real, (2, 2))
-            sigma = rand_density(2, RNG)
-            t = ProbTest(omega, sigma)
-            r = canonical_prob_test(t)
-            c = rand_channel(2, 2, 2, RNG, weight=0.6)
-            s0, p0 = score_prob(t, c)
-            s1, p1 = score_recipe(r, c)
-            assert abs(s0 - s1) < 1e-9
-            assert abs(p0 - p1) < 1e-9
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d_out=st.integers(1, 3),
+        d_in=st.integers(1, 3),
+        kraus_count=st.integers(1, 4),
+        weight=st.floats(0.05, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_tests_and_lossy_devices(self, d_out, d_in, kraus_count, weight, seed):
+        """The recipe keeps the conditional score and the success probability
+        of a random PSD test with a full-rank marginal, on a random
+        trace-nonincreasing channel whose Σ K†K has largest eigenvalue
+        ``weight`` (not a multiple of I, so the loss depends on the input)."""
+        rng = np.random.default_rng(seed)
+        d = d_out * d_in
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        t = ProbTest(Operator(m / np.trace(m).real, (d_out, d_in)), rand_density(d_in, rng))
+        shape = (kraus_count, d_out, d_in)
+        ks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        top = np.max(np.linalg.eigvalsh(np.einsum("kxa,kxb->ab", ks.conj(), ks)))
+        c = Channel(ks * np.sqrt(weight / top), trace_preserving=False)
+        s0, p0 = score_prob(t, c)
+        s1, p1 = score_recipe(canonical_prob_test(t), c)
+        assert abs(s0 - s1) < 1e-9
+        assert abs(p0 - p1) < 1e-9
 
     def test_success_probability_is_input_marginal_only(self):
         t = teleport_test(2)

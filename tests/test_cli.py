@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qbench import cv
+from qbench import cli, cv
 from qbench.canonical import canonical_det_test
 from qbench.cli import build_parser, main
 from qbench.cv import FockCutoff, attenuator_device
@@ -145,6 +146,35 @@ class TestBenchmarkCommand:
         code, _, err = run_cli(capsys, "benchmark", "--omega", str(path))
         assert code == 1
         assert f"{path}:2" in err
+
+    @pytest.mark.parametrize("flag", ["--omega", "--test", "--device"])
+    def test_file_past_the_byte_cap_is_refused_unread(self, capsys, monkeypatch, tmp_path, flag):
+        # each flag's file is valid JSON padded to 2 MiB, so reading it alone
+        # would pass the 1 MiB peak; 25 bytes per byte is past a 16 MiB cap
+        if flag == "--device":
+            data = channel_to_json(attenuator_device(0.8).materialize(FockCutoff(50)))
+            argv = ("cv", "--device", "@{}", "--cutoff", "50")
+        else:
+            omega = teleport_test(4).omega
+            data = operator_to_json(omega) if flag == "--omega" else det_test_to_json(
+                canonical_det_test(omega).as_det_test()
+            )
+            argv = ("benchmark", flag, "{}")
+        path = tmp_path / "input.json"
+        text = json.dumps(data)
+        path.write_text(text + " " * (2**21 - len(text)))
+        size = path.stat().st_size
+        monkeypatch.setattr(cli, "ARRAY_MAX_BYTES", 2**24)
+        assert cli.JSON_PEAK_PER_BYTE * size > 2**24
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out is None
+        assert f"{path} holds {size} bytes" in err and "uncertified" in err
+        assert peak < 2**20, peak
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "benchmark")
@@ -320,7 +350,7 @@ class TestCvCommand:
             raise AssertionError("a built-in device built a Kraus array")
 
         monkeypatch.setattr(cv.AnalyticDevice, "materialize", refuse)
-        for builder in ("_attenuator_kraus", "_amplifier_kraus", "_gaussian_kraus"):
+        for builder in ("_split_diagonals", "_attenuator_kraus", "_gaussian_kraus"):
             monkeypatch.setattr(cv, builder, refuse)
         code, out, _ = run_cli(
             capsys, "cv", "--device", device, "--lambda", "4", "--cutoff", "24", *extra
