@@ -74,10 +74,10 @@ from .presets import chsh_test, equator_test, teleport_test
 
 CV_CERTIFY_TOL = 1e-3  # run vs oracle disagreement past this is uncertified
 CHECK_TOL = 1e-9  # canonical round trip and check-channel agreement
-# json.load's peak bytes per byte of file (tracemalloc): 2.8–9 on the number
-# arrays of channel, operator and test files, up to 25 on runs of empty
-# containers
-JSON_PEAK_PER_BYTE = 25
+# json.load's peak bytes per byte of file, measured with tracemalloc: 2.8–9
+# on the number arrays of channel, operator and test files; nested empty
+# lists, the worst text tried, reach 44.8
+JSON_PEAK_PER_BYTE = 45
 
 
 class _UsageError(Exception):

@@ -150,7 +150,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("flag", ["--omega", "--test", "--device"])
     def test_file_past_the_byte_cap_is_refused_unread(self, capsys, monkeypatch, tmp_path, flag):
         # each flag's file is valid JSON padded to 2 MiB, so reading it alone
-        # would pass the 1 MiB peak; 25 bytes per byte is past a 16 MiB cap
+        # would pass the 1 MiB peak; 45 bytes per byte is past a 16 MiB cap
         if flag == "--device":
             data = channel_to_json(attenuator_device(0.8).materialize(FockCutoff(50)))
             argv = ("cv", "--device", "@{}", "--cutoff", "50")
