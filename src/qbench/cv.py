@@ -538,11 +538,14 @@ def _gaussian_transfer(eta: float, gain: float, n_max: int, charge0: bool = Fals
     never raises the photon number, so truncating between the two stages
     drops nothing.
     """
-    stages = [_attenuator_amplitudes(eta, n_max)]
-    if gain != 1.0:
-        stages.append(_amplifier_amplitudes(gain, n_max))
-    transfers = [(m * m)[None] if charge0 else _charge_transfer(m[None]) for m in stages]
-    return transfers[0] if len(transfers) == 1 else transfers[1] @ transfers[0]
+
+    def stage(m: np.ndarray) -> np.ndarray:
+        return (m * m)[None] if charge0 else _charge_transfer(m[None])
+
+    transfer = stage(_attenuator_amplitudes(eta, n_max))
+    if gain == 1.0:
+        return transfer
+    return stage(_amplifier_amplitudes(gain, n_max)) @ transfer
 
 
 def _noise_transfer(nu: float, n_max: int) -> np.ndarray:
@@ -967,8 +970,8 @@ def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
     # a pure fidelity run peaks at ~30·n_max³ bytes (29.5 measured with
     # tracemalloc at n_max 150): the ~5.3·n³ readout blocks, then the two
     # stages' transfers and their product, 8·n³ each; a conjugation run
-    # holds ~3·n³ (one charge); a noisy run's peak is the fold's, guarded in
-    # _readout
+    # builds one charge and peaks at ~3·n³, its readout blocks; a noisy
+    # run's peak is the fold's, guarded in _readout
     if 32 * n_max**3 > ARRAY_MAX_BYTES:
         raise CutoffError(
             f"charge-block run at n_max={n_max} needs "
