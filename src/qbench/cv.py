@@ -48,7 +48,9 @@ its own fixed amount, so a stage's transfer is read from its n_max × n_max
 amplitude matrix, the entry-wise sum of its Kraus set, with no Kraus stack
 built.  The noise's transfer is folded onto the readout, and a reference
 device is scored from its own, sector by sector, against the same readout;
-the conjugation branch reads the device's charge 0 alone.
+the conjugation branch reads the device's charge 0 alone.  A Kraus
+``Channel`` is read the same way from ``_charge_transfer`` of its Kraus
+array: every charge of T, or of the charge-reversing A under conjugation.
 ``_gaussian_kraus`` gives the exact real Kraus set (n_max⁴ numbers), which
 only ``AnalyticDevice.materialize`` exports as a ``Channel``.
 
@@ -512,15 +514,26 @@ def _charge_transfer(kraus, conjugate: bool = False) -> np.ndarray:
     ``conjugate`` gives the part that reverses charge,
     ``A[δ, x, u] = Σ_j K_j[x, u−δ] conj(K_j[x−δ, u])`` (|u−δ⟩⟨u| to |x⟩⟨x−δ|),
     which a phase-conjugating target reads; it vanishes off δ = 0 for a
-    phase-covariant family, and ``A[0] = T[0]``.
+    phase-covariant family, and ``A[0] = T[0]``.  A complex family is read
+    through its ``.real`` and ``.imag`` views, so no slice is copied.
     """
     ks = np.asarray(kraus)
     n = ks.shape[-1]
     out = np.zeros((n, n, n), dtype=ks.dtype)  # a real family stays real
+    sum_j = "jxu,jxu->xu"
+
+    def rows(k, d):  # K[x, ·] and K[x − δ, ·], columns as charge δ reads them
+        if conjugate:
+            return k[:, d:, : n - d], k[:, : n - d, d:]
+        return k[:, d:, d:], k[:, : n - d, : n - d]
+
     for d in range(n):
-        hi, lo = ks[:, d:], ks[:, : n - d]  # rows x and x − δ
-        a, b = (hi[:, :, : n - d], lo[:, :, d:]) if conjugate else (hi[:, :, d:], lo[:, :, : n - d])
-        out[d, d:, d:] = np.einsum("jxu,jxu->xu", a, b.conj())
+        ar, br = rows(ks.real, d)
+        out[d, d:, d:] = np.einsum(sum_j, ar, br)
+        if np.iscomplexobj(ks):  # a·conj(b) = ar·br + ai·bi + i (ai·br − ar·bi)
+            ai, bi = rows(ks.imag, d)
+            out.real[d, d:, d:] += np.einsum(sum_j, ai, bi)
+            out.imag[d, d:, d:] = np.einsum(sum_j, ai, br) - np.einsum(sum_j, ar, bi)
     return out
 
 
@@ -867,36 +880,27 @@ def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray
     return [(idx, charge[layout(idx)]) for idx in sectors]
 
 
-def _kraus_gram(kraus: np.ndarray):
-    """Per-sector device Gram ``D_s = X_sᴴ X_s`` of a Kraus family, with
-    ``X_s[k, i] = K_k[p_i, q_i]`` gathered sector by sector, so that no copy
-    of the whole array is made."""
-    flat = kraus.reshape(len(kraus), -1)
-
-    def gram(idx: np.ndarray) -> np.ndarray:
-        x = flat[:, idx]
-        return x.conj().T @ x
-
-    return gram
-
-
 def _transfer_gram(transfer: np.ndarray, conjugate: bool):
-    """Per-sector device Gram of a phase-covariant device, read from its real
-    per-charge ``transfer`` (:func:`_gaussian_transfer`).
+    """Per-sector device Gram ``D_s = X_sᴴ X_s``, ``X_s[k, i] = K_k[p_i, q_i]``,
+    read from the device's per-charge array X (:func:`_charge_transfer`): T
+    on the difference sectors, the charge-reversing A on the total sectors.
 
-    On a difference sector, p_i − p_j = q_i − q_j = δ, so for p_i ≥ p_j
-    ``D_ij = T[δ, p_i, q_i]``, mirrored for p_i < p_j.  On a total sector a
-    nonzero δ would shift p and q oppositely, which the device never does,
-    so only the diagonal ``T[0, p, q]`` is left.
+    With hi ≥ lo the larger and smaller of p_i, p_j, a difference sector
+    moves q with p and a total sector moves it against p, so for p_i ≥ p_j
+    ``D_ij = conj X[hi − lo, hi, col]``, col = hi − (p₀ − q₀) or
+    p₀ + q₀ − lo, and its mirror for p_i < p_j (each sector ascends in p).
+    A charge-0 array alone (a phase-covariant device under conjugation,
+    whose A vanishes off δ = 0) leaves only the diagonal ``X[0, p, q]``.
     """
     n = transfer.shape[-1]
 
     def gram(idx: np.ndarray) -> np.ndarray:
         p, q = np.divmod(idx, n)
-        if conjugate:
+        if len(transfer) == 1:
             return np.diag(transfer[0, p, q])
-        hi = np.maximum.outer(p, p)
-        return transfer[np.abs(np.subtract.outer(p, p)), hi, hi - (p[0] - q[0])]
+        hi, lo = np.maximum.outer(p, p), np.minimum.outer(p, p)
+        d = transfer[hi - lo, hi, p[0] + q[0] - lo if conjugate else hi - (p[0] - q[0])]
+        return np.tril(d.conj()) + np.triu(d, 1) if np.iscomplexobj(d) else d
 
     return gram
 
@@ -913,23 +917,39 @@ def _score_sectors(readout, gram, psi: np.ndarray) -> float:
     return total
 
 
-def _conditioned(
-    readout, gram, mass: np.ndarray, psi: np.ndarray, trace_preserving: bool
-) -> tuple[float, float]:
-    """``(score, p_succ)`` from the sector scorer, with p_succ = Σ_u ψ_u²·mass_u
-    and ``mass_u`` the device's output trace on input level u.
+def _run(setup: CvSetup, transfer, trace_preserving: bool) -> tuple[float, float]:
+    """``(score, p_succ)`` of the device whose per-charge array ``transfer()``
+    builds, p_succ = Σ_u ψ_u² Σ_x T[0, x, u] being the mass the cutoff keeps.
 
     Only a device that is not trace preserving is scored conditioned on
     success (divided by p_succ).  A trace-preserving device loses 1 − p_succ
     only to its spill past the cutoff, on levels the target barely overlaps;
     dividing by p_succ would inflate its score by about F·(1 − p_succ).
+
+    One byte guard covers both device kinds.  A pure fidelity run holds the
+    ~5.3·n_max³ bytes of readout blocks, then a built-in device's two stage
+    arrays and their product, 8·n³ each, or a Kraus family's one (16·n³ if
+    complex): at n_max 150 tracemalloc measured 29.5·n³, 13.7·n³ on a real
+    Kraus family and 21.9·n³ (23.9 at n_max 40) on a complex one.  A
+    noisy run's fold is guarded in :func:`_readout`.
     """
-    p_succ = float(mass @ psi**2)
+    n_max = setup.cutoff.n_max
+    if 32 * n_max**3 > ARRAY_MAX_BYTES:
+        raise CutoffError(
+            f"charge-block run at n_max={n_max} needs "
+            f"{32 * n_max**3 / 2**20:.0f} MiB, "
+            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=int((ARRAY_MAX_BYTES / 32) ** (1 / 3)),
+        )
+    psi = _tmsv_amplitudes(setup.x, setup.cutoff)
+    readout = _readout(setup)
+    x = transfer()
+    p_succ = float(x[0].sum(axis=0).real @ psi**2)
     if p_succ < P_SUCC_MIN:
         raise VanishingSuccessError(
             f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
         )
-    raw = _score_sectors(readout, gram, psi)
+    raw = _score_sectors(readout, _transfer_gram(x, setup.params.conjugate), psi)
     return (raw if trace_preserving else raw / p_succ), p_succ
 
 
@@ -938,53 +958,29 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
 
     Returns ``(score, p_succ)``: the observable's expectation, normalized by
     the device's success probability on the entangled input when the device
-    is not ``trace_preserving``, and that success probability (the mass the
-    cutoff keeps) itself.  The closed-form readout blocks, with the
-    additive-noise stage folded onto them, are scored sector by sector
-    against the device Gram of ``(K_k ⊗ I)|tmsv⟩``.
+    is not ``trace_preserving``, and that success probability itself.  The
+    closed-form readout blocks, with the additive-noise stage folded onto
+    them, are scored sector by sector against the device's per-charge
+    arrays, read in place from its Kraus array (:func:`_charge_transfer`).
     """
-    cutoff = setup.cutoff
-    n_max = cutoff.n_max
+    n_max = setup.cutoff.n_max
     if device.dims_in != n_max or device.dims_out != n_max:
         raise DimensionError(
             f"device acts on dimension {device.dims_in}->{device.dims_out}, "
             f"setup cutoff is {n_max}"
         )
-    psi = _tmsv_amplitudes(setup.x, cutoff)
-    readout = _readout(setup)
-    # Σ_k ‖K_k|x⟩‖², the column norms read in place
-    flat = device.kraus.reshape(-1, n_max)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    mass = sum(np.einsum("ix,ix->x", r, r) for r in parts)
-    return _conditioned(readout, _kraus_gram(device.kraus), mass, psi, device.trace_preserving)
+    conjugate = setup.params.conjugate
+    return _run(setup, lambda: _charge_transfer(device.kraus, conjugate), device.trace_preserving)
 
 
 def run_analytic(setup: CvSetup, device: AnalyticDevice) -> tuple[float, float]:
     """:func:`run_setup` for an :class:`AnalyticDevice`, read from its
-    closed-form per-charge transfer instead of a Kraus array, in O(n_max³)
-    memory, with p_succ = Σ_u ψ_u² Σ_x T[0, x, u].  Every built-in device is
-    trace preserving, so its score is never divided by p_succ.
+    closed-form per-charge transfer (charge 0 alone under conjugation).
+    Every built-in device is trace preserving, so its score is never
+    divided by p_succ.
     """
-    cutoff = setup.cutoff
-    n_max = cutoff.n_max
-    # a pure fidelity run peaks at ~30·n_max³ bytes (29.5 measured with
-    # tracemalloc at n_max 150): the ~5.3·n³ readout blocks, then the two
-    # stages' transfers and their product, 8·n³ each; a conjugation run
-    # builds one charge and peaks at ~3·n³, its readout blocks; a noisy
-    # run's peak is the fold's, guarded in _readout
-    if 32 * n_max**3 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"charge-block run at n_max={n_max} needs "
-            f"{32 * n_max**3 / 2**20:.0f} MiB, "
-            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES / 32) ** (1 / 3)),
-        )
-    psi = _tmsv_amplitudes(setup.x, cutoff)
-    readout = _readout(setup)
-    # the conjugation branch reads charge 0 alone (see _transfer_gram)
-    transfer = device.transfer(n_max, charge0=setup.params.conjugate)
-    gram = _transfer_gram(transfer, setup.params.conjugate)
-    return _conditioned(readout, gram, transfer[0].sum(axis=0), psi, trace_preserving=True)
+    n_max, conjugate = setup.cutoff.n_max, setup.params.conjugate
+    return _run(setup, lambda: device.transfer(n_max, charge0=conjugate), trace_preserving=True)
 
 
 # ---------------------------------------------------------------------------

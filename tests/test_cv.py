@@ -49,12 +49,12 @@ from qbench.cv import (
     _fold_noise,
     _gaussian_kraus,
     _gaussian_transfer,
-    _kraus_gram,
     _log_factorials,
     _noise_transfer,
     _readout,
     _score_sectors,
     _sectors,
+    _transfer_gram,
     _xlogy,
 )
 from qbench.errors import (
@@ -563,6 +563,11 @@ def _phase_covariant_kraus(rng: np.random.Generator, n: int, count: int) -> np.n
     return ks
 
 
+def _gram(vectors: np.ndarray, conjugate: bool):
+    """The sector Gram of the family ``vectors``, read from its charge arrays."""
+    return _transfer_gram(_charge_transfer(vectors, conjugate), conjugate)
+
+
 class TestNoiseTransferMatrix:
     def test_transfer_matrix_matches_kraus_loop(self):
         # T[δ, x, u] is the |x⟩⟨x−δ| element of N(|u⟩⟨u−δ|), by the explicit loop
@@ -613,8 +618,8 @@ class TestNoiseTransferMatrix:
         vectors = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         moved = np.einsum("jxa,kar->jkxr", ks, vectors).reshape(-1, n, n)
         ones = np.ones(n)
-        want = _score_sectors(readout, _kraus_gram(moved), ones)
-        got = _score_sectors(folded, _kraus_gram(vectors), ones)
+        want = _score_sectors(readout, _gram(moved, conjugate), ones)
+        got = _score_sectors(folded, _gram(vectors, conjugate), ones)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_channel_kraus_match_noise_transfer(self):
@@ -660,7 +665,7 @@ class TestNoiseTransferMatrix:
         flat = vectors.reshape(4, -1)
         u = beamsplitter(setup.bs_t, cut).matrix
         full = (u @ (flat.T @ flat.conj()) @ u.conj().T).reshape(n, n, n, n)
-        got = _score_sectors(_readout(setup), _kraus_gram(vectors), np.ones(n))
+        got = _score_sectors(_readout(setup), _gram(vectors, True), np.ones(n))
         assert abs(got - setup.weight * np.trace(full[:, 0, :, 0]).real) < 1e-10
 
     @pytest.mark.parametrize(
@@ -680,7 +685,7 @@ class TestNoiseTransferMatrix:
         vectors = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, :, None]
         vectors *= np.sqrt(0.2) ** np.arange(n)[None, None, :]
-        got = _score_sectors(_readout(setup), _kraus_gram(vectors), np.ones(n))
+        got = _score_sectors(_readout(setup), _gram(vectors, params.conjugate), np.ones(n))
         dense = _dense_score(setup, vectors)
         assert abs(got - dense) < 1e-12 * max(1.0, abs(dense))
 
@@ -724,12 +729,14 @@ def _dense_score(setup: CvSetup, vectors: np.ndarray) -> float:
     lam=st.floats(0.02, 0.2),
     mu=st.floats(30.0, 80.0),
     kraus_count=st.integers(1, 4),
+    real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_run_setup_matches_dense_reference(
-    branch, n, low_c, high, lam, mu, kraus_count, seed
+    branch, n, low_c, high, lam, mu, kraus_count, real, seed
 ):
-    """run_setup against the dense Tr[O · (N ⊗ I)(ρ)] on random small devices."""
+    """run_setup against the dense Tr[O · (N ⊗ I)(ρ)] on random small devices,
+    real (as every exported built-in device is) or complex."""
     # c is the pair-observable scale gk (mixed, conjugation) or g/√(λ+1),
     # drawn on both sides of the squeezer boundary c = 1
     c = 2.0 - low_c if high else low_c
@@ -740,7 +747,9 @@ def test_run_setup_matches_dense_reference(
     cut = FockCutoff(n, leak_tol=0.99)  # an algebraic identity: any truncation
     setup = build_setup(params, cut)
     rng = np.random.default_rng(seed)
-    ks = rng.normal(size=(kraus_count, n, n)) + 1j * rng.normal(size=(kraus_count, n, n))
+    ks = rng.normal(size=(kraus_count, n, n))
+    if not real:
+        ks = ks + 1j * rng.normal(size=(kraus_count, n, n))
     ks /= math.sqrt(np.max(np.linalg.eigvalsh(np.einsum("kxa,kxb->ab", ks.conj(), ks))))
     device = Channel(list(ks), trace_preserving=False)
     try:
@@ -840,17 +849,35 @@ class TestAnalyticDevices:
                 assert abs(a[1] - b[1]) < 1e-8, (q, params)
 
     def test_run_setup_makes_no_copy_of_the_kraus_array(self):
+        # the 1600-operator heterodyne export, real and phase-rotated complex
+        # (20 and 39 MiB), against the run's n_max³ arrays
         cut = _cutoff(40)
-        device = rescale_mp_device(1.0).materialize(cut)
+        real = rescale_mp_device(1.0).materialize(cut)
+        rotated = real.kraus * np.exp(0.7j * np.arange(40))[:, None]
         setup = build_setup(CvParams(g=1.0, lam=1.0), cut)
-        run_setup(setup, device)  # first-call costs outside the trace
+        for device in (real, Channel(rotated, trace_preserving=False)):
+            run_setup(setup, device)  # first-call costs outside the trace
+            tracemalloc.start()
+            try:
+                run_setup(setup, device)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < device.kraus.nbytes // 8, (peak, device.kraus.dtype)
+
+    def test_kraus_run_past_the_byte_cap_is_refused_before_allocating(self):
+        # one guard for both device kinds: 32·600³ bytes is 6.4 GiB, though
+        # the identity's own Kraus array is 2.7 MiB
+        setup = build_setup(CvParams(g=1.0, lam=1.0), _cutoff(600))
+        device = Channel.identity(600)
         tracemalloc.start()
         try:
-            run_setup(setup, device)
+            with pytest.raises(CutoffError, match="n_max=600"):
+                run_setup(setup, device)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < device.kraus.nbytes, (peak, device.kraus.nbytes)
+        assert peak < 2**20, peak
 
     def test_analytic_run_holds_no_kraus_array(self):
         # heterodyne-mp at n_max 80: the Kraus export alone is 8·80⁴ = 328 MB
