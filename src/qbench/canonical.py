@@ -29,12 +29,7 @@ from .engine import (
     det_benchmark,
     ppt_offset,
 )
-from .errors import (
-    ContractError,
-    DimensionError,
-    SearchError,
-    VanishingSuccessError,
-)
+from .errors import ContractError, DimensionError, SearchError
 from .linalg import (
     Operator,
     PureState,
@@ -46,7 +41,7 @@ from .linalg import (
     state_to_json,
     support_rank,
 )
-from .model import DetTest, ProbTest, Channel, evolve_input, performance_operator
+from .model import Channel, DetTest, ProbTest, check_success, evolve_input, performance_operator
 
 RECIPE_TOL = 1e-9
 
@@ -176,9 +171,7 @@ def canonical_prob_test(t: ProbTest) -> CanonicalTestRecipe:
     return canonical_det_test(t.omega, t.sigma_A)
 
 
-def score_recipe(
-    recipe: CanonicalTestRecipe, c: Channel, p_min: float = 1e-12
-) -> tuple[float, float]:
+def score_recipe(recipe: CanonicalTestRecipe, c: Channel) -> tuple[float, float]:
     """(score, success probability) of a device run through the recipe.
 
     The observable is the recipe's stored (possibly shifted) one; for a
@@ -194,16 +187,13 @@ def score_recipe(
     psi = recipe.input_state.amplitudes.reshape(d_a, r)
     evolved = evolve_input(c, np.einsum("ar,bs->arbs", psi, psi.conj()))
     p = float(np.real(np.einsum("xrxr->", evolved)))
-    if p <= p_min:
-        raise VanishingSuccessError(
-            f"success probability {p:.3e} at or below threshold {p_min:.0e}"
-        )
+    check_success(p)
     o4 = recipe.observable.matrix.reshape(d_out, r, d_out, r)
     num = float(np.real(np.einsum("xrys,ysxr->", o4, evolved)))
     return num / p, p
 
 
-def tests_equivalent_det(a: DetTest, b: DetTest, tol: float = RECIPE_TOL) -> bool:
+def tests_equivalent_det(a: DetTest, b: DetTest) -> bool:
     """True iff two deterministic tests score every device identically."""
     om_a = performance_operator(a)
     om_b = performance_operator(b)
@@ -211,18 +201,18 @@ def tests_equivalent_det(a: DetTest, b: DetTest, tol: float = RECIPE_TOL) -> boo
         raise DimensionError(
             f"tests act on different spaces: {om_a.dims} vs {om_b.dims}"
         )
-    return bool(np.linalg.norm(om_a.matrix - om_b.matrix) <= tol)
+    return bool(np.linalg.norm(om_a.matrix - om_b.matrix) <= RECIPE_TOL)
 
 
-def tests_equivalent_prob(a: ProbTest, b: ProbTest, tol: float = RECIPE_TOL) -> bool:
+def tests_equivalent_prob(a: ProbTest, b: ProbTest) -> bool:
     """True iff two probabilistic tests agree in score and success rate."""
     if a.omega.dims != b.omega.dims:
         raise DimensionError(
             f"tests act on different spaces: {a.omega.dims} vs {b.omega.dims}"
         )
     return bool(
-        np.linalg.norm(a.omega.matrix - b.omega.matrix) <= tol
-        and np.linalg.norm(a.sigma_A.matrix - b.sigma_A.matrix) <= tol
+        np.linalg.norm(a.omega.matrix - b.omega.matrix) <= RECIPE_TOL
+        and np.linalg.norm(a.sigma_A.matrix - b.sigma_A.matrix) <= RECIPE_TOL
     )
 
 

@@ -60,10 +60,10 @@ from .engine import DEFAULT_RESTARTS, DEFAULT_SEED, PnrConfig, det_benchmark, pr
 from .errors import ContractError, CutoffError, SupportError, ToolkitError
 from .linalg import Operator, operator_from_json, operator_to_json
 from .model import (
-    ARRAY_MAX_BYTES,
     Channel,
     ProbTest,
     channel_from_json,
+    check_bytes,
     det_test_from_json,
     performance_operator,
     prob_test_from_json,
@@ -102,18 +102,13 @@ def _load_json(path: str) -> dict:
     file whose parse could pass ``ARRAY_MAX_BYTES`` is refused unread."""
     with open(path, "r", encoding="utf-8") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if JSON_PEAK_PER_BYTE * size > ARRAY_MAX_BYTES:
-            raise CutoffError(
-                f"{path} holds {size} bytes, and parsing it may take "
-                f"{JSON_PEAK_PER_BYTE * size / 2**20:.0f} MiB, "
-                f"past the {ARRAY_MAX_BYTES >> 20} MiB cap"
-            )
+        check_bytes(JSON_PEAK_PER_BYTE * size, f"{path} holds {size} bytes, and parsing it")
         try:
             return json.load(fh)
         except json.JSONDecodeError as err:
-            raise _UsageError(
-                f"{path}:{err.lineno}:{err.colno}: {err.msg}"
-            ) from err
+            raise _UsageError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+        except UnicodeDecodeError as err:
+            raise _UsageError(f"{path} is not UTF-8 text: {err.reason}") from err
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -236,7 +231,7 @@ def cmd_benchmark(args) -> tuple[dict, int]:
 
     if args.omega is not None:
         data = _load_json(args.omega)
-        if "omega" in data:
+        if isinstance(data, dict) and "omega" in data:
             test = prob_test_from_json(data)
         else:
             omega = operator_from_json(data)
@@ -298,7 +293,7 @@ def cmd_canonical(args) -> tuple[dict, int]:
         source = args.test
     else:
         data = _load_json(args.omega)
-        if "omega" in data:
+        if isinstance(data, dict) and "omega" in data:
             test = prob_test_from_json(data)
             omega = test.omega
             recipe = canonical_prob_test(test)
@@ -403,8 +398,6 @@ def cmd_cv(args) -> tuple[dict, int]:
         "p_succ": p_succ,
         "oracle": oracle.value,
         "oracle_method": oracle.method,
-        "oracle_nodes": None,
-        "oracle_error": 0.0,
         "abs_diff": diff,
         "value": oracle.value if score is None else score,
         "method": method,
@@ -501,10 +494,8 @@ def main(argv=None) -> int:
         return 1
     try:
         payload, code = args.func(args)
-    except _UsageError as err:
-        print(f"qbench: error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+        _emit(payload, args)
+    except (_UsageError, OSError) as err:
         print(f"qbench: error: {err}", file=sys.stderr)
         return 1
     except SupportError as err:
@@ -519,7 +510,6 @@ def main(argv=None) -> int:
     except ToolkitError as err:
         print(f"qbench: uncertified: {err}", file=sys.stderr)
         return 2
-    _emit(payload, args)
     return code
 
 

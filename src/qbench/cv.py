@@ -69,13 +69,12 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
+from .errors import ContractError, CutoffError, DimensionError
 from .linalg import Operator, PureState
-from .model import ARRAY_MAX_BYTES, Channel
+from .model import ARRAY_MAX_BYTES, Channel, check_bytes, check_success
 
 DEFAULT_LEAK_TOL = 1e-8
 NOISE_DEFICIT_TOL = 1e-5
-P_SUCC_MIN = 1e-12  # run_setup refuses devices that succeed less often
 SERIES_BYTES = 40  # peak bytes per n_max³ of the Kraus-device series (~34 measured)
 
 
@@ -407,12 +406,7 @@ def _two_mode_blocks(
 def _assemble(n_max: int, blocks) -> np.ndarray:
     """Dense n_max² × n_max² matrix of a sector-blocked operator; its
     16·n_max⁴ bytes are refused past the cap before any block is built."""
-    if 16 * n_max**4 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"dense two-mode matrix at n_max={n_max} needs "
-            f"{16 * n_max**4 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES // 16) ** 0.25),
-        )
+    check_bytes(16, "dense two-mode matrix", n_max, power=4)
     mat = np.zeros((n_max * n_max, n_max * n_max), dtype=complex)
     for idx, block in blocks:
         mat[np.ix_(idx, idx)] = block
@@ -754,12 +748,7 @@ def _gaussian_kraus(eta: float, gain: float, n_max: int) -> np.ndarray:
     if gain == 1.0:
         return _attenuator_kraus(eta, n_max)
     # n_max² real operators take 8·n_max⁴ bytes: refused before allocating
-    if 8 * n_max**4 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"Kraus set of gain {gain} at n_max={n_max} needs "
-            f"{8 * n_max**4 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES // 8) ** 0.25),
-        )
+    check_bytes(8, f"Kraus set of gain {gain}", n_max, power=4)
     loss = _attenuator_kraus(eta, n_max)
     amp = _split_diagonals(_amplifier_amplitudes(gain, n_max))
     return np.matmul(amp[:, None], loss[None]).reshape(-1, n_max, n_max)
@@ -838,12 +827,8 @@ def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     nu = setup.params.nu
     # the fold peaks at ~117·n_max³ bytes: three (2n−1)·n² complex charge
     # layouts, the n³ complex transfer and the readout blocks
-    if math.isfinite(nu) and 117 * n_max**3 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"noise fold at n_max={n_max} needs {117 * n_max**3 / 2**20:.0f} MiB, "
-            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES / 117) ** (1 / 3)),
-        )
+    if math.isfinite(nu):
+        check_bytes(117, "noise fold", n_max)
     blocks = _pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate)
     blocks = list(islice(blocks, n_max if conjugate else None))
     if math.isfinite(nu):
@@ -934,21 +919,12 @@ def _run(setup: CvSetup, transfer, trace_preserving: bool) -> tuple[float, float
     noisy run's fold is guarded in :func:`_readout`.
     """
     n_max = setup.cutoff.n_max
-    if 32 * n_max**3 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"charge-block run at n_max={n_max} needs "
-            f"{32 * n_max**3 / 2**20:.0f} MiB, "
-            f"past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES / 32) ** (1 / 3)),
-        )
+    check_bytes(32, "charge-block run", n_max)
     psi = _tmsv_amplitudes(setup.x, setup.cutoff)
     readout = _readout(setup)
     x = transfer()
     p_succ = float(x[0].sum(axis=0).real @ psi**2)
-    if p_succ < P_SUCC_MIN:
-        raise VanishingSuccessError(
-            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
-        )
+    check_success(p_succ)
     raw = _score_sectors(readout, _transfer_gram(x, setup.params.conjugate), psi)
     return (raw if trace_preserving else raw / p_succ), p_succ
 
@@ -1017,10 +993,7 @@ def _fock_series(device: Channel, params: CvParams, n_max: int) -> float:
     weights = np.where((m >= d) & (u >= d), np.exp(log_w), 0.0)
     weights[1:] *= 2.0  # charge −δ adds the conjugate of charge δ
     p_succ = lam * float(mass @ np.exp(-np.arange(1, n_max + 1) * math.log1p(lam)))
-    if p_succ < P_SUCC_MIN:
-        raise VanishingSuccessError(
-            f"success probability {p_succ:.3e} below threshold {P_SUCC_MIN:.0e}"
-        )
+    check_success(p_succ)
     return lam * float(np.sum(transfer.real * weights)) / p_succ
 
 
@@ -1044,12 +1017,7 @@ def average_fidelity_oracle(device, params: CvParams, cutoff: FockCutoff) -> Ora
             f"device dimension {device.dims_in}->{device.dims_out} does not "
             f"match cutoff {n_max}"
         )
-    if SERIES_BYTES * n_max**3 > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"oracle series at n_max={n_max} needs "
-            f"{SERIES_BYTES * n_max**3 / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=int((ARRAY_MAX_BYTES / SERIES_BYTES) ** (1 / 3)),
-        )
+    check_bytes(SERIES_BYTES, "oracle series", n_max)
     return OracleResult(_fock_series(device, params, n_max), "fock_series")
 
 

@@ -47,6 +47,8 @@ from .model import Channel, ProbTest, jamiolkowski, mp_channel, score_det_jam
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 IRREDUCIBILITY_TOL = 1e-8
+IRREDUCIBILITY_SEED = 11  # draws the random Hermitian the irreducibility check twirls
+UNITARY_TOL = 1e-9
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 7
 SUPPORT_TOL = 1e-9
@@ -168,11 +170,11 @@ class GroupRep:
         return self.elements_out[0].shape[0]
 
 
-def _check_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"group element must be square, got {u.shape}")
     gap = u.conj().T @ u - np.eye(u.shape[0])
-    if np.linalg.norm(gap) > tol * max(1.0, np.sqrt(u.shape[0])):
+    if np.linalg.norm(gap) > UNITARY_TOL * max(1.0, np.sqrt(u.shape[0])):
         raise ContractError("group element is not unitary")
     return u
 
@@ -420,9 +422,9 @@ def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
 # sandwiched objectives and benchmarks
 
 
-def _sandwich(omega: Operator, tau: np.ndarray, rank_tol: float = 1e-12) -> Operator:
+def _sandwich(omega: Operator, tau: np.ndarray) -> Operator:
     d_out, d_in = omega.dims
-    root = psd_power_on_support(tau, -0.5, rank_tol)
+    root = psd_power_on_support(tau, -0.5)
     s = np.kron(np.eye(d_out), root) @ omega.matrix @ np.kron(np.eye(d_out), root)
     return Operator(0.5 * (s + s.conj().T), omega.dims)
 
@@ -448,12 +450,12 @@ def check_input_support(op: Operator, state: np.ndarray) -> None:
         )
 
 
-def check_ppt(omega: Operator, tol: float = PPT_TOL) -> float:
+def check_ppt(omega: Operator) -> float:
     """Smallest eigenvalue of the partial transpose on the input factor."""
     pt = partial_transpose(omega, 1)
     eigs, _ = hermitian_eig(pt)
     low = float(eigs[0])
-    if low < -tol:
+    if low < -PPT_TOL:
         raise ContractError(
             f"operator is not PPT: partial transpose has eigenvalue {low:.3e}"
         )
@@ -675,9 +677,7 @@ def covariant_benchmark(
     return det_benchmark(omega, cfg, rep=rep).value
 
 
-def check_covariance(
-    omega: Operator, rep: GroupRep, tol: float = COVARIANCE_TOL
-) -> bool:
+def check_covariance(omega: Operator, rep: GroupRep) -> bool:
     """True iff omega commutes with every ``U'_g ⊗ U_g`` of the representation."""
     d_out, d_in = omega.dims
     if rep.dim_out != d_out or rep.dim_in != d_in:
@@ -690,11 +690,11 @@ def check_covariance(
     for u_out, u_in in zip(rep.elements_out, rep.elements_in):
         u = np.kron(u_out, u_in)
         worst = max(worst, np.linalg.norm(omega.matrix @ u - u @ omega.matrix))
-    return worst <= tol * max(1.0, scale)
+    return worst <= COVARIANCE_TOL * max(1.0, scale)
 
 
-def _check_irreducible(rep: GroupRep, seed: int = 11) -> None:
-    rng = np.random.default_rng(seed)
+def _check_irreducible(rep: GroupRep) -> None:
+    rng = np.random.default_rng(IRREDUCIBILITY_SEED)
     d = rep.dim_in
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = 0.5 * (g + g.conj().T)

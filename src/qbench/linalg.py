@@ -10,7 +10,7 @@ All values are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ from .errors import (
 HERM_TOL = 1e-9        # relative Frobenius hermiticity tolerance
 RANK_TOL = 1e-12       # eigenvalues below RANK_TOL * lambda_max count as zero
 EIG_RESIDUAL_TOL = 1e-10
+NORM_TOL = 1e-9        # absolute deviation of a state's norm from 1
+SPECTRUM_TOL = 1e-9    # spectral mismatch a pairing isometry tolerates
 
 
 def _as_complex(a) -> np.ndarray:
@@ -68,19 +70,19 @@ class Operator:
     def side(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(np.linalg.norm(self.matrix), 1.0)
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol * scale
+        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERM_TOL * scale
 
-    def is_psd(self, tol: float = HERM_TOL) -> bool:
-        if not self.is_hermitian(tol):
+    def is_psd(self) -> bool:
+        if not self.is_hermitian():
             return False
         evals = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
         scale = max(abs(evals[-1]), 1.0)
-        return evals[0] >= -tol * scale
+        return evals[0] >= -HERM_TOL * scale
 
-    def is_unit_trace(self, tol: float = HERM_TOL) -> bool:
-        return abs(np.trace(self.matrix) - 1.0) <= tol
+    def is_unit_trace(self) -> bool:
+        return abs(np.trace(self.matrix) - 1.0) <= HERM_TOL
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,8 @@ class PureState:
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
-    norm_tol: float = field(default=1e-9)
 
-    def __init__(self, amplitudes, dims: Sequence[int], norm_tol: float = 1e-9):
+    def __init__(self, amplitudes, dims: Sequence[int]):
         vec = _as_complex(amplitudes).reshape(-1)
         dims = tuple(int(d) for d in dims)
         if any(d <= 0 for d in dims):
@@ -101,13 +102,12 @@ class PureState:
                 f"vector length {vec.size} does not match dims {dims}"
             )
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > norm_tol:
-            raise ContractError(f"state norm {nrm} deviates from 1 beyond {norm_tol}")
+        if abs(nrm - 1.0) > NORM_TOL:
+            raise ContractError(f"state norm {nrm} deviates from 1 beyond {NORM_TOL}")
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "norm_tol", float(norm_tol))
 
     def density(self) -> Operator:
         v = self.amplitudes
@@ -201,7 +201,7 @@ def permute_systems(m: Operator, perm: Sequence[int]) -> Operator:
 # spectral operations
 # ---------------------------------------------------------------------------
 
-def hermitian_eig(m: Operator | np.ndarray, tol: float = HERM_TOL):
+def hermitian_eig(m: Operator | np.ndarray):
     """Eigendecomposition of a Hermitian operator.
 
     Returns
@@ -213,7 +213,7 @@ def hermitian_eig(m: Operator | np.ndarray, tol: float = HERM_TOL):
     """
     mat = m.matrix if isinstance(m, Operator) else _as_complex(m)
     scale = max(np.linalg.norm(mat), 1.0)
-    if np.linalg.norm(mat - mat.conj().T) > tol * scale:
+    if np.linalg.norm(mat - mat.conj().T) > HERM_TOL * scale:
         raise ContractError("hermitian_eig requires a Hermitian matrix")
     herm = 0.5 * (mat + mat.conj().T)
     w, v = np.linalg.eigh(herm)
@@ -225,16 +225,16 @@ def hermitian_eig(m: Operator | np.ndarray, tol: float = HERM_TOL):
     return w, v
 
 
-def _support_mask(eigenvalues: np.ndarray, rank_tol: float) -> np.ndarray:
+def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
     # signed: an eigenvalue at or below the cutoff, negative ones included,
     # is kernel, so no power of the support can meet a non-positive value
     w = np.asarray(eigenvalues)
-    return w > rank_tol * float(np.max(np.abs(w), initial=0.0))
+    return w > RANK_TOL * float(np.max(np.abs(w), initial=0.0))
 
 
-def support_rank(eigenvalues: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+def support_rank(eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues above the relative rank cutoff."""
-    return int(np.count_nonzero(_support_mask(eigenvalues, rank_tol)))
+    return int(np.count_nonzero(_support_mask(eigenvalues)))
 
 
 def purify(rho: Operator) -> PureState:
@@ -265,7 +265,7 @@ def purify(rho: Operator) -> PureState:
     return state
 
 
-def pairing_isometry(tau_A: Operator, tau_R: Operator, tol: float = 1e-9) -> np.ndarray:
+def pairing_isometry(tau_A: Operator, tau_R: Operator) -> np.ndarray:
     """Partial isometry T with ``T† tau_A T = tau_R``.
 
     Pairs eigenvectors of ``tau_R`` with same-eigenvalue eigenvectors of
@@ -289,13 +289,13 @@ def pairing_isometry(tau_A: Operator, tau_R: Operator, tol: float = 1e-9) -> np.
         )
     scale = max(float(np.max(np.abs(wa), initial=0.0)), 1e-300)
     mismatch = float(np.max(np.abs(wa[:rr] - wr[:rr]), initial=0.0))
-    if mismatch > tol * max(scale, 1.0):
+    if mismatch > SPECTRUM_TOL * max(scale, 1.0):
         raise SpectralMismatchError(
-            f"nonzero spectra differ by {mismatch:.3e} (tolerance {tol:.1e})"
+            f"nonzero spectra differ by {mismatch:.3e} (tolerance {SPECTRUM_TOL:.1e})"
         )
     T = va[:, :rr] @ vr[:, :rr].conj().T
     check = np.linalg.norm(T.conj().T @ tau_A.matrix @ T - tau_R.matrix)
-    if check > tol * max(1.0, np.linalg.norm(tau_R.matrix)):
+    if check > SPECTRUM_TOL * max(1.0, np.linalg.norm(tau_R.matrix)):
         # Degenerate blocks straddling the pairing order cannot occur when the
         # spectra match, so reaching here means the tolerance was too loose.
         raise SpectralMismatchError(
@@ -304,10 +304,10 @@ def pairing_isometry(tau_A: Operator, tau_R: Operator, tol: float = 1e-9) -> np.
     return T
 
 
-def psd_power_on_support(mat: np.ndarray, power: float, rank_tol: float = RANK_TOL) -> np.ndarray:
+def psd_power_on_support(mat: np.ndarray, power: float) -> np.ndarray:
     """Matrix power of a PSD matrix restricted to its support (pseudo-inverse semantics)."""
     w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    keep = _support_mask(w, rank_tol)
+    keep = _support_mask(w)
     powered = np.zeros_like(w)
     powered[keep] = w[keep] ** power
     return (v * powered) @ v.conj().T

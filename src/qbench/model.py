@@ -22,6 +22,7 @@ from .errors import (
     VanishingSuccessError,
 )
 from .linalg import (
+    RANK_TOL,
     Operator,
     PureState,
     operator_from_json,
@@ -32,6 +33,30 @@ from .linalg import (
 
 IMAG_TOL = 1e-9  # absolute imaginary-residue tolerance on all trace scores
 ARRAY_MAX_BYTES = 2**30  # largest array a builder, a channel file or the oracle allocates
+P_SUCC_MIN = 1e-12  # no score is divided by a success probability at or below this
+
+
+def check_bytes(need: float, what: str, n_max: int | None = None, power: int = 3) -> None:
+    """Refuse ``what`` with :class:`CutoffError` before it allocates past
+    ``ARRAY_MAX_BYTES``.  ``need`` is its bytes, or with a cutoff its bytes
+    per ``n_max**power``, and the error then suggests the largest cutoff
+    that fits."""
+    total = need if n_max is None else need * n_max**power
+    if total > ARRAY_MAX_BYTES:
+        where = "" if n_max is None else f" at n_max={n_max}"
+        raise CutoffError(
+            f"{what}{where} needs {total / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
+            suggested_n_max=None if n_max is None else int((ARRAY_MAX_BYTES / need) ** (1 / power)),
+        )
+
+
+def check_success(p: float) -> None:
+    """Refuse with :class:`VanishingSuccessError` a success probability to
+    divide by that is at or below ``P_SUCC_MIN``."""
+    if p <= P_SUCC_MIN:
+        raise VanishingSuccessError(
+            f"success probability {p:.3e} at or below threshold {P_SUCC_MIN:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,18 +65,16 @@ class Channel:
 
     ``kraus`` is one read-only ``(K, d_out, d_in)`` array: a stacked array
     is kept as given (a real one stays real, and a C-ordered one is not
-    copied), a list of matrices is stacked once.  ``trace_preserving``
+    copied), a list of matrices is stacked once; ``dims_in`` and
+    ``dims_out`` are read from its shape.  ``trace_preserving``
     distinguishes deterministic devices (sum K†K = I) from
     trace-nonincreasing quantum operations (sum K†K ≤ I).
     """
 
     kraus: np.ndarray
     trace_preserving: bool
-    dims_in: int
-    dims_out: int
 
-    def __init__(self, kraus, trace_preserving: bool = True,
-                 dims_in: int | None = None, dims_out: int | None = None):
+    def __init__(self, kraus, trace_preserving: bool = True):
         try:
             ks = np.asarray(kraus)
         except ValueError as exc:
@@ -61,13 +84,7 @@ class Channel:
         if ks.ndim != 3:
             raise DimensionError("Kraus operators must be matrices of one shape")
         ks = np.asarray(ks, dtype=complex if np.iscomplexobj(ks) else float, order="C")
-        _, out_d, in_d = ks.shape
-        dims_in = in_d if dims_in is None else int(dims_in)
-        dims_out = out_d if dims_out is None else int(dims_out)
-        if (out_d, in_d) != (dims_out, dims_in):
-            raise DimensionError(
-                f"Kraus shape {(out_d, in_d)} conflicts with dims {(dims_out, dims_in)}"
-            )
+        in_d = ks.shape[2]
         flat = ks.reshape(-1, in_d)
         gap = flat.conj().T @ flat - np.eye(in_d)
         if trace_preserving:
@@ -86,8 +103,14 @@ class Channel:
         ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "trace_preserving", bool(trace_preserving))
-        object.__setattr__(self, "dims_in", dims_in)
-        object.__setattr__(self, "dims_out", dims_out)
+
+    @property
+    def dims_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def dims_out(self) -> int:
+        return self.kraus.shape[1]
 
     @staticmethod
     def identity(d: int) -> "Channel":
@@ -275,7 +298,7 @@ def score_det_jam(omega: Operator, c_jam: Operator) -> float:
     return _real_score(value, "score pairing")
 
 
-def score_prob(t: ProbTest, c: Channel, p_min: float = 1e-12) -> tuple[float, float]:
+def score_prob(t: ProbTest, c: Channel) -> tuple[float, float]:
     """(score, success probability) of a trace-nonincreasing device."""
     c_jam = jamiolkowski(c)
     if c_jam.dims != t.omega.dims:
@@ -283,15 +306,12 @@ def score_prob(t: ProbTest, c: Channel, p_min: float = 1e-12) -> tuple[float, fl
     d_ap = t.omega.dims[0]
     marginal = Operator(np.kron(np.eye(d_ap), t.sigma_A.matrix), t.omega.dims)
     p_succ = _real_score(np.trace(c_jam.matrix @ marginal.matrix), "success probability")
-    if p_succ <= p_min:
-        raise VanishingSuccessError(
-            f"success probability {p_succ:.3e} at or below threshold {p_min:.0e}"
-        )
+    check_success(p_succ)
     numerator = _real_score(np.trace(c_jam.matrix @ t.omega.matrix), "probabilistic score")
     return numerator / p_succ, p_succ
 
 
-def mp_channel(povm, outputs, rank_tol: float = 1e-12) -> Channel:
+def mp_channel(povm, outputs) -> Channel:
     """Measure-and-prepare channel: measure a POVM, prepare per outcome.
 
     Kraus operators are sqrt-weighted output eigenvectors against
@@ -321,11 +341,11 @@ def mp_channel(povm, outputs, rank_tol: float = 1e-12) -> Channel:
             raise ContractError("POVM elements must be PSD")
         wo, vo = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         for l in range(len(wp)):
-            if wp[l] <= rank_tol:
+            if wp[l] <= RANK_TOL:
                 continue
             meas = np.sqrt(wp[l]) * vp[:, l]
             for m in range(len(wo)):
-                if wo[m] <= rank_tol:
+                if wo[m] <= RANK_TOL:
                     continue
                 prep = np.sqrt(wo[m]) * vo[:, m]
                 kraus.append(np.outer(prep, meas.conj()))
@@ -361,11 +381,7 @@ def _compact_kraus(data: dict) -> np.ndarray:
     if len(shape) != 3 or min(shape) < 1:
         raise ValueError(f"shape {shape} is not (K, d_out, d_in)")
     size = shape[0] * shape[1] * shape[2]
-    if 16 * size > ARRAY_MAX_BYTES:
-        raise CutoffError(
-            f"channel file declares a {shape} Kraus array, {16 * size / 2**20:.0f} MiB "
-            f"as complex, past the {ARRAY_MAX_BYTES >> 20} MiB cap"
-        )
+    check_bytes(16 * size, f"channel file's {shape} Kraus array, as complex,")
     index = np.asarray(data["index"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float) if "im" in data else None
@@ -401,7 +417,12 @@ def channel_from_json(data: dict) -> Channel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed channel JSON: {exc}") from exc
-    return Channel(kraus, tp, data.get("dims_in"), data.get("dims_out"))
+    c = Channel(kraus, tp)
+    shape = c.dims_out, c.dims_in
+    declared = data.get("dims_out", shape[0]), data.get("dims_in", shape[1])
+    if declared != shape:
+        raise DimensionError(f"Kraus shape {shape} conflicts with dims {declared}")
+    return c
 
 
 def det_test_to_json(t: DetTest) -> dict:
@@ -417,8 +438,8 @@ def det_test_from_json(data: dict) -> DetTest:
             operator_from_json(data["sigma_AR"]),
             operator_from_json(data["observable"]),
         )
-    except KeyError as exc:
-        raise ContractError(f"malformed deterministic-test JSON: missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"malformed deterministic-test JSON: {exc}") from exc
 
 
 def prob_test_to_json(t: ProbTest) -> dict:
@@ -434,8 +455,8 @@ def prob_test_from_json(data: dict) -> ProbTest:
             operator_from_json(data["omega"]),
             operator_from_json(data["sigma_A"]),
         )
-    except KeyError as exc:
-        raise ContractError(f"malformed probabilistic-test JSON: missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"malformed probabilistic-test JSON: {exc}") from exc
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -453,5 +474,5 @@ def ensemble_from_json(data: dict) -> Ensemble:
             [state_from_json(t) for t in data["targets"]],
             data["probs"],
         )
-    except KeyError as exc:
-        raise ContractError(f"malformed ensemble JSON: missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ContractError(f"malformed ensemble JSON: {exc}") from exc

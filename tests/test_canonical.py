@@ -203,8 +203,8 @@ class TestEquivalence:
         assert not equivalent_det(a, b)
 
     def test_equator_phase_counts_equivalent(self):
-        assert equivalent_prob(equator_test(3), equator_test(7), tol=1e-9)
-        assert equivalent_prob(equator_test(4), equator_test(12), tol=1e-9)
+        assert equivalent_prob(equator_test(3), equator_test(7))
+        assert equivalent_prob(equator_test(4), equator_test(12))
 
     def test_different_reference_states_not_equivalent(self):
         t3 = equator_test(3)

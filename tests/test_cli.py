@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbench import cli, cv
+from qbench import cli, cv, model
 from qbench.canonical import canonical_det_test
 from qbench.cli import build_parser, main
 from qbench.cv import FockCutoff, attenuator_device
@@ -164,7 +164,7 @@ class TestBenchmarkCommand:
         text = json.dumps(data)
         path.write_text(text + " " * (2**21 - len(text)))
         size = path.stat().st_size
-        monkeypatch.setattr(cli, "ARRAY_MAX_BYTES", 2**24)
+        monkeypatch.setattr(model, "ARRAY_MAX_BYTES", 2**24)
         assert cli.JSON_PEAK_PER_BYTE * size > 2**24
         tracemalloc.start()
         try:
@@ -410,16 +410,16 @@ class TestCvCommand:
     def test_builtin_device_reference_is_the_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8")
         assert code == 0
-        assert out["oracle_method"] == "closed_form" and out["oracle_nodes"] is None
-        assert out["oracle_error"] == 0.0
+        assert out["oracle_method"] == "closed_form"
+        assert "oracle_nodes" not in out and "oracle_error" not in out
         assert abs(out["oracle"] - 1.0 / (1.0 + (1.0 - math.sqrt(0.8)) ** 2)) < 1e-15
 
     def test_kraus_device_reference_is_the_fock_series(self, capsys, tmp_path):
         path = tmp_path / "device.json"
         path.write_text(json.dumps(channel_to_json(Channel.identity(30))))
         _, out, _ = run_cli(capsys, "cv", "--device", f"@{path}", "--cutoff", "30")
-        assert out["oracle_method"] == "fock_series" and out["oracle_nodes"] is None
-        assert out["oracle_error"] == 0.0
+        assert out["oracle_method"] == "fock_series"
+        assert "oracle_nodes" not in out and "oracle_error" not in out
         # the run and the series score the same truncated device
         assert out["abs_diff"] <= 1e-14
         # no node count to set
@@ -436,7 +436,8 @@ class TestCvCommand:
             capsys, "cv", "--device", f"@{path}", "--conjugate", "--g", "1.2", "--cutoff", "40"
         )
         assert code == 0 and out["abs_diff"] <= 1e-7
-        assert out["oracle_method"] == "fock_series" and out["oracle_error"] == 0.0
+        assert out["oracle_method"] == "fock_series"
+        assert "oracle_nodes" not in out and "oracle_error" not in out
 
     def test_parser_is_built_once_and_keeps_no_flags(self, capsys):
         assert build_parser() is build_parser()
@@ -525,6 +526,37 @@ class TestCvCommand:
         main(["cv", "--device", "vacuum", "--cutoff", "24"])
         second = capsys.readouterr().out
         assert strip_timestamp(first) == strip_timestamp(second)
+
+
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        (("benchmark", "--omega", "{dir}"), 1, "Is a directory"),
+        (("cv", "--device", "@{dir}"), 1, "Is a directory"),
+        (("benchmark", "--omega", "{latin1}"), 1, "latin1.json is not UTF-8"),
+        (("benchmark", "--test", "{list}"), 2, "malformed deterministic-test JSON"),
+        (("canonical", "--test", "{list}"), 2, "malformed deterministic-test JSON"),
+        (("benchmark", "--omega", "{number}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{number}"), 2, "malformed operator JSON"),
+        (("cv", "--device", "identity", "--cutoff", "10", "--out", "{missing}"), 1, "x.json"),
+    ],
+    ids=["omega-dir", "device-dir", "omega-not-utf8", "benchmark-test-list", "canonical-test-list",
+         "benchmark-omega-number", "canonical-omega-number", "out-missing-dir"],
+)
+def test_bad_file_paths_are_reported_not_raised(capsys, tmp_path, argv, code, needle):
+    (tmp_path / "latin1.json").write_bytes(b'{"omega": "\xe9"}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "number.json").write_text("3")
+    paths = {
+        "dir": tmp_path,
+        "latin1": tmp_path / "latin1.json",
+        "list": tmp_path / "list.json",
+        "number": tmp_path / "number.json",
+        "missing": tmp_path / "missing" / "x.json",
+    }
+    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (got, out) == (code, None)
+    assert needle in err
 
 
 class TestEnvironment:

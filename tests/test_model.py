@@ -381,6 +381,13 @@ class TestJson:
         assert back.trace_preserving == channel.trace_preserving
         assert (back.dims_in, back.dims_out) == (channel.dims_in, channel.dims_out)
 
+    @pytest.mark.parametrize("key", ["dims_in", "dims_out"])
+    def test_declared_dims_must_match_the_kraus_shape(self, key):
+        data = channel_to_json(rand_channel(3, 2, 3, np.random.default_rng(5)))
+        data[key] += 1
+        with pytest.raises(DimensionError, match="conflicts"):
+            channel_from_json(data)
+
     def test_compact_export_keeps_only_nonzero_entries(self):
         channel = attenuator_device(0.7).materialize(FockCutoff(30))
         kraus = channel_to_json(channel)["kraus"]
