@@ -31,15 +31,16 @@ from .engine import (
 )
 from .errors import ContractError, DimensionError, SearchError
 from .linalg import (
+    RANK_TOL,
     Operator,
     PureState,
     operator_from_json,
     operator_to_json,
     partial_trace,
     partial_transpose,
+    purify,
     state_from_json,
     state_to_json,
-    support_rank,
 )
 from .model import Channel, DetTest, ProbTest, check_success, evolve_input, performance_operator
 
@@ -98,7 +99,8 @@ def canonical_det_test(
     input support of the partially transposed operator), pairs the
     purification's reference factor back onto the input factor, and
     conjugates omega^{T_A} into an output observable.  The returned
-    recipe's own performance operator equals omega to within 1e-9.
+    recipe's :func:`round_trip_residual` passes :func:`within_recipe_tol`
+    at the scale of omega.
     """
     if len(omega.dims) != 2:
         raise DimensionError("performance operator must be bipartite")
@@ -114,7 +116,7 @@ def canonical_det_test(
         marg = partial_trace(omega_pt, keep=[1])
         w, v = np.linalg.eigh(0.5 * (marg.matrix + marg.matrix.conj().T))
         mag = np.abs(w)
-        keep = mag > 1e-12 * max(float(mag.max()), 1e-300)
+        keep = mag > RANK_TOL * mag.max()
         if not np.any(keep):
             keep = np.ones_like(mag, dtype=bool)
         rank = int(keep.sum())
@@ -130,34 +132,38 @@ def canonical_det_test(
 
     check_input_support(omega_pt, tau_A.matrix)
 
-    w, v = np.linalg.eigh(tau_A.matrix)
-    # Stable descending sort keeps degenerate eigenvectors in natural
-    # order, so a maximally mixed tau pairs along the computational basis.
-    order = np.argsort(-w, kind="stable")
-    w_desc = w[order]
-    v_desc = v[:, order]
-    rank = support_rank(w)
-    lam = w_desc[:rank]
-    basis = v_desc[:, :rank]
-
-    amplitudes = (basis * np.sqrt(lam)[None, :]).reshape(-1)
-    input_state = PureState(amplitudes, (d_in, rank))
+    input_state = purify(tau_A)
+    psi = input_state.amplitudes.reshape(input_state.dims)  # eigenvectors times sqrt(lambda)
+    lam = np.einsum("an,an->n", psi.conj(), psi).real
 
     # The observable pairs against the *conjugate* eigenbasis: the input
     # state carries the unconjugated one, and their product must close to
     # the support projector, not its transpose.
-    embed = np.kron(np.eye(d_out), basis.conj() * (lam ** -0.5)[None, :])
+    embed = np.kron(np.eye(d_out), psi.conj() / lam[None, :])
     obs = embed.conj().T @ omega_pt.matrix @ embed
-    observable = Operator(0.5 * (obs + obs.conj().T), (d_out, rank))
+    observable = Operator(0.5 * (obs + obs.conj().T), (d_out, psi.shape[1]))
 
     recipe = CanonicalTestRecipe(input_state, observable, tau_A)
-    rebuilt = performance_operator(recipe.as_det_test())
-    gap = np.linalg.norm(rebuilt.matrix - omega.matrix)
-    if gap > RECIPE_TOL * max(1.0, np.linalg.norm(omega.matrix)):
+    gap = round_trip_residual(recipe, omega)
+    if not within_recipe_tol(gap, np.linalg.norm(omega.matrix)):
         raise ArithmeticError(
             f"canonical reduction failed to reproduce the operator (gap {gap:.3e})"
         )
     return recipe
+
+
+def within_recipe_tol(err: float, scale: float) -> bool:
+    """The one rule for a recipe: a round-trip residual, or a check channel's
+    score deviation, passes when it is at most ``RECIPE_TOL * max(1, scale)``,
+    ``scale`` being the size of what it is compared with."""
+    return err <= RECIPE_TOL * max(1.0, scale)
+
+
+def round_trip_residual(recipe: CanonicalTestRecipe, omega: Operator) -> float:
+    """Frobenius norm of ``Omega(recipe) - offset * I - omega``: how far the
+    recipe's own performance operator, un-shifted, misses ``omega``."""
+    rebuilt = performance_operator(recipe.as_det_test()).matrix
+    return float(np.linalg.norm(rebuilt - recipe.offset * np.eye(len(rebuilt)) - omega.matrix))
 
 
 def canonical_prob_test(t: ProbTest) -> CanonicalTestRecipe:

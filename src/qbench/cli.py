@@ -40,7 +40,9 @@ from .canonical import (
     canonical_det_test,
     canonical_prob_test,
     recipe_to_json,
+    round_trip_residual,
     score_recipe,
+    within_recipe_tol,
 )
 from .cv import (
     AnalyticDevice,
@@ -73,7 +75,6 @@ from .model import (
 from .presets import chsh_test, equator_test, teleport_test
 
 CV_CERTIFY_TOL = 1e-3  # run vs oracle disagreement past this is uncertified
-CHECK_TOL = 1e-9  # canonical round trip and check-channel agreement
 # json.load's peak bytes per byte of file, measured with tracemalloc: 2.8–9
 # on the number arrays of channel, operator and test files; nested empty
 # lists, the worst text tried, reach 44.8
@@ -286,9 +287,9 @@ def cmd_canonical(args) -> tuple[dict, int]:
         via, p = score_recipe(recipe, channel)
         check = {
             "score_original": direct,
-            "score_recipe": via - recipe.offset,
+            "score_recipe": via,
             "p_succ": p,
-            "deviation": abs(direct - (via - recipe.offset)),
+            "deviation": abs(direct - via),
         }
         source = args.test
     else:
@@ -312,12 +313,10 @@ def cmd_canonical(args) -> tuple[dict, int]:
             recipe = canonical_det_test(omega)
         source = args.omega
 
-    round_trip = performance_operator(recipe.as_det_test())
-    shift = recipe.offset * np.kron(
-        np.eye(omega.dims[0]), np.eye(omega.dims[1])
+    residual = round_trip_residual(recipe, omega)
+    ok = within_recipe_tol(residual, np.linalg.norm(omega.matrix)) and (
+        check is None or within_recipe_tol(check["deviation"], abs(check["score_original"]))
     )
-    residual = float(np.linalg.norm(round_trip.matrix - shift - omega.matrix))
-    ok = residual <= CHECK_TOL and (check is None or check["deviation"] <= CHECK_TOL)
     payload = {
         "command": "canonical",
         "source": source,

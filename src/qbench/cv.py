@@ -74,6 +74,8 @@ from .linalg import Operator, PureState
 from .model import ARRAY_MAX_BYTES, Channel, check_bytes, check_success
 
 DEFAULT_LEAK_TOL = 1e-8
+TAIL_SUM_TOL = 1e-17  # coherent_tail stops at a term this small against the sum
+UNIT_C_TOL = 1e-12  # |c - 1| below this is the c = 1 setup, which has no squeezer
 NOISE_DEFICIT_TOL = 1e-5
 SERIES_BYTES = 40  # peak bytes per n_max³ of the Kraus-device series (~34 measured)
 
@@ -241,7 +243,7 @@ def coherent_tail(alpha: complex, n_max: int) -> float:
     j = n_max if upward else n_max - 1
     term = math.exp(_log_poisson(j, mu))
     total = 0.0
-    while term > 1e-17 * total:
+    while term > TAIL_SUM_TOL * total:
         total += term
         j += 1 if upward else -1
         term *= mu / j if upward else (j + 1) / mu
@@ -272,16 +274,24 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> PureState:
     return PureState(v / np.linalg.norm(v), (cutoff.n_max,))
 
 
+def _check_geometric(ratio: float, cutoff: FockCutoff, name: str) -> None:
+    """Refuse a Fock distribution whose weights fall as ``ratio**n``: with
+    :class:`ContractError` unless ``ratio`` lies in [0, 1), with
+    :class:`CutoffError` when its mass past the cutoff, ``ratio**n_max``,
+    exceeds ``leak_tol``."""
+    if not (0 <= ratio < 1):
+        raise ContractError(f"{name} must lie in [0, 1), got {ratio}")
+    leak = ratio**cutoff.n_max
+    if leak > cutoff.leak_tol:
+        raise CutoffError(
+            f"{name}={ratio} leaks {leak:.2e} past n_max={cutoff.n_max}",
+            suggested_n_max=int(math.ceil(math.log(cutoff.leak_tol) / math.log(ratio))),
+        )
+
+
 def thermal_state(y: float, cutoff: FockCutoff) -> Operator:
     """Geometric thermal state (1-y) y^n |n><n| (mean photon y/(1-y))."""
-    if not (0 <= y < 1):
-        raise ContractError(f"thermal ratio must lie in [0, 1), got {y}")
-    tail = y**cutoff.n_max
-    if tail > cutoff.leak_tol:
-        raise CutoffError(
-            f"thermal ratio y={y} leaks {tail:.2e} past n_max={cutoff.n_max}",
-            suggested_n_max=int(math.ceil(math.log(cutoff.leak_tol) / math.log(y))),
-        )
+    _check_geometric(y, cutoff, "thermal ratio y")
     diag = (1 - y) * y ** np.arange(cutoff.n_max)
     return Operator(np.diag(diag.astype(complex)), (cutoff.n_max,))
 
@@ -344,15 +354,7 @@ def displaced_thermal(alpha: complex, mu: float, cutoff: FockCutoff) -> Operator
 def _tmsv_amplitudes(x: float, cutoff: FockCutoff) -> np.ndarray:
     """The real amplitudes ψ_n ∝ x^{n/2} of ``tmsv`` on |n, n⟩, normalized
     after the leakage check."""
-    if not (0 <= x < 1):
-        raise ContractError(f"tmsv parameter must lie in [0, 1), got {x}")
-    leak = x**cutoff.n_max
-    if leak > cutoff.leak_tol:
-        suggested = int(math.ceil(math.log(cutoff.leak_tol) / math.log(x))) if x > 0 else 2
-        raise CutoffError(
-            f"tmsv(x={x:.6f}) leaks {leak:.2e} past n_max={cutoff.n_max}",
-            suggested_n_max=suggested,
-        )
+    _check_geometric(x, cutoff, "tmsv parameter x")
     psi = np.sqrt(x) ** np.arange(cutoff.n_max)
     return psi / np.linalg.norm(psi)
 
@@ -773,7 +775,7 @@ def _fidelity_reduction(c: float) -> tuple[float | None, int | None, float]:
     c > 1 the ports mirror and the variable change costs a 1/c² Jacobian.
     No finite squeezing reaches c = 1, so that setup has no angle or port.
     """
-    if abs(c - 1.0) < 1e-12:
+    if abs(c - 1.0) < UNIT_C_TOL:
         return None, None, 1.0
     if c < 1.0:
         return math.atanh(c), 0, 1.0
@@ -929,6 +931,15 @@ def _run(setup: CvSetup, transfer, trace_preserving: bool) -> tuple[float, float
     return (raw if trace_preserving else raw / p_succ), p_succ
 
 
+def _check_device_dims(device: Channel, n_max: int) -> None:
+    """Refuse a Kraus device that does not act on the cutoff's ``n_max`` levels."""
+    if device.dims_in != n_max or device.dims_out != n_max:
+        raise DimensionError(
+            f"device acts on dimension {device.dims_in}->{device.dims_out}, "
+            f"cutoff is {n_max}"
+        )
+
+
 def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
     """Score a Kraus device through the single-setup measurement chain.
 
@@ -939,12 +950,7 @@ def run_setup(setup: CvSetup, device: Channel) -> tuple[float, float]:
     them, are scored sector by sector against the device's per-charge
     arrays, read in place from its Kraus array (:func:`_charge_transfer`).
     """
-    n_max = setup.cutoff.n_max
-    if device.dims_in != n_max or device.dims_out != n_max:
-        raise DimensionError(
-            f"device acts on dimension {device.dims_in}->{device.dims_out}, "
-            f"setup cutoff is {n_max}"
-        )
+    _check_device_dims(device, setup.cutoff.n_max)
     conjugate = setup.params.conjugate
     return _run(setup, lambda: _charge_transfer(device.kraus, conjugate), device.trace_preserving)
 
@@ -1012,11 +1018,7 @@ def average_fidelity_oracle(device, params: CvParams, cutoff: FockCutoff) -> Ora
     if not isinstance(device, Channel):
         raise ContractError(f"cannot score a device of type {type(device).__name__}")
     n_max = cutoff.n_max
-    if device.dims_in != n_max or device.dims_out != n_max:
-        raise DimensionError(
-            f"device dimension {device.dims_in}->{device.dims_out} does not "
-            f"match cutoff {n_max}"
-        )
+    _check_device_dims(device, n_max)
     check_bytes(SERIES_BYTES, "oracle series", n_max)
     return OracleResult(_fock_series(device, params, n_max), "fock_series")
 

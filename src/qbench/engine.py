@@ -42,7 +42,7 @@ from .linalg import (
     psd_power_on_support,
     support_rank,
 )
-from .model import Channel, ProbTest, jamiolkowski, mp_channel, score_det_jam
+from .model import PROB_SUM_TOL, Channel, ProbTest, jamiolkowski, score_det_jam
 
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -68,6 +68,8 @@ LP_PIVOTS_PER_ROW = 50
 # SEESAW_MAX_ITER sweeps.
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITER = 1000
+# A maximizer must reproduce its search value to REPRODUCE_TOL * max(1, |value|).
+REPRODUCE_TOL = 1e-9
 
 
 def __getattr__(name: str):
@@ -152,7 +154,7 @@ class GroupRep:
             w = np.full(len(pairs), 1.0 / len(pairs))
         else:
             w = np.asarray(weights, dtype=float)
-        if w.shape != (len(pairs),) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape != (len(pairs),) or np.any(w < 0) or abs(w.sum() - 1.0) > PROB_SUM_TOL:
             raise ContractError("weights must be a probability vector over elements")
         object.__setattr__(self, "elements_out", tuple(outs))
         object.__setattr__(self, "elements_in", tuple(ins))
@@ -193,7 +195,6 @@ class BenchmarkReport:
     # master LP solves and the cuts in the last one; 0 for the closed form
     cut_rounds: int = 0
     cuts: int = 0
-    pnr: PnrResult | None = field(default=None, repr=False)
     # the measure-and-prepare channel scored as ``lower``; not in the JSON
     strategy: Channel | None = field(default=None, repr=False)
 
@@ -296,7 +297,7 @@ def _search(m4: np.ndarray, starts: np.ndarray) -> tuple:
     vals, a, b = vals[order], _phase_fix(a[order]), _phase_fix(b[order])
     t = _pair_matrix(m4)
     check = np.sum(_outer_rows(a) * (_outer_rows(b) @ t), axis=1).real
-    bad = np.abs(check - vals) > 1e-9 * np.maximum(1.0, np.abs(vals))
+    bad = np.abs(check - vals) > REPRODUCE_TOL * np.maximum(1.0, np.abs(vals))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ArithmeticError(
@@ -405,7 +406,7 @@ def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
         b0 = states[k]
     else:
         _, b0 = _top_eigvec(conditioned[k])
-    polished, _, _, _ = _seesaw_batch(m4, b0[None], 1e-13, 200)
+    polished, _, _, _ = _seesaw_batch(m4, b0[None], SEESAW_TOL, SEESAW_MAX_ITER)
 
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(m.matrix))))
     upper = grid_max + 2.0 * spectral * radius
@@ -601,7 +602,6 @@ def det_benchmark(
             method="closed_form",
             restarts=pnr.restarts,
             converged=True,
-            pnr=pnr,
         )
 
     check_ppt(omega)
@@ -630,16 +630,16 @@ def det_benchmark(
         floors = np.concatenate([floors, _cut_floors(m4, fresh)[0]])
 
     # The weights p_i make the POVM p_i |b_i><b_i|, each outcome preparing
-    # the top eigenvector of <b_i|omega|b_i>; S^-1/2 absorbs the simplex's
-    # residual in S = sum_i p_i |b_i><b_i| = I.
+    # the top eigenvector of <b_i|omega|b_i>: one Kraus operator
+    # |prep_i><meas_i| per outcome.  S^-1/2 absorbs the simplex's residual in
+    # S = sum_i p_i |b_i><b_i| = I; Channel refuses weights that do not span
+    # the input space.
     keep = np.flatnonzero(p > 0)
     weighted = cuts[keep] * np.sqrt(p[keep])[:, None]
     root = psd_power_on_support(weighted.T @ weighted.conj(), -0.5)
-    povm = [np.outer(v, v.conj()) for v in weighted @ root.T]
+    meas = weighted @ root.T
     preps = _cut_floors(m4, cuts[keep])[1]
-    strategy = mp_channel(povm, [np.outer(v, v.conj()) for v in preps])
-    if not strategy.trace_preserving:
-        raise ArithmeticError("master LP weights do not span the input space")
+    strategy = Channel(preps[:, :, None] * meas.conj()[:, None, :])
     score = score_det_jam(omega, jamiolkowski(strategy))
 
     # Y is singular, up to the LP's tolerance, on input directions omega
@@ -658,7 +658,6 @@ def det_benchmark(
         converged=converged,
         cut_rounds=cut_rounds,
         cuts=len(p),
-        pnr=final,
         strategy=strategy,
     )
     if not converged:
@@ -753,8 +752,9 @@ def optimal_mp_channel(
 
     Measures the covariant POVM ``{ d_in w_g U_g |phi><phi| U_g† }`` built
     from the input-side product maximizer and prepares ``U'_g |psi>`` from
-    the output-side one.  Completeness of the POVM is guaranteed by the
-    irreducibility of the input representation and checked explicitly.
+    the output-side one, one Kraus operator per group element.  Completeness
+    of the POVM is guaranteed by the irreducibility of the input
+    representation and checked by :class:`Channel`.
     """
     if not check_covariance(omega, rep):
         raise ContractError("performance operator is not covariant for this group")
@@ -768,17 +768,7 @@ def optimal_mp_channel(
     _, psi, phi, _ = _search(omega.matrix.reshape(omega.dims * 2), starts)
     psi, phi = psi[0], phi[0]
     d_in = rep.dim_in
-    povm = []
-    outputs = []
-    for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in):
-        vec = u_in @ phi
-        povm.append(d_in * w * np.outer(vec, vec.conj()))
-        out = u_out @ psi
-        outputs.append(np.outer(out, out.conj()))
-    total = sum(povm)
-    if np.linalg.norm(total - np.eye(d_in)) > 1e-9 * d_in:
-        raise ContractError(
-            "covariant POVM is incomplete; the representation does not "
-            "average the maximizer to the identity"
-        )
-    return mp_channel(povm, outputs)
+    return Channel([
+        np.sqrt(d_in * w) * np.outer(u_out @ psi, (u_in @ phi).conj())
+        for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in)
+    ])

@@ -242,26 +242,30 @@ def purify(rho: Operator) -> PureState:
 
     The output lives on dims ``(d, r)`` with ``r`` the numerical rank; the
     reference-side Schmidt basis is the standard basis ordered by descending
-    eigenvalue, so the marginal on the first factor reproduces ``rho``.
+    eigenvalue, so the marginal on the first factor reproduces ``rho``
+    itself, whose trace may miss one by up to ``HERM_TOL``.
     """
     if not rho.is_psd():
         raise ContractError("purify requires a PSD operator")
     if not rho.is_unit_trace():
         raise ContractError("purify requires a unit-trace operator")
     d = rho.side
-    w, v = hermitian_eig(rho)
+    # eigh of the stored matrix: a symmetrized copy can turn the basis of a
+    # degenerate block.  The stable descending sort keeps degenerate
+    # eigenvectors in natural order, so a maximally mixed rho pairs along
+    # the computational basis.
+    w, v = np.linalg.eigh(rho.matrix)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
     r = support_rank(w)
     if r == 0:
         raise ContractError("cannot purify an operator with empty support")
-    lam = np.clip(w[:r], 0.0, None)
-    vec = (v[:, :r] * np.sqrt(lam)).reshape(-1)  # sum_n sqrt(l_n) |phi_n>|n>
-    vec = vec / np.linalg.norm(vec)
+    vec = (v[:, :r] * np.sqrt(w[:r])).reshape(-1)  # sum_n sqrt(l_n) |phi_n>|n>
     state = PureState(vec, (d, r))
     marginal = ptrace_matrix(state.density().matrix, (d, r), (0,))
-    if np.linalg.norm(marginal - rho.matrix) > 1e-10 * max(1.0, np.linalg.norm(rho.matrix)):
-        raise ArithmeticError("purification marginal deviates from the input")
+    gap = np.linalg.norm(marginal - rho.matrix)
+    if gap > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(rho.matrix)):
+        raise ArithmeticError(f"purification marginal deviates from the input by {gap:.3e}")
     return state
 
 
@@ -287,7 +291,7 @@ def pairing_isometry(tau_A: Operator, tau_R: Operator) -> np.ndarray:
         raise SpectralMismatchError(
             f"tau_A rank {ra} cannot carry tau_R rank {rr}"
         )
-    scale = max(float(np.max(np.abs(wa), initial=0.0)), 1e-300)
+    scale = float(np.max(np.abs(wa), initial=0.0))
     mismatch = float(np.max(np.abs(wa[:rr] - wr[:rr]), initial=0.0))
     if mismatch > SPECTRUM_TOL * max(scale, 1.0):
         raise SpectralMismatchError(
@@ -317,42 +321,34 @@ def psd_power_on_support(mat: np.ndarray, power: float) -> np.ndarray:
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def _complex_to_json(dims: tuple[int, ...], arr: np.ndarray) -> dict:
+    return {"dims": list(dims), "re": arr.real.tolist(), "im": arr.imag.tolist()}
+
+
+def _complex_from_json(data: dict, what: str) -> tuple[np.ndarray, Sequence[int]]:
+    try:
+        dims = data["dims"]
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"malformed {what} JSON: {exc}") from exc
+    if re.shape != im.shape:
+        raise ContractError(f"{what} JSON re/im shapes differ")
+    return re + 1j * im, dims
+
+
 def operator_to_json(m: Operator) -> dict:
     """Row-major {"dims", "re", "im"} encoding; NaN/Inf are rejected."""
-    return {
-        "dims": list(m.dims),
-        "re": m.matrix.real.tolist(),
-        "im": m.matrix.imag.tolist(),
-    }
+    return _complex_to_json(m.dims, m.matrix)
 
 
 def operator_from_json(data: dict) -> Operator:
-    try:
-        dims = data["dims"]
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"malformed operator JSON: {exc}") from exc
-    if re.shape != im.shape:
-        raise ContractError("operator JSON re/im shapes differ")
-    return Operator(re + 1j * im, dims)
+    return Operator(*_complex_from_json(data, "operator"))
 
 
 def state_to_json(s: PureState) -> dict:
-    return {
-        "dims": list(s.dims),
-        "re": s.amplitudes.real.tolist(),
-        "im": s.amplitudes.imag.tolist(),
-    }
+    return _complex_to_json(s.dims, s.amplitudes)
 
 
 def state_from_json(data: dict) -> PureState:
-    try:
-        dims = data["dims"]
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"malformed state JSON: {exc}") from exc
-    if re.shape != im.shape:
-        raise ContractError("state JSON re/im shapes differ")
-    return PureState(re + 1j * im, dims)
+    return PureState(*_complex_from_json(data, "state"))

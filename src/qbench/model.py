@@ -22,6 +22,7 @@ from .errors import (
     VanishingSuccessError,
 )
 from .linalg import (
+    HERM_TOL,
     RANK_TOL,
     Operator,
     PureState,
@@ -31,7 +32,11 @@ from .linalg import (
     state_to_json,
 )
 
-IMAG_TOL = 1e-9  # absolute imaginary-residue tolerance on all trace scores
+IMAG_TOL = 1e-9  # imaginary residue of a trace score, per max(1, |real part|)
+# sum K†K, or a POVM's sum, is I within COMPLETENESS_TOL * max(1, √d) in
+# Frobenius norm; one that is not I exceeds it by at most COMPLETENESS_TOL
+COMPLETENESS_TOL = 1e-9
+PROB_SUM_TOL = 1e-12  # deviation of a probability vector's sum from 1
 ARRAY_MAX_BYTES = 2**30  # largest array a builder, a channel file or the oracle allocates
 P_SUCC_MIN = 1e-12  # no score is divided by a success probability at or below this
 
@@ -48,6 +53,20 @@ def check_bytes(need: float, what: str, n_max: int | None = None, power: int = 3
             f"{what}{where} needs {total / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
             suggested_n_max=None if n_max is None else int((ARRAY_MAX_BYTES / need) ** (1 / power)),
         )
+
+
+def is_complete(total: np.ndarray, what: str) -> bool:
+    """True when ``total`` — sum K†K of a Kraus family, or a POVM's sum — is
+    the identity within ``COMPLETENESS_TOL``, False when it lies below it.
+    Raises :class:`ContractError` when it exceeds the identity."""
+    d = total.shape[0]
+    gap = total - np.eye(d)
+    if np.linalg.norm(gap) <= COMPLETENESS_TOL * max(1.0, np.sqrt(d)):
+        return True
+    top = np.max(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))
+    if top > COMPLETENESS_TOL:
+        raise ContractError(f"{what} exceeds I by {top:.3e}")
+    return False
 
 
 def check_success(p: float) -> None:
@@ -84,21 +103,10 @@ class Channel:
         if ks.ndim != 3:
             raise DimensionError("Kraus operators must be matrices of one shape")
         ks = np.asarray(ks, dtype=complex if np.iscomplexobj(ks) else float, order="C")
-        in_d = ks.shape[2]
-        flat = ks.reshape(-1, in_d)
-        gap = flat.conj().T @ flat - np.eye(in_d)
-        if trace_preserving:
-            if np.linalg.norm(gap) > 1e-9 * max(1.0, np.sqrt(in_d)):
-                raise ContractError(
-                    "Kraus operators of a trace-preserving channel must sum to I "
-                    f"(deviation {np.linalg.norm(gap):.3e})"
-                )
-        else:
-            top = np.max(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))
-            if top > 1e-9:
-                raise ContractError(
-                    f"trace-nonincreasing channel exceeds I by {top:.3e}"
-                )
+        flat = ks.reshape(-1, ks.shape[2])
+        complete = is_complete(flat.conj().T @ flat, "the channel's sum K†K")
+        if trace_preserving and not complete:
+            raise ContractError("Kraus operators of a trace-preserving channel must sum to I")
         ks = ks.view()
         ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
@@ -173,7 +181,7 @@ class Ensemble:
         probs = np.asarray(probs, dtype=float)
         if not (len(states) == len(targets) == probs.size > 0):
             raise DimensionError("states, targets, probs must be equal-length and nonempty")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
             raise ContractError(f"probabilities sum to {probs.sum()}, not 1")
         if np.any(probs < 0):
             raise ContractError("probabilities must be nonnegative")
@@ -212,9 +220,10 @@ def _coerce_pure(t) -> PureState:
 
 
 def _real_score(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
+    tol = IMAG_TOL * max(1.0, abs(value.real))
+    if abs(value.imag) > tol:
         raise ImaginaryResidueError(
-            f"{what} has imaginary residue {value.imag:.3e} (tolerance {IMAG_TOL:.0e})"
+            f"{what} has imaginary residue {value.imag:.3e} (tolerance {tol:.1e})"
         )
     return float(value.real)
 
@@ -322,22 +331,13 @@ def mp_channel(povm, outputs) -> Channel:
     outputs = [m.matrix if isinstance(m, Operator) else np.asarray(m, dtype=complex) for m in outputs]
     if len(povm) != len(outputs) or not povm:
         raise DimensionError("need equally many POVM elements and output states")
-    d_in = povm[0].shape[0]
-    total = sum(povm)
-    gap = total - np.eye(d_in)
-    deterministic = np.linalg.norm(gap) <= 1e-9 * max(1.0, np.sqrt(d_in))
-    if not deterministic:
-        top = np.max(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))
-        if top > 1e-9:
-            raise ContractError(
-                f"POVM exceeds completeness by {top:.3e}; not a valid measurement"
-            )
+    deterministic = is_complete(sum(povm), "the POVM's sum")
     kraus = []
     for pi, rho in zip(povm, outputs):
-        if abs(np.trace(rho) - 1.0) > 1e-9:
+        if abs(np.trace(rho) - 1.0) > HERM_TOL:
             raise ContractError("prepared outputs must have unit trace")
         wp, vp = np.linalg.eigh(0.5 * (pi + pi.conj().T))
-        if wp[0] < -1e-9 * max(1.0, wp[-1]):
+        if wp[0] < -HERM_TOL * max(1.0, wp[-1]):
             raise ContractError("POVM elements must be PSD")
         wo, vo = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         for l in range(len(wp)):

@@ -24,6 +24,8 @@ from .errors import ContractError
 from .linalg import Operator
 from .model import Ensemble, ProbTest, fidelity_test
 
+# two unitaries are one Clifford up to phase when |tr(u† v)| is within this of d
+PHASE_MATCH_TOL = 1e-6
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -176,7 +178,7 @@ def clifford_group(d: int) -> list[np.ndarray]:
         key = np.round(np.abs(u), 6).tobytes()
         bucket = buckets.setdefault(key, [])
         for v in bucket:
-            if abs(abs(np.trace(u.conj().T @ v)) - d) < 1e-6:
+            if abs(abs(np.trace(u.conj().T @ v)) - d) < PHASE_MATCH_TOL:
                 return False
         bucket.append(u)
         elements.append(u)

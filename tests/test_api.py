@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import qbench
 
@@ -32,3 +34,19 @@ def test_no_public_signature_takes_a_tolerance():
         if param in TOLERANCE_NAMES
     ]
     assert offenders == []
+
+
+def test_no_small_float_literal_in_a_function_body():
+    # A tolerance is a named module constant, so each rule keeps one value;
+    # a float literal with 0 < |v| < 1e-3 inside a function is an unnamed
+    # copy of one.
+    found = set()
+    for path in sorted(Path(qbench.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Constant) and type(node.value) is float:
+                    if 0 < abs(node.value) < 1e-3:
+                        found.add(f"{path.name}:{node.lineno} {node.value!r}")
+    assert sorted(found) == []

@@ -11,13 +11,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbench import cli, cv, model
-from qbench.canonical import canonical_det_test
+from qbench.canonical import RECIPE_TOL, canonical_det_test
 from qbench.cli import build_parser, main
 from qbench.cv import FockCutoff, attenuator_device
 from qbench.linalg import Operator, operator_to_json
-from qbench.model import Channel, channel_to_json, det_test_to_json, prob_test_to_json
+from qbench.model import (
+    Channel,
+    DetTest,
+    channel_to_json,
+    det_test_to_json,
+    performance_operator,
+    prob_test_to_json,
+)
 from qbench.presets import equator_test, teleport_test
 
 
@@ -233,6 +241,35 @@ class TestCanonicalCommand:
         assert code == 0
         assert out["round_trip_residual"] < 1e-9
         assert abs(out["check"]["score_original"] - out["check"]["score_recipe"]) < 1e-9
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(-6, 12),
+        d_out=st.integers(1, 3),
+        d_in=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=6, d_out=2, d_in=2, seed=0)
+    @example(k=8, d_out=2, d_in=2, seed=0)
+    @example(k=12, d_out=2, d_in=2, seed=0)
+    def test_scaled_det_test_is_certified(self, tmp_path_factory, k, d_out, d_in, seed):
+        """A det test whose observable is scaled by 10**k is certified: its
+        round trip and check channel are judged against their own size."""
+        rng = np.random.default_rng(seed)
+        sigma = _gram(rng, d_in * d_in)
+        g = rng.normal(size=(d_out * d_in,) * 2) + 1j * rng.normal(size=(d_out * d_in,) * 2)
+        test = DetTest(
+            Operator(sigma / np.trace(sigma).real, (d_in, d_in)),
+            Operator(10.0**k * (g + g.conj().T), (d_out, d_in)),
+        )
+        work = tmp_path_factory.mktemp("scaled")
+        (work / "det.json").write_text(json.dumps(det_test_to_json(test)))
+        argv = ["canonical", "--test", str(work / "det.json"), "--out", str(work / "out.json")]
+        assert main(argv) == 0
+        out = json.loads((work / "out.json").read_text())
+        scale = np.linalg.norm(performance_operator(test).matrix)
+        assert out["certified"]
+        assert out["round_trip_residual"] <= RECIPE_TOL * max(1.0, scale)
 
     @pytest.mark.parametrize("d_out, d_in", [(2, 3), (3, 2)])
     def test_det_test_unequal_dims(self, capsys, tmp_path, d_out, d_in):

@@ -191,6 +191,14 @@ class TestPurify:
         # reference marginal is diagonal with descending weights
         assert np.allclose(marg_R, np.diag([0.6, 0.3, 0.1]), atol=1e-10)
 
+    def test_trace_within_tolerance_is_reproduced(self):
+        # tr = 1 + 5e-10 passes is_unit_trace, so the marginal must be rho
+        # itself, not rho renormalized to trace one
+        rho = Operator(np.diag([0.7, 0.3 + 5e-10]), (2,))
+        s = purify(rho)
+        marg = partial_trace(s.density(), (0,))
+        assert np.linalg.norm(marg.matrix - rho.matrix) < 1e-15
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ContractError):
             purify(Operator(np.diag([1.5, -0.5]), (2,)))

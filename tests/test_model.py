@@ -245,6 +245,21 @@ class TestScores:
                 b = score_det_jam(performance_operator(t), jamiolkowski(c))
                 assert abs(a - b) < 1e-10
 
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_imaginary_residue_is_judged_against_the_score(self, scale):
+        # a trace's rounding residue grows with the score, past an absolute
+        # 1e-9 at these scales
+        rng = np.random.default_rng(0)
+        sigma = Operator(rand_density(4, rng).matrix, (2, 2))
+        obs = rand_hermitian(4, rng)
+        c = rand_channel(2, 2, 2, rng)
+        unit = score_det_direct(DetTest(sigma, Operator(obs, (2, 2))), c)
+        t = DetTest(sigma, Operator(scale * obs, (2, 2)))
+        a = score_det_direct(t, c)
+        b = score_det_jam(performance_operator(t), jamiolkowski(c))
+        assert abs(a - scale * unit) <= 1e-12 * scale
+        assert abs(b - scale * unit) <= 1e-12 * scale
+
     def test_kraus_rescaling_leaves_score_fixed(self):
         t = teleport_test(2)
         c = rand_channel(2, 2, 2, RNG)
