@@ -54,12 +54,10 @@ _EXPORTS = {
     "check_ppt": ".engine",
     "prob_benchmark": ".engine",
     "det_benchmark": ".engine",
-    "covariant_benchmark": ".engine",
     "check_covariance": ".engine",
     "twirl_operator": ".engine",
     "twirl_channel": ".engine",
     "ppt_offset": ".engine",
-    "optimal_mp_channel": ".engine",
     # canonical single-setup form
     "CanonicalTestRecipe": ".canonical",
     "canonical_det_test": ".canonical",
@@ -111,7 +109,6 @@ _EXPORTS = {
     "ToolkitError": ".errors",
     "DimensionError": ".errors",
     "ContractError": ".errors",
-    "SpectralMismatchError": ".errors",
     "SupportError": ".errors",
     "ImaginaryResidueError": ".errors",
     "VanishingSuccessError": ".errors",

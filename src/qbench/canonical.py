@@ -153,9 +153,10 @@ def canonical_det_test(
 
 
 def within_recipe_tol(err: float, scale: float) -> bool:
-    """The one rule for a recipe: a round-trip residual, or a check channel's
-    score deviation, passes when it is at most ``RECIPE_TOL * max(1, scale)``,
-    ``scale`` being the size of what it is compared with."""
+    """The one rule for a recipe: a round-trip residual, a check channel's
+    score deviation, or the gap between two tests' operators, passes when it
+    is at most ``RECIPE_TOL * max(1, scale)``, ``scale`` being the size of
+    what it is compared with."""
     return err <= RECIPE_TOL * max(1.0, scale)
 
 
@@ -207,7 +208,7 @@ def tests_equivalent_det(a: DetTest, b: DetTest) -> bool:
         raise DimensionError(
             f"tests act on different spaces: {om_a.dims} vs {om_b.dims}"
         )
-    return bool(np.linalg.norm(om_a.matrix - om_b.matrix) <= RECIPE_TOL)
+    return _agree(om_a.matrix, om_b.matrix)
 
 
 def tests_equivalent_prob(a: ProbTest, b: ProbTest) -> bool:
@@ -216,10 +217,15 @@ def tests_equivalent_prob(a: ProbTest, b: ProbTest) -> bool:
         raise DimensionError(
             f"tests act on different spaces: {a.omega.dims} vs {b.omega.dims}"
         )
-    return bool(
-        np.linalg.norm(a.omega.matrix - b.omega.matrix) <= RECIPE_TOL
-        and np.linalg.norm(a.sigma_A.matrix - b.sigma_A.matrix) <= RECIPE_TOL
+    return _agree(a.omega.matrix, b.omega.matrix) and _agree(
+        a.sigma_A.matrix, b.sigma_A.matrix
     )
+
+
+def _agree(x: np.ndarray, y: np.ndarray) -> bool:
+    """``x`` and ``y`` differ by :func:`within_recipe_tol` at their size."""
+    scale = max(np.linalg.norm(x), np.linalg.norm(y))
+    return bool(within_recipe_tol(np.linalg.norm(x - y), scale))
 
 
 def fully_blackbox_test(

@@ -23,7 +23,8 @@ stands.  The simplex multipliers are Y; the weights p are a POVM, so the
 bracket's lower end is the exact score of an explicit channel; its upper
 end is a certified product-range bound at the reference state
 ``Y / tr Y``.  For group-covariant tests both thresholds collapse to a
-closed form ``d * pnr(omega)``.
+closed form ``d * pnr(omega)``, attained by the covariant
+measure-and-prepare channel built from the product maximizers.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ class PnrResult:
     """Outcome of a product-numerical-range search.
 
     ``value`` is the best certified-feasible objective found, ``lower``
-    and ``upper`` bracket the true maximum (``lower == value`` always;
-    ``upper`` is the spectral bound, tightened by the grid oracle on
-    two-qubit operators).  The maximizers are unit vectors on the two factors.
+    and ``upper`` bracket the true maximum (``lower == value <= upper``
+    always; ``upper`` is the spectral bound, tightened by the grid oracle
+    on two-qubit operators).  The maximizers are unit vectors on the two factors.
     """
 
     value: float
@@ -329,10 +330,11 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
     if max(m.dims) <= 2:
         bracket = pnr_grid_oracle(m)
         value = max(value, bracket.lower)
-        # roundoff in the grid bound can undercut a certified-feasible
-        # value by ~1e-15; never report an inverted bracket
-        upper = max(min(upper, bracket.upper), value)
+        upper = min(upper, bracket.upper)
         method = "grid"
+    # roundoff in either bound can undercut a certified-feasible value by
+    # ~1e-15; never report an inverted bracket
+    upper = max(upper, value)
     return PnrResult(
         value=value,
         maximizer_a=a,
@@ -582,8 +584,10 @@ def det_benchmark(
     certified bound at ``tau_min`` (Y / tr Y, spectrum floored).  ``omega``
     must be PPT on the input factor.  A covariant, irreducibly-represented
     group selects the closed form ``d_in * pnr(omega)`` instead (valid for
-    any Hermitian omega).  Raises ``SearchError`` with the last round's
-    report when the cut budget runs out.
+    any Hermitian omega): one product-range search, whose maximizers build
+    the covariant measure-and-prepare ``strategy`` that attains it.  Raises
+    ``SearchError`` with the last round's report when the cut budget runs
+    out.
     """
     cfg = cfg or PnrConfig()
     d_out, d_in = omega.dims
@@ -594,14 +598,24 @@ def det_benchmark(
         _check_irreducible(rep)
         pnr = product_numerical_range(omega, cfg)
         tau = Operator(np.eye(d_in) / d_in, (d_in,))
+        a, b = pnr.maximizer_a, pnr.maximizer_b
+        # Measure the covariant POVM {d_in w_g U_g|b><b|U_g†} and prepare
+        # U'_g|a>, one Kraus operator per element; irreducibility of the
+        # input representation makes the POVM complete.
+        strategy = Channel([
+            np.sqrt(d_in * w) * np.outer(u_out @ a, (u_in @ b).conj())
+            for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in)
+        ])
+        score = score_det_jam(omega, jamiolkowski(strategy))
         return BenchmarkReport(
-            value=d_in * pnr.value,
+            value=score,
             tau_min=tau,
-            lower=d_in * pnr.lower,
-            upper=d_in * pnr.upper,
+            lower=score,
+            upper=max(d_in * pnr.upper, score),
             method="closed_form",
             restarts=pnr.restarts,
             converged=True,
+            strategy=strategy,
         )
 
     check_ppt(omega)
@@ -652,7 +666,7 @@ def det_benchmark(
         value=score,
         tau_min=Operator(tau, (d_in,)),
         lower=score,
-        upper=final.upper,
+        upper=max(final.upper, score),
         method=final.method,
         restarts=final.restarts,
         converged=converged,
@@ -667,13 +681,6 @@ def det_benchmark(
             best=report,
         )
     return report
-
-
-def covariant_benchmark(
-    omega: Operator, rep: GroupRep, cfg: PnrConfig | None = None
-) -> float:
-    """Closed-form benchmark ``d_in * pnr(omega)`` for covariant tests."""
-    return det_benchmark(omega, cfg, rep=rep).value
 
 
 def check_covariance(omega: Operator, rep: GroupRep) -> bool:
@@ -741,34 +748,3 @@ def ppt_offset(observable: Operator) -> tuple[Operator, float]:
         observable.matrix + offset * np.eye(observable.side), observable.dims
     )
     return shifted, offset
-
-
-def optimal_mp_channel(
-    omega: Operator,
-    rep: GroupRep,
-    cfg: PnrConfig | None = None,
-) -> Channel:
-    """Covariant measure-and-prepare channel achieving the benchmark.
-
-    Measures the covariant POVM ``{ d_in w_g U_g |phi><phi| U_g† }`` built
-    from the input-side product maximizer and prepares ``U'_g |psi>`` from
-    the output-side one, one Kraus operator per group element.  Completeness
-    of the POVM is guaranteed by the irreducibility of the input
-    representation and checked by :class:`Channel`.
-    """
-    if not check_covariance(omega, rep):
-        raise ContractError("performance operator is not covariant for this group")
-    _check_irreducible(rep)
-    if not omega.is_hermitian():
-        raise ContractError("performance operator must be Hermitian")
-    # only the maximizers are used, so the search runs without a certificate
-    cfg = cfg or PnrConfig()
-    _, top = _top_eigvec(omega.matrix)
-    starts = _starts(top.reshape(omega.dims), cfg.restarts, cfg.seed)
-    _, psi, phi, _ = _search(omega.matrix.reshape(omega.dims * 2), starts)
-    psi, phi = psi[0], phi[0]
-    d_in = rep.dim_in
-    return Channel([
-        np.sqrt(d_in * w) * np.outer(u_out @ psi, (u_in @ phi).conj())
-        for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in)
-    ])

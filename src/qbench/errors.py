@@ -21,10 +21,6 @@ class ContractError(ToolkitError, ValueError):
     """An input violates a declared precondition (hermiticity, PSD, ...)."""
 
 
-class SpectralMismatchError(ContractError):
-    """Two operators that must share a spectrum do not."""
-
-
 class SupportError(ContractError):
     """An operator sticks out of the support it must live on.
 

@@ -15,18 +15,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    SpectralMismatchError,
-)
+from .errors import ContractError, DimensionError
 
 # Default tolerances, shared repo-wide.
 HERM_TOL = 1e-9        # relative Frobenius hermiticity tolerance
 RANK_TOL = 1e-12       # eigenvalues below RANK_TOL * lambda_max count as zero
 EIG_RESIDUAL_TOL = 1e-10
 NORM_TOL = 1e-9        # absolute deviation of a state's norm from 1
-SPECTRUM_TOL = 1e-9    # spectral mismatch a pairing isometry tolerates
 
 
 def _as_complex(a) -> np.ndarray:
@@ -267,45 +262,6 @@ def purify(rho: Operator) -> PureState:
     if gap > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(rho.matrix)):
         raise ArithmeticError(f"purification marginal deviates from the input by {gap:.3e}")
     return state
-
-
-def pairing_isometry(tau_A: Operator, tau_R: Operator) -> np.ndarray:
-    """Partial isometry T with ``T† tau_A T = tau_R``.
-
-    Pairs eigenvectors of ``tau_R`` with same-eigenvalue eigenvectors of
-    ``tau_A``; within a degenerate block the pairing follows eigensolver
-    order (the defining equation, not the specific pairing, is the
-    contract). ``T†T`` is the projector onto the support of ``tau_R``.
-
-    Returns a plain (possibly rectangular) ``dim(A) x dim(R)`` matrix.
-    """
-    wa, va = hermitian_eig(tau_A)
-    wr, vr = hermitian_eig(tau_R)
-    order_a = np.argsort(wa)[::-1]
-    order_r = np.argsort(wr)[::-1]
-    wa, va = wa[order_a], va[:, order_a]
-    wr, vr = wr[order_r], vr[:, order_r]
-    ra = support_rank(wa)
-    rr = support_rank(wr)
-    if ra < rr:
-        raise SpectralMismatchError(
-            f"tau_A rank {ra} cannot carry tau_R rank {rr}"
-        )
-    scale = float(np.max(np.abs(wa), initial=0.0))
-    mismatch = float(np.max(np.abs(wa[:rr] - wr[:rr]), initial=0.0))
-    if mismatch > SPECTRUM_TOL * max(scale, 1.0):
-        raise SpectralMismatchError(
-            f"nonzero spectra differ by {mismatch:.3e} (tolerance {SPECTRUM_TOL:.1e})"
-        )
-    T = va[:, :rr] @ vr[:, :rr].conj().T
-    check = np.linalg.norm(T.conj().T @ tau_A.matrix @ T - tau_R.matrix)
-    if check > SPECTRUM_TOL * max(1.0, np.linalg.norm(tau_R.matrix)):
-        # Degenerate blocks straddling the pairing order cannot occur when the
-        # spectra match, so reaching here means the tolerance was too loose.
-        raise SpectralMismatchError(
-            f"pairing identity violated at {check:.3e} after eigenvector matching"
-        )
-    return T
 
 
 def psd_power_on_support(mat: np.ndarray, power: float) -> np.ndarray:

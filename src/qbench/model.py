@@ -28,8 +28,6 @@ from .linalg import (
     PureState,
     operator_from_json,
     operator_to_json,
-    state_from_json,
-    state_to_json,
 )
 
 IMAG_TOL = 1e-9  # imaginary residue of a trace score, per max(1, |real part|)
@@ -457,22 +455,3 @@ def prob_test_from_json(data: dict) -> ProbTest:
         )
     except (KeyError, TypeError) as exc:
         raise ContractError(f"malformed probabilistic-test JSON: {exc}") from exc
-
-
-def ensemble_to_json(e: Ensemble) -> dict:
-    return {
-        "states": [operator_to_json(s) for s in e.states],
-        "targets": [state_to_json(t) for t in e.targets],
-        "probs": e.probs.tolist(),
-    }
-
-
-def ensemble_from_json(data: dict) -> Ensemble:
-    try:
-        return Ensemble(
-            [operator_from_json(s) for s in data["states"]],
-            [state_from_json(t) for t in data["targets"]],
-            data["probs"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ContractError(f"malformed ensemble JSON: {exc}") from exc

@@ -41,7 +41,7 @@ from qbench.cv import (
 )
 from qbench.engine import (
     PnrConfig,
-    optimal_mp_channel,
+    det_benchmark,
     ppt_offset,
     prob_benchmark,
     product_numerical_range,
@@ -337,7 +337,7 @@ def test_optimal_strategy_attains_threshold():
     worst = 0.0
     for _, t, rep in pairs:
         thr = prob_benchmark(t, CFG)
-        ch = optimal_mp_channel(t.omega, rep, CFG)
+        ch = det_benchmark(t.omega, CFG, rep=rep).strategy
         got, _ = score_prob(t, ch)
         worst = max(worst, abs(got - thr))
     ok = worst <= 1e-6

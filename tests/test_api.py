@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import qbench
@@ -50,3 +51,39 @@ def test_no_small_float_literal_in_a_function_body():
                     if 0 < abs(node.value) < 1e-3:
                         found.add(f"{path.name}:{node.lineno} {node.value!r}")
     assert sorted(found) == []
+
+
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_module_level_name_has_a_use():
+    # Code no caller needs is deleted: each top-level function, class and
+    # constant is exported or named somewhere besides its own definition.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(qbench.__file__).parent.glob("*.py"))
+    }
+    uses = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                uses[node.name] += 1
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in qbench._EXPORTS
+        and not uses[name]
+    ]
+    assert unused == []

@@ -192,6 +192,16 @@ class TestEquivalence:
         r = canonical_det_test(performance_operator(original))
         assert equivalent_det(original, r.as_det_test())
 
+    def test_large_observable_equivalent_to_its_recipe(self):
+        # the round trip's roundoff grows with the observable, so equivalence
+        # is judged at the size of the operators compared
+        rng = np.random.default_rng(5)
+        sigma = rand_density(4, rng)
+        obs = 1e8 * rand_hermitian(4, rng)
+        original = DetTest(Operator(sigma.matrix, (2, 2)), Operator(obs, (2, 2)))
+        r = canonical_det_test(performance_operator(original))
+        assert equivalent_det(original, r.as_det_test())
+
     def test_perturbed_test_not_equivalent(self):
         sigma = rand_density(4, RNG)
         obs = rand_hermitian(4, RNG)

@@ -61,6 +61,13 @@ class TestBenchmarkCommand:
         assert code == 0
         assert abs(out["value"] - 0.5) < 1e-4
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_teleport_bracket_is_not_inverted(self, capsys, d):
+        # the spectral bound can undercut the seesaw value by roundoff
+        code, out, _ = run_cli(capsys, "benchmark", "--builtin", f"teleport:{d}")
+        assert code == 0
+        assert out["lower"] <= out["upper"]
+
     def test_chsh(self, capsys):
         code, out, _ = run_cli(capsys, "benchmark", "--builtin", "chsh")
         assert code == 0

@@ -16,9 +16,7 @@ from qbench.engine import (
     PnrConfig,
     check_covariance,
     check_ppt,
-    covariant_benchmark,
     det_benchmark,
-    optimal_mp_channel,
     pnr_grid_oracle,
     ppt_offset,
     prob_benchmark,
@@ -28,6 +26,7 @@ from qbench.engine import (
 from qbench.errors import ContractError, DimensionError, SearchError, SupportError
 from qbench.linalg import Operator
 from qbench.model import (
+    Channel,
     DetTest,
     ProbTest,
     jamiolkowski,
@@ -49,6 +48,13 @@ from util import rand_channel, rand_density, rand_hermitian
 
 RNG = np.random.default_rng(424242)
 FAST = PnrConfig(restarts=16)
+# (test, representation it is covariant under, closed-form threshold)
+COVARIANT_CASES = (
+    (teleport_test(2), heisenberg_weyl_rep(2), 2.0 / 3.0),
+    (teleport_test(3), heisenberg_weyl_rep(3), 0.5),
+    (chsh_test(), tilde_pauli_rep(), np.sqrt(2.0)),
+    (equator_test(3), pauli_rep(), 0.75),
+)
 
 
 def rand_bipartite_hermitian(d1: int, d2: int, rng) -> Operator:
@@ -416,27 +422,34 @@ class TestCovariance:
             check_covariance(teleport_test(3).omega, pauli_rep())
 
     def test_covariant_benchmarks(self):
-        assert abs(
-            covariant_benchmark(teleport_test(2).omega, heisenberg_weyl_rep(2), FAST)
-            - 2.0 / 3.0
-        ) < 1e-9
-        assert abs(
-            covariant_benchmark(teleport_test(3).omega, heisenberg_weyl_rep(3), FAST)
-            - 0.5
-        ) < 1e-9
-        assert abs(
-            covariant_benchmark(chsh_test().omega, tilde_pauli_rep(), FAST)
-            - np.sqrt(2.0)
-        ) < 1e-9
-        assert abs(
-            covariant_benchmark(equator_test(3).omega, pauli_rep(), FAST) - 0.75
-        ) < 1e-9
+        for t, rep, expect in COVARIANT_CASES:
+            assert abs(det_benchmark(t.omega, FAST, rep=rep).value - expect) < 1e-9
+
+    @pytest.mark.parametrize("case", range(len(COVARIANT_CASES)))
+    def test_covariant_report_scores_its_strategy(self, case):
+        t, rep, _ = COVARIANT_CASES[case]
+        report = det_benchmark(t.omega, FAST, rep=rep)
+        assert isinstance(report.strategy, Channel)
+        assert report.strategy.trace_preserving
+        assert report.lower == score_det_jam(t.omega, jamiolkowski(report.strategy))
+        assert report.value == report.lower <= report.upper
+        got, _ = score_prob(t, report.strategy)
+        assert abs(got - prob_benchmark(t, FAST)) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_teleport_brackets_are_not_inverted(self, d):
+        # the spectral bound can undercut the seesaw value by roundoff
+        t = teleport_test(d)
+        res = prob_benchmark(t, PnrConfig(), _details=True)
+        assert res.lower <= res.upper
+        report = det_benchmark(t.omega, PnrConfig(), rep=heisenberg_weyl_rep(d))
+        assert report.lower <= report.upper
 
     def test_reducible_rep_rejected(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         rep = GroupRep([(np.eye(2), np.eye(2)), (z, z)])
         with pytest.raises(ContractError):
-            covariant_benchmark(equator_test(3).omega, rep, FAST)
+            det_benchmark(equator_test(3).omega, FAST, rep=rep)
 
     def test_twirl_leaves_covariant_score_fixed(self):
         t = teleport_test(2)
@@ -472,37 +485,50 @@ class TestPptOffset:
         omega = chsh_test().omega
         shifted, c0 = ppt_offset(omega)
         rep = tilde_pauli_rep()
-        v_shift = covariant_benchmark(shifted, rep, FAST)
+        v_shift = det_benchmark(shifted, FAST, rep=rep).value
         assert abs((v_shift - c0 * 2) - np.sqrt(2.0)) < 1e-9
 
 
 class TestOptimalMpChannel:
+    """The covariant report's ``strategy``: the channel attaining the threshold."""
+
     def test_achieves_teleport_benchmark(self):
         t = teleport_test(2)
-        c = optimal_mp_channel(t.omega, heisenberg_weyl_rep(2), FAST)
+        c = det_benchmark(t.omega, FAST, rep=heisenberg_weyl_rep(2)).strategy
         s, p = score_prob(t, c)
         assert abs(s - 2.0 / 3.0) < 1e-6
         assert abs(p - 1.0) < 1e-9
 
     def test_achieves_chsh_benchmark(self):
         t = chsh_test()
-        c = optimal_mp_channel(t.omega, tilde_pauli_rep(), FAST)
+        c = det_benchmark(t.omega, FAST, rep=tilde_pauli_rep()).strategy
         s, _ = score_prob(t, c)
         assert abs(s - np.sqrt(2.0)) < 1e-6
 
     def test_achieves_equator_benchmark(self):
         t = equator_test(3)
-        c = optimal_mp_channel(t.omega, pauli_rep(), FAST)
+        c = det_benchmark(t.omega, FAST, rep=pauli_rep()).strategy
         s, _ = score_prob(t, c)
         assert abs(s - 0.75) < 1e-6
 
-    def test_runs_no_grid_bracket(self, grid_calls):
-        # only the maximizers are used, so no certificate is computed
-        optimal_mp_channel(teleport_test(2).omega, heisenberg_weyl_rep(2), FAST)
-        assert not grid_calls
+    def test_runs_one_product_range_search(self, monkeypatch):
+        # the threshold and its channel come from the same seesaw search
+        calls = []
+        search = engine._search
+
+        def counting_search(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting_search)
+        report = det_benchmark(teleport_test(2).omega, FAST, rep=heisenberg_weyl_rep(2))
+        assert report.strategy is not None
+        assert len(calls) == 1
 
     def test_resulting_channel_is_mp(self):
-        c = optimal_mp_channel(teleport_test(2).omega, heisenberg_weyl_rep(2), FAST)
+        c = det_benchmark(
+            teleport_test(2).omega, FAST, rep=heisenberg_weyl_rep(2)
+        ).strategy
         assert c.trace_preserving
         from qbench.linalg import partial_transpose
 

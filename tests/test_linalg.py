@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbench.errors import ContractError, DimensionError, SpectralMismatchError
+from qbench.errors import ContractError, DimensionError
 from qbench.linalg import (
     Operator,
     PureState,
@@ -9,7 +9,6 @@ from qbench.linalg import (
     kron,
     operator_from_json,
     operator_to_json,
-    pairing_isometry,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -204,52 +203,6 @@ class TestPurify:
             purify(Operator(np.diag([1.5, -0.5]), (2,)))
         with pytest.raises(ContractError):
             purify(Operator(np.eye(2), (2,)))
-
-
-class TestPairingIsometry:
-    def test_identity_case(self):
-        tau = Operator(np.eye(2) / 2, (2,))
-        T = pairing_isometry(tau, tau)
-        assert np.allclose(T.conj().T @ tau.matrix @ T, tau.matrix, atol=1e-9)
-        assert np.allclose(T @ T.conj().T, np.eye(2), atol=1e-9)
-
-    def test_rotated_spectrum(self):
-        rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        tau_a = Operator(np.diag([0.7, 0.3]).astype(complex), (2,))
-        tau_r = Operator(q @ tau_a.matrix @ q.conj().T, (2,))
-        T = pairing_isometry(tau_a, tau_r)
-        assert np.linalg.norm(T.conj().T @ tau_a.matrix @ T - tau_r.matrix) < 1e-9
-
-    def test_degenerate_spectrum_free_pairing(self):
-        tau = Operator(np.diag([0.5, 0.5]).astype(complex), (2,))
-        T = pairing_isometry(tau, tau)
-        assert np.linalg.norm(T.conj().T @ tau.matrix @ T - tau.matrix) < 1e-9
-
-    def test_random_full_rank_up_to_dim_8(self):
-        rng = np.random.default_rng(11)
-        for d in (2, 3, 5, 8):
-            rho = random_density(d, rng)
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-            tau_a = Operator(rho, (d,))
-            tau_r = Operator(q @ rho @ q.conj().T, (d,))
-            T = pairing_isometry(tau_a, tau_r)
-            assert np.linalg.norm(T.conj().T @ tau_a.matrix @ T - tau_r.matrix) < 1e-9
-            proj = T.conj().T @ T
-            assert np.allclose(proj, np.eye(d), atol=1e-9)
-
-    def test_rank_deficient_target(self):
-        tau_a = Operator(np.diag([0.6, 0.4, 0.0]).astype(complex), (3,))
-        tau_r = Operator(np.diag([0.6, 0.4]).astype(complex), (2,))
-        T = pairing_isometry(tau_a, tau_r)
-        assert T.shape == (3, 2)
-        assert np.linalg.norm(T.conj().T @ tau_a.matrix @ T - tau_r.matrix) < 1e-9
-
-    def test_spectral_mismatch_rejected(self):
-        a = Operator(np.diag([0.7, 0.3]).astype(complex), (2,))
-        b = Operator(np.diag([0.6, 0.4]).astype(complex), (2,))
-        with pytest.raises(SpectralMismatchError):
-            pairing_isometry(a, b)
 
 
 class TestPermute:

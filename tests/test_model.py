@@ -20,8 +20,6 @@ from qbench.model import (
     apply_channel,
     channel_from_json,
     channel_to_json,
-    ensemble_from_json,
-    ensemble_to_json,
     fidelity_test,
     jamiolkowski,
     mp_channel,
@@ -361,14 +359,6 @@ class TestJson:
         t2 = prob_test_from_json(prob_test_to_json(t))
         assert np.allclose(t2.omega.matrix, t.omega.matrix)
         assert t2.omega.dims == t.omega.dims
-
-    def test_ensemble_round_trip(self):
-        e = design_ensemble(2)
-        e2 = ensemble_from_json(ensemble_to_json(e))
-        assert np.allclose(e2.probs, e.probs)
-        assert all(
-            np.allclose(a.matrix, b.matrix) for a, b in zip(e.states, e2.states)
-        )
 
     def test_malformed_channel_rejected(self):
         with pytest.raises(ContractError):
