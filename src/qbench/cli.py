@@ -1,10 +1,12 @@
 """Command-line front end: benchmark values, canonical recipes, optical runs.
 
-Three subcommands share one report shape — a flat JSON object (or its CSV
-flattening) with the computed value, the certification evidence, and a
-timestamp.  Exit codes: 0 when the result is certified, 2 when the numbers
-came out but could not be certified (search stagnated, guard tripped,
-cross-check disagreed), 1 for usage and parse problems.
+Three subcommands share one report shape.  Each ``cmd_*`` returns its
+report body and whether it is certified; :func:`main` alone wraps the body
+as ``{"command", **body, "certified", "timestamp"}``, written as JSON or as
+its CSV flattening, and picks the exit code: 0 exactly when the report is
+certified, 2 when the numbers came out but could not be certified (search
+stagnated, guard tripped, cross-check disagreed), 1 for usage and parse
+problems.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .errors import ContractError, CutoffError, SupportError, ToolkitError
 from .linalg import Operator, operator_from_json, operator_to_json
 from .model import (
     Channel,
+    DetTest,
     ProbTest,
     channel_from_json,
     check_bytes,
@@ -92,10 +95,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _load_json(path: str) -> dict:
@@ -145,13 +144,7 @@ def _emit(payload: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# benchmark
-
-
-def _pnr_config(args) -> PnrConfig:
-    if args.restarts < 0:
-        raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
-    return PnrConfig(restarts=args.restarts, seed=args.seed)
+# inputs
 
 
 def _checked(build, *args, **kwargs):
@@ -162,95 +155,96 @@ def _checked(build, *args, **kwargs):
         raise _UsageError(str(err)) from err
 
 
-def _builtin_count(param: str, default: int) -> int:
-    """The integer after ``name:`` in ``--builtin``, or ``default``."""
+def _source(args, *flags: str) -> str:
+    """The one of ``flags`` that is set; none or several is a usage error."""
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if len(given) != 1:
+        names = "/".join(f"--{flag}" for flag in flags)
+        raise _UsageError(f"{args.command} needs exactly one of {names}")
+    return given[0]
+
+
+def _from_spec(spec: str, table: dict, what: str):
+    """``make(param)`` for a ``name[:param]`` spec, where ``table`` maps each
+    name to ``(make, cast, default)``: a ``cast`` of None takes no parameter,
+    and a ``default`` of None needs one."""
+    name, _, text = spec.partition(":")
+    if name not in table:
+        raise _UsageError(f"unknown {what} {name!r}; pick from {', '.join(table)}")
+    make, cast, default = table[name]
+    if cast is None:
+        if text:
+            raise _UsageError(f"{what} {name!r} takes no parameter")
+        return make()
+    if not text and default is None:
+        raise _UsageError(f"{what} {name!r} needs a parameter, e.g. {name}:0.8")
     try:
-        return int(param) if param else default
+        param = cast(text) if text else default
     except ValueError as err:
-        raise _UsageError(f"builtin parameter {param!r} is not an integer") from err
+        kind = "an integer" if cast is int else "a number"
+        raise _UsageError(f"{what} parameter {text!r} is not {kind}") from err
+    return _checked(make, param)
 
 
-def _benchmark_prob(test: ProbTest, args, extra: dict) -> tuple[dict, int]:
+def _read_omega(path: str) -> ProbTest | Operator:
+    """An ``--omega`` file: a probabilistic test, or a bare performance operator."""
+    data = _load_json(path)
+    if isinstance(data, dict) and "omega" in data:
+        return prob_test_from_json(data)
+    return operator_from_json(data)
+
+
+def _read_test(path: str) -> tuple[DetTest, Operator]:
+    """A ``--test`` file's deterministic test and its performance operator."""
+    test = det_test_from_json(_load_json(path))
+    return test, performance_operator(test)
+
+
+# ---------------------------------------------------------------------------
+# benchmark
+
+# --builtin name: (make, cast, default) for _from_spec; make returns the
+# report's scenario keys and the test, None for the closed-form coherent case
+_BUILTINS = {
+    "teleport": (lambda d: ({"builtin": "teleport", "dim": d}, teleport_test(d)), int, 2),
+    "chsh": (lambda: ({"builtin": "chsh"}, chsh_test()), None, None),
+    "equator": (lambda n: ({"builtin": "equator", "points": n}, equator_test(n)), int, 3),
+    "coherent": (lambda: ({"builtin": "coherent"}, None), None, None),
+}
+
+
+def _pnr_config(args) -> PnrConfig:
+    if args.restarts < 0:
+        raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
+    return PnrConfig(restarts=args.restarts, seed=args.seed)
+
+
+def cmd_benchmark(args) -> tuple[dict, bool]:
+    source = _source(args, "builtin", "omega", "test")
+    if source == "test":
+        _, omega = _read_test(args.test)
+        report = det_benchmark(omega, _pnr_config(args))
+        return {"source": args.test, **report.to_json()}, report.converged
+
+    if source == "omega":
+        body, test = {"source": args.omega}, _read_omega(args.omega)
+        if isinstance(test, Operator):
+            d_in = test.dims[1]
+            test = ProbTest(test, Operator(np.eye(d_in) / d_in, (d_in,)))
+    else:
+        body, test = _from_spec(args.builtin, _BUILTINS, "builtin")
+    if test is None:
+        # measure-and-prepare threshold of the coherent-state test: the
+        # heterodyne device that re-prepares at q = g/(1+lam) is optimal
+        params = _checked(CvParams, g=args.g, lam=args.lam)
+        value = rescale_mp_device(params.g / (1.0 + params.lam)).average_fidelity(params)
+        body |= {"g": params.g, "lambda": params.lam, "value": value, "lower": value,
+                 "upper": value, "method": "closed_form", "tau_min": None}
+        return body, True
     res = prob_benchmark(test, _pnr_config(args), _details=True)
-    payload = {
-        "command": "benchmark",
-        **extra,
-        "value": res.value,
-        "lower": res.lower,
-        "upper": res.upper,
-        "method": res.method,
-        "restarts": res.restarts,
-        "tau_min": operator_to_json(test.sigma_A),
-        "certified": True,
-        "timestamp": _timestamp(),
-    }
-    return payload, 0
-
-
-def cmd_benchmark(args) -> tuple[dict, int]:
-    sources = [args.builtin is not None, args.omega is not None, args.test is not None]
-    if sum(sources) != 1:
-        raise _UsageError("benchmark needs exactly one of --builtin/--omega/--test")
-
-    if args.builtin is not None:
-        name, _, param = args.builtin.partition(":")
-        if name == "teleport":
-            dim = _builtin_count(param, 2)
-            return _benchmark_prob(
-                _checked(teleport_test, dim), args, {"builtin": "teleport", "dim": dim}
-            )
-        if name == "chsh":
-            return _benchmark_prob(chsh_test(), args, {"builtin": "chsh"})
-        if name == "equator":
-            n = _builtin_count(param, 3)
-            return _benchmark_prob(
-                _checked(equator_test, n), args, {"builtin": "equator", "points": n}
-            )
-        if name == "coherent":
-            # measure-and-prepare threshold of the coherent-state test at
-            # gain g and prior lambda; the optimal rescaling q = g/(1+lam)
-            # turns the amplitude integral into this closed form
-            params = _checked(CvParams, g=args.g, lam=args.lam)
-            value = (1.0 + params.lam) / (1.0 + params.lam + params.g**2)
-            payload = {
-                "command": "benchmark",
-                "builtin": "coherent",
-                "g": params.g,
-                "lambda": params.lam,
-                "value": value,
-                "lower": value,
-                "upper": value,
-                "method": "closed_form",
-                "tau_min": None,
-                "certified": True,
-                "timestamp": _timestamp(),
-            }
-            return payload, 0
-        raise _UsageError(
-            f"unknown builtin {name!r}; pick from teleport, chsh, equator, coherent"
-        )
-
-    if args.omega is not None:
-        data = _load_json(args.omega)
-        if isinstance(data, dict) and "omega" in data:
-            test = prob_test_from_json(data)
-        else:
-            omega = operator_from_json(data)
-            d_in = omega.dims[1]
-            test = ProbTest(omega, Operator(np.eye(d_in) / d_in, (d_in,)))
-        return _benchmark_prob(test, args, {"source": args.omega})
-
-    test = det_test_from_json(_load_json(args.test))
-    omega = performance_operator(test)
-    report = det_benchmark(omega, _pnr_config(args))
-    payload = {
-        "command": "benchmark",
-        "source": args.test,
-        **report.to_json(),
-        "certified": report.converged,
-        "timestamp": _timestamp(),
-    }
-    return payload, 0 if report.converged else 2
+    body |= {"value": res.value, "lower": res.lower, "upper": res.upper, "method": res.method,
+             "restarts": res.restarts, "tau_min": operator_to_json(test.sigma_A)}
+    return body, True
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +266,11 @@ def _check_channel(dims: tuple[int, int], seed: int, trace_preserving: bool) -> 
     return Channel([scale * k for k in kraus], trace_preserving=False)
 
 
-def cmd_canonical(args) -> tuple[dict, int]:
-    sources = [args.omega is not None, args.test is not None]
-    if sum(sources) != 1:
-        raise _UsageError("canonical needs exactly one of --omega/--test")
-
+def cmd_canonical(args) -> tuple[dict, bool]:
+    source = _source(args, "omega", "test")
     check: dict | None = None
-    if args.test is not None:
-        test = det_test_from_json(_load_json(args.test))
-        omega = performance_operator(test)
+    if source == "test":
+        test, omega = _read_test(args.test)
         recipe = canonical_det_test(omega)
         channel = _check_channel(omega.dims, args.seed, trace_preserving=True)
         direct = score_det_direct(test, channel)
@@ -291,78 +281,55 @@ def cmd_canonical(args) -> tuple[dict, int]:
             "p_succ": p,
             "deviation": abs(direct - via),
         }
-        source = args.test
+    elif isinstance(test := _read_omega(args.omega), Operator):
+        omega, recipe = test, canonical_det_test(test)
     else:
-        data = _load_json(args.omega)
-        if isinstance(data, dict) and "omega" in data:
-            test = prob_test_from_json(data)
-            omega = test.omega
-            recipe = canonical_prob_test(test)
-            channel = _check_channel(omega.dims, args.seed, trace_preserving=False)
-            s0, p0 = score_prob(test, channel)
-            s1, p1 = score_recipe(recipe, channel)
-            check = {
-                "score_original": s0,
-                "score_recipe": s1,
-                "p_succ_original": p0,
-                "p_succ_recipe": p1,
-                "deviation": max(abs(s0 - s1), abs(p0 - p1)),
-            }
-        else:
-            omega = operator_from_json(data)
-            recipe = canonical_det_test(omega)
-        source = args.omega
+        omega = test.omega
+        recipe = canonical_prob_test(test)
+        channel = _check_channel(omega.dims, args.seed, trace_preserving=False)
+        s0, p0 = score_prob(test, channel)
+        s1, p1 = score_recipe(recipe, channel)
+        check = {
+            "score_original": s0,
+            "score_recipe": s1,
+            "p_succ_original": p0,
+            "p_succ_recipe": p1,
+            "deviation": max(abs(s0 - s1), abs(p0 - p1)),
+        }
 
     residual = round_trip_residual(recipe, omega)
     ok = within_recipe_tol(residual, np.linalg.norm(omega.matrix)) and (
         check is None or within_recipe_tol(check["deviation"], abs(check["score_original"]))
     )
-    payload = {
-        "command": "canonical",
-        "source": source,
+    body = {
+        "source": getattr(args, source),
         "recipe": recipe_to_json(recipe),
         "round_trip_residual": residual,
         "check": check,
-        "certified": ok,
-        "timestamp": _timestamp(),
     }
-    return payload, 0 if ok else 2
+    return body, ok
 
 
 # ---------------------------------------------------------------------------
 # cv
 
-
-def _resolve_device(spec: str) -> AnalyticDevice | Channel:
-    if spec.startswith("@"):
-        return channel_from_json(_load_json(spec[1:]))
-    name, _, param = spec.partition(":")
-    if name in ("identity", "vacuum", "heterodyne-mp") and param:
-        raise _UsageError(f"device {name!r} takes no parameter")
-    if name == "identity":
-        return identity_device()
-    if name == "vacuum":
-        return vacuum_device()
-    if name == "heterodyne-mp":
-        return rescale_mp_device(1.0)
-    if name in ("attenuator", "scale"):
-        if not param:
-            raise _UsageError(f"device {name!r} needs a parameter, e.g. {name}:0.8")
-        try:
-            value = float(param)
-        except ValueError as err:
-            raise _UsageError(f"device parameter {param!r} is not a number") from err
-        return _checked(attenuator_device if name == "attenuator" else rescale_mp_device, value)
-    raise _UsageError(
-        f"unknown device {spec!r}; builtins are identity, vacuum, attenuator:t, "
-        "scale:q, heterodyne-mp, or @kraus.json"
-    )
+# --device name: (make, cast, default) for _from_spec; "@path" reads a Kraus file
+_DEVICES = {
+    "identity": (identity_device, None, None),
+    "vacuum": (vacuum_device, None, None),
+    "heterodyne-mp": (rescale_mp_device, None, None),
+    "attenuator": (attenuator_device, float, None),
+    "scale": (rescale_mp_device, float, None),
+}
 
 
-def cmd_cv(args) -> tuple[dict, int]:
+def cmd_cv(args) -> tuple[dict, bool]:
     params = _checked(CvParams, g=args.g, lam=args.lam, mu=args.mu, conjugate=args.conjugate)
     cutoff = _checked(FockCutoff, args.cutoff)
-    device = _resolve_device(args.device)
+    if args.device.startswith("@"):
+        device = channel_from_json(_load_json(args.device[1:]))
+    else:
+        device = _from_spec(args.device, _DEVICES, "device")
     analytic = isinstance(device, AnalyticDevice)
     setup = build_setup(params, cutoff)
 
@@ -389,8 +356,7 @@ def cmd_cv(args) -> tuple[dict, int]:
                 f"the device spills 1 - p_succ = {1.0 - p_succ:.2e} of the run past "
                 f"n_max={cutoff.n_max}; a taller --cutoff keeps more of it"
             )
-    payload = {
-        "command": "cv",
+    body = {
         "device": args.device,
         "setup": setup_to_json(setup),
         "score": score,
@@ -401,10 +367,8 @@ def cmd_cv(args) -> tuple[dict, int]:
         "value": oracle.value if score is None else score,
         "method": method,
         "note": note,
-        "certified": certified,
-        "timestamp": _timestamp(),
     }
-    return payload, 0 if certified else 2
+    return body, certified
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +456,9 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        payload, code = args.func(args)
-        _emit(payload, args)
+        body, certified = args.func(args)
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        _emit({"command": args.command, **body, "certified": certified, "timestamp": stamp}, args)
     except (_UsageError, OSError) as err:
         print(f"qbench: error: {err}", file=sys.stderr)
         return 1
@@ -509,7 +474,7 @@ def main(argv=None) -> int:
     except ToolkitError as err:
         print(f"qbench: uncertified: {err}", file=sys.stderr)
         return 2
-    return code
+    return 0 if certified else 2
 
 
 if __name__ == "__main__":

@@ -119,10 +119,12 @@ class CvParams:
         for name in ("g", "lam", "mu"):
             if math.isnan(getattr(self, name)):
                 raise ContractError(f"{name} must be a number, got nan")
-        if not 0 <= self.g < math.inf:
-            raise ContractError(f"gain must be finite and nonnegative, got {self.g}")
-        if self.lam <= 0:
-            raise ContractError(f"lam must be positive, got {self.lam}")
+        if not (0 <= self.g and self.g * self.g < math.inf):
+            raise ContractError(
+                f"gain must be finite and nonnegative, with a finite square, got {self.g}"
+            )
+        if not 0 < self.lam < math.inf:
+            raise ContractError(f"lam must be positive and finite, got {self.lam}")
         if self.mu <= 0:
             raise ContractError(f"mu must be positive, got {self.mu}")
 
@@ -146,7 +148,7 @@ class CvParams:
 
     @property
     def nu(self) -> float:
-        g2 = self.g**2  # zero also when a subnormal gain underflows
+        g2 = self.g * self.g  # zero also when a subnormal gain underflows
         if math.isinf(self.mu) or g2 == 0:
             return math.inf
         return (self.lam + self.mu) / g2
@@ -627,8 +629,10 @@ class AnalyticDevice:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ContractError(f"unknown analytic device kind {self.kind!r}")
-        if not math.isfinite(self.param):
-            raise ContractError(f"device parameter must be finite, got {self.param}")
+        if not math.isfinite(self.param * self.param):
+            raise ContractError(
+                f"device parameter must be finite, with a finite square, got {self.param}"
+            )
         if self.kind == "attenuator" and not (0 <= self.param <= 1):
             raise ContractError(f"attenuator transmissivity {self.param} outside [0, 1]")
         if self.kind == "rescale_mp" and self.param < 0:
@@ -638,8 +642,8 @@ class AnalyticDevice:
     def eta_gain(self) -> tuple[float, float]:
         """Attenuator transmissivity η and amplifier gain G of the device."""
         if self.kind == "rescale_mp":
-            gain = 1.0 + self.param**2
-            return self.param**2 / gain, gain
+            q2 = self.param * self.param
+            return q2 / (1.0 + q2), 1.0 + q2
         return {"identity": 1.0, "attenuator": self.param, "vacuum": 0.0}[self.kind], 1.0
 
     def pure_fidelity(self, u, v):
@@ -664,8 +668,8 @@ class AnalyticDevice:
         kappa = math.sqrt(eta * gain)
         t = 0.0 if math.isinf(params.mu) else kappa * kappa / params.mu
         g, lam = params.g, params.lam
-        s1 = (kappa - g) ** 2 / lam + t
-        s2 = (kappa + g if params.conjugate else kappa - g) ** 2 / lam + t
+        d1, d2 = kappa - g, kappa + g if params.conjugate else kappa - g
+        s1, s2 = d1 * d1 / lam + t, d2 * d2 / lam + t
         return 1.0 / math.sqrt((gain + s1) * (gain + s2))
 
     def transfer(self, n_max: int, charge0: bool = False) -> np.ndarray:

@@ -22,13 +22,16 @@ import numpy as np
 from .engine import GroupRep
 from .errors import ContractError
 from .linalg import Operator
-from .model import Ensemble, ProbTest, fidelity_test
+from .model import Ensemble, ProbTest, check_bytes, fidelity_test
 
 # two unitaries are one Clifford up to phase when |tr(u† v)| is within this of d
 PHASE_MATCH_TOL = 1e-6
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# peak bytes per d**4 of the teleport test's threshold search, measured with
+# tracemalloc on `qbench benchmark --builtin teleport:d`: 112.2 at d = 16, 20
+TELEPORT_PEAK_PER_D4 = 112
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +59,7 @@ def teleport_test(d: int = 2) -> ProbTest:
     """
     if d < 2:
         raise ContractError(f"teleport test needs dimension >= 2, got {d}")
+    check_bytes(TELEPORT_PEAK_PER_D4 * d**4, f"the teleport test's threshold at d={d}")
     p_sym = symmetric_projector(d)
     omega = Operator(p_sym / np.trace(p_sym).real, (d, d))
     sigma = Operator(np.eye(d) / d, (d,))

@@ -191,6 +191,12 @@ class TestBenchmarkCommand:
         assert f"{path} holds {size} bytes" in err and "uncertified" in err
         assert peak < 2**20, peak
 
+    def test_teleport_past_the_byte_cap_is_uncertified(self, capsys):
+        # teleport:999 used to die allocating 7.25 TiB
+        code, out, err = run_cli(capsys, "benchmark", "--builtin", "teleport:999")
+        assert (code, out) == (2, None)
+        assert "d=999" in err and "MiB cap" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "benchmark")
         assert code == 1
@@ -555,6 +561,17 @@ class TestCvCommand:
             (("cv", "--device", "identity", "--mu", "0"), "mu must be positive"),
             (("benchmark", "--builtin", "teleport:abc"), "'abc' is not an integer"),
             (("benchmark", "--builtin", "equator:x"), "'x' is not an integer"),
+            (("benchmark", "--builtin", "chsh:5"), "'chsh' takes no parameter"),
+            (("benchmark", "--builtin", "coherent:7"), "'coherent' takes no parameter"),
+            (("cv", "--device", "identity:2"), "'identity' takes no parameter"),
+            (("cv", "--device", "attenuator"), "'attenuator' needs a parameter"),
+            (("cv", "--device", "scale:x"), "'x' is not a number"),
+            # a value whose square overflows, and an infinite prior width
+            (("benchmark", "--builtin", "coherent", "--lambda", "inf"), "lam must be positive"),
+            (("cv", "--device", "identity", "--lambda", "inf"), "lam must be positive"),
+            (("cv", "--device", "identity", "--g", "1e200", "--cutoff", "10"), "gain must be"),
+            (("cv", "--device", "scale:1e200", "--cutoff", "10"), "must be finite"),
+            (("benchmark", "--builtin", "coherent", "--g", "1e200"), "gain must be"),
         ],
     )
     def test_invalid_scenario_values_are_usage_errors(self, capsys, argv, flag):
@@ -562,6 +579,27 @@ class TestCvCommand:
         assert code == 1
         assert out is None
         assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("benchmark", "--builtin", "coherent", "--g", "1e154", "--lambda", "1e-300"),
+            ("cv", "--device", "scale:1e154", "--g", "1e154", "--conjugate", "--cutoff", "10"),
+            ("cv", "--device", "attenuator:0.5", "--g", "1e150", "--mu", "1e300", "--cutoff", "10"),
+        ],
+    )
+    def test_values_near_the_overflow_report_finite_numbers(self, capsys, argv):
+        # a square past the float range has a valid limit here, and no
+        # report may carry NaN or Infinity, which are not JSON
+        code = main(list(argv))
+        text = capsys.readouterr().out
+        assert code in (0, 2)
+
+        def refuse(token):
+            raise AssertionError(f"non-finite {token} in the report")
+
+        json.loads(text, parse_constant=refuse)
 
     def test_seeded_runs_are_byte_identical(self, capsys):
         # cv draws nothing at random, so it takes no --seed
@@ -601,6 +639,50 @@ def test_bad_file_paths_are_reported_not_raised(capsys, tmp_path, argv, code, ne
     got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (got, out) == (code, None)
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("benchmark", "--builtin", "equator"),
+        ("benchmark", "--builtin", "coherent"),
+        ("benchmark", "--omega", "{prob}"),
+        ("benchmark", "--omega", "{bare}"),
+        ("benchmark", "--test", "{det}"),
+        ("canonical", "--omega", "{prob}"),
+        ("canonical", "--test", "{det}"),
+        ("cv", "--device", "identity", "--cutoff", "20"),
+        ("cv", "--device", "@{kraus}", "--cutoff", "30"),
+        ("cv", "--device", "scale:3", "--g", "3", "--cutoff", "30"),  # uncertified
+    ],
+)
+def test_every_report_has_one_envelope(capsys, tmp_path, argv):
+    # the command comes first, certified and timestamp last, and the exit
+    # code is 0 exactly when the report is certified, in JSON and in CSV
+    paths = {
+        "prob": tmp_path / "prob.json",
+        "bare": tmp_path / "bare.json",
+        "det": tmp_path / "det.json",
+        "kraus": tmp_path / "kraus.json",
+    }
+    paths["prob"].write_text(json.dumps(prob_test_to_json(equator_test(3))))
+    paths["bare"].write_text(json.dumps(operator_to_json(teleport_test(2).omega)))
+    det = canonical_det_test(teleport_test(2).omega).as_det_test()
+    paths["det"].write_text(json.dumps(det_test_to_json(det)))
+    paths["kraus"].write_text(json.dumps(channel_to_json(Channel.identity(30))))
+    argv = [a.format(**paths) for a in argv]
+
+    code, out, _ = run_cli(capsys, *argv)
+    keys = list(out)
+    assert keys[0] == "command" and out["command"] == argv[0]
+    assert keys[-2:] == ["certified", "timestamp"]
+    assert code == (0 if out["certified"] else 2)
+
+    assert main([*argv, "--format", "csv"]) == code
+    header, row = capsys.readouterr().out.strip().splitlines()
+    columns = header.split(",")
+    assert columns[0] == "command" and row.startswith(f"{argv[0]},")
+    assert columns[-2:] == ["certified", "timestamp"]
 
 
 class TestEnvironment:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qbench.engine import check_covariance, twirl_operator
-from qbench.errors import ContractError
+from qbench.errors import ContractError, CutoffError
 from qbench.presets import (
     chsh_test,
     clifford_group,
@@ -39,6 +41,18 @@ class TestProjectors:
             om = teleport_test(d).omega
             assert abs(np.trace(om.matrix).real - 1.0) < 1e-12
             assert om.is_psd()
+
+    def test_teleport_dimension_guard(self):
+        # the d^2 x d^2 operator is refused before it is allocated
+        for d in (56, 999):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CutoffError, match="MiB cap"):
+                    teleport_test(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (d, peak)
 
     def test_exact_benchmarks(self):
         assert teleport_benchmark_exact(2) == pytest.approx(2 / 3)
