@@ -27,8 +27,9 @@ where the ``c⁻²`` Jacobian comes from rescaling the integration variable.
 ``S_θ (D(α)⊗D(β)) S_θ† = D(α cosh θ − β̄ sinh θ) ⊗ D(β cosh θ − ᾱ sinh θ)``.
 The setup's squeezer and homodyne stages therefore measure ``W_c``; the
 conjugation test's beamsplitter and no-click photodetector measure its
-plain-reference form.  ``run_setup`` reads every branch's observable from
-the exact closed form at the one scale ``c = g·k``; the dense squeezer,
+plain-reference form.  ``run_setup`` reads every branch by one rule: the
+exact compression onto the n_max-level input of its closed-form observable
+at the one scale ``c = g·k``, every sector included; the dense squeezer,
 beamsplitter and Gaussian observable remain as references.
 
 Sector storage.  W_c conserves the photon-number difference p − q, the
@@ -40,24 +41,26 @@ that want the matrix.
 Gaussian channels.  Every reference device and the additive noise ν is a
 quantum-limited amplifier of gain G after a pure-loss attenuator η
 (Caruso, Giovannetti, Holevo, NJP 8, 310 (2006)); the noise is
-G = 1 + 1/ν after η = 1/G.  Both stages are phase covariant, so the
-channel acts on each mode-a charge δ (the bra-ket level difference)
-through one n_max × n_max transfer matrix, ``_gaussian_transfer``: n_max³
-numbers in all.  Each Kraus operator of a stage shifts the photon number by
-its own fixed amount, so a stage's transfer is read from its n_max × n_max
-amplitude matrix, the entry-wise sum of its Kraus set, with no Kraus stack
-built.  The noise's transfer is folded onto the readout, and a reference
-device is scored from its own, sector by sector, against the same readout;
-the conjugation branch reads the device's charge 0 alone.  A Kraus
-``Channel`` is read the same way from ``_charge_transfer`` of its Kraus
-array: every charge of T, or of the charge-reversing A under conjugation.
-``_gaussian_kraus`` gives the exact real Kraus set (n_max⁴ numbers), which
-only ``AnalyticDevice.materialize`` exports as a ``Channel``.
+G = 1 + 1/ν after η = 1/G.  The amplifier is the attenuator's dual, so both
+stages come from one closed form, ``_attenuator_amplitudes``.  Both stages
+are phase covariant, so the channel acts on each mode-a charge δ (the
+bra-ket level difference) through one n_max × n_max transfer matrix,
+``_gaussian_transfer``: n_max³ numbers in all.  Each Kraus operator of a
+stage shifts the photon number by its own fixed amount, so a stage's
+transfer is read from its n_max × n_max amplitude matrix, the entry-wise
+sum of its Kraus set, with no Kraus stack built.  The noise's transfer is
+folded onto the readout, and a reference device is scored from its own,
+sector by sector, against the same readout; the conjugation branch reads
+the device's charge 0 alone.  A Kraus ``Channel`` is read the same way from
+``_charge_transfer`` of its Kraus array: every charge of T, or of the
+charge-reversing A under conjugation.  ``_gaussian_kraus`` gives the exact
+real Kraus set (n_max⁴ numbers), which only ``AnalyticDevice.materialize``
+exports as a ``Channel``.
 
 Closed forms in log space.  Coherent amplitudes, the displacement, W_c and
-the attenuator and amplifier amplitude matrices are assembled in log space from one
-table of ln k! built with ``math.lgamma`` (``_log_factorials``), and the
-coherent Poisson tail is a direct sum, so the module needs numpy alone.
+the attenuator's amplitude matrix are assembled in log space from one table
+of ln k! built with ``math.lgamma`` (``_log_factorials``), and the coherent
+Poisson tail is a direct sum, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -278,16 +280,17 @@ def coherent_state(alpha: complex, cutoff: FockCutoff) -> PureState:
 
 def _check_geometric(ratio: float, cutoff: FockCutoff, name: str) -> None:
     """Refuse a Fock distribution whose weights fall as ``ratio**n``: with
-    :class:`ContractError` unless ``ratio`` lies in [0, 1), with
+    :class:`ContractError` unless ``ratio`` lies in [0, 1], with
     :class:`CutoffError` when its mass past the cutoff, ``ratio**n_max``,
-    exceeds ``leak_tol``."""
-    if not (0 <= ratio < 1):
+    exceeds ``leak_tol``.  A ratio that rounded to 1 leaks everything, and no
+    cutoff holds it."""
+    if not (0 <= ratio <= 1):
         raise ContractError(f"{name} must lie in [0, 1), got {ratio}")
     leak = ratio**cutoff.n_max
     if leak > cutoff.leak_tol:
+        fit = None if ratio == 1 else math.ceil(math.log(cutoff.leak_tol) / math.log(ratio))
         raise CutoffError(
-            f"{name}={ratio} leaks {leak:.2e} past n_max={cutoff.n_max}",
-            suggested_n_max=int(math.ceil(math.log(cutoff.leak_tol) / math.log(ratio))),
+            f"{name}={ratio} leaks {leak:.2e} past n_max={cutoff.n_max}", suggested_n_max=fit
         )
 
 
@@ -718,15 +721,11 @@ def _amplifier_amplitudes(gain: float, n_max: int) -> np.ndarray:
     """Amplitude matrix of the quantum-limited amplifier truncated to
     n + k < n_max, the entry-wise sum of its Kraus set
     A_k = Σ_n √(C(n+k, k) (1−1/G)^k / G^{n+1}) |n+k⟩⟨n|: A_k holds the
-    entries with x − u = k."""
-    logs = _log_factorials(n_max)
-    k, top = np.triu_indices(n_max)  # top = n + k
-    n = top - k
-    log_a = logs[top] - logs[n] - logs[k]
-    log_a += _xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
-    out = np.zeros((n_max, n_max))
-    out[top, n] = np.exp(0.5 * log_a)
-    return out
+    entries with x − u = k.  The amplifier is the attenuator's dual,
+    A_k = L_kᵀ / √G with L_k the photon-loss operators at t = 1/G, so this
+    is the attenuator's matrix transposed (copied C-contiguous, so that
+    products built on it round as on a freshly written array)."""
+    return np.ascontiguousarray(_attenuator_amplitudes(1.0 / gain, n_max).T) / math.sqrt(gain)
 
 
 def _split_diagonals(amplitudes: np.ndarray) -> np.ndarray:
@@ -819,14 +818,15 @@ def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
 
 def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     """The branch's observable, weight included, as Hermitian blocks
-    ``[(flat_idx, O_d)]`` over the sectors it conserves, with the setup's
+    ``[(flat_idx, O_d)]`` over every sector it conserves, with the setup's
     additive noise folded onto it.
 
-    Fidelity branches read the closed-form ``W_c``, which the squeezer and
-    the Gaussian observable measure (module docstring).  The conjugation
-    branch reads its plain-reference form on the total-photon sectors
-    a < n_max, where it equals the truncated beamsplitter's no-click readout
-    ``weight · r_a† r_a``, ``r_a`` the ⟨a, 0| row of sector a.
+    Every branch reads one rule: the exact compression onto the n_max-level
+    input of its closed-form pair observable.  Fidelity branches read
+    ``W_c``, which the squeezer and the Gaussian observable measure (module
+    docstring); the conjugation branch reads its plain-reference form, which
+    the beamsplitter's no-click readout measures once the beamsplitter keeps
+    every total-photon sector the input reaches (2·n_max − 1 levels a mode).
     """
     n_max = setup.cutoff.n_max
     conjugate = setup.params.conjugate
@@ -835,24 +835,21 @@ def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     # layouts, the n³ complex transfer and the readout blocks
     if math.isfinite(nu):
         check_bytes(117, "noise fold", n_max)
-    blocks = _pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate)
-    blocks = list(islice(blocks, n_max if conjugate else None))
+    blocks = list(_pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate))
     if math.isfinite(nu):
-        sectors = _sectors(n_max, "total" if conjugate else "difference")
-        blocks = _fold_noise(blocks, _noise_transfer(nu, n_max), sectors)
+        blocks = _fold_noise(blocks, _noise_transfer(nu, n_max))
     return blocks
 
 
-def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+def _fold_noise(readout, transfer: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(N† ⊗ I)(O)`` for a phase-covariant channel N on the device mode,
     given by its per-charge ``transfer`` (:func:`_charge_transfer`).
 
     O's elements are laid out by mode-a charge δ, ``C[δ, x, r] =
     O[(x, r), (x − δ, ·)]`` — within a sector the row and δ fix the column —
     so ``Tr[O (N ⊗ I)(ρ)] = Tr[(N† ⊗ I)(O) ρ]`` turns each ``C[δ]`` into
-    ``T_δᴴ @ C[δ]``.  The result conserves the same charge as O, and is
-    gathered back over every one of ``sectors``, since the noise carries O
-    into sectors it had left empty.
+    ``T_δᴴ @ C[δ]``.  The result conserves the same charge as O and is
+    gathered back on O's own sectors, which cover every one it conserves.
     """
     n = transfer.shape[-1]
     adjoint = np.zeros((2 * n - 1, n, n), dtype=complex)  # T_δᴴ at index δ + n − 1
@@ -868,7 +865,7 @@ def _fold_noise(readout, transfer: np.ndarray, sectors) -> list[tuple[np.ndarray
     for idx, o in readout:
         charge[layout(idx)] = o
     charge = adjoint @ charge
-    return [(idx, charge[layout(idx)]) for idx in sectors]
+    return [(idx, charge[layout(idx)]) for idx, _ in readout]
 
 
 def _transfer_gram(transfer: np.ndarray, conjugate: bool):
@@ -921,8 +918,9 @@ def _run(setup: CvSetup, transfer, trace_preserving: bool) -> tuple[float, float
     ~5.3·n_max³ bytes of readout blocks, then a built-in device's two stage
     arrays and their product, 8·n³ each, or a Kraus family's one (16·n³ if
     complex): at n_max 150 tracemalloc measured 29.5·n³, 13.7·n³ on a real
-    Kraus family and 21.9·n³ (23.9 at n_max 40) on a complex one.  A
-    noisy run's fold is guarded in :func:`_readout`.
+    Kraus family and 21.9·n³ (23.9 at n_max 40) on a complex one; a
+    built-in device under conjugation, charge 0 alone, 5.6·n³ (6.8 at
+    n_max 40).  A noisy run's fold is guarded in :func:`_readout`.
     """
     n_max = setup.cutoff.n_max
     check_bytes(32, "charge-block run", n_max)

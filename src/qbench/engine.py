@@ -43,7 +43,7 @@ from .linalg import (
     psd_power_on_support,
     support_rank,
 )
-from .model import PROB_SUM_TOL, Channel, ProbTest, jamiolkowski, score_det_jam
+from .model import Channel, ProbTest, jamiolkowski, score_det_jam
 
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -132,18 +132,15 @@ class GroupRep:
     """Paired unitary representation acting on the two test factors.
 
     Element ``g`` acts as ``U'_g`` on the output factor and ``U_g`` on
-    the input factor; ``weights`` is a probability vector over elements.
+    the input factor; ``weights`` is the uniform probability vector over
+    elements.
     """
 
     elements_out: tuple[np.ndarray, ...]
     elements_in: tuple[np.ndarray, ...]
     weights: np.ndarray
 
-    def __init__(
-        self,
-        pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-        weights: Sequence[float] | None = None,
-    ) -> None:
+    def __init__(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
         if not pairs:
             raise ContractError("group representation needs at least one element")
         outs = []
@@ -151,15 +148,9 @@ class GroupRep:
         for u_out, u_in in pairs:
             outs.append(_check_unitary(np.asarray(u_out, dtype=complex)))
             ins.append(_check_unitary(np.asarray(u_in, dtype=complex)))
-        if weights is None:
-            w = np.full(len(pairs), 1.0 / len(pairs))
-        else:
-            w = np.asarray(weights, dtype=float)
-        if w.shape != (len(pairs),) or np.any(w < 0) or abs(w.sum() - 1.0) > PROB_SUM_TOL:
-            raise ContractError("weights must be a probability vector over elements")
         object.__setattr__(self, "elements_out", tuple(outs))
         object.__setattr__(self, "elements_in", tuple(ins))
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", np.full(len(pairs), 1.0 / len(pairs)))
 
     def __len__(self) -> int:
         return len(self.elements_in)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from qbench import cli, cv, model
 from qbench.canonical import RECIPE_TOL, canonical_det_test
 from qbench.cli import build_parser, main
-from qbench.cv import FockCutoff, attenuator_device
+from qbench.cv import AnalyticDevice, CvParams, FockCutoff, attenuator_device
 from qbench.linalg import Operator, operator_to_json
 from qbench.model import (
     Channel,
@@ -434,6 +436,15 @@ class TestCvCommand:
         assert out["method"] == "oracle" and out["certified"]
         assert "n_max=300" in out["note"]
 
+    @pytest.mark.parametrize("mu", ["1e-20", "1e-300"])
+    def test_input_noise_past_every_cutoff_falls_back(self, capsys, mu):
+        # the tmsv ratio x rounds to 1, so no cutoff holds the input; the
+        # built-in device still has its closed form
+        code, out, err = run_cli(capsys, "cv", "--device", "identity", "--mu", mu, "--cutoff", "10")
+        assert code == 0, err
+        assert out["method"] == "oracle" and out["certified"]
+        assert "tmsv parameter x=1.0 leaks" in out["note"]
+
     def test_boundary_gain_is_scored(self, capsys):
         # c = g·k = 1 has no squeezer angle, but W_1 has its closed form
         code, out, _ = run_cli(capsys, "cv", "--device", "identity", "--g", "2", "--lambda", "3")
@@ -775,3 +786,65 @@ class TestEnvironment:
         code = main([])
         assert code == 1
         assert "benchmark" in capsys.readouterr().err
+
+
+# extreme values of the scenario flags and device parameters
+_EXTREMES = (0.0, 1e-300, 1e-20, 1e-15, 0.5, 1.0, 2.0, 1e154, math.inf, math.nan, -1.0)
+_NUMBERS = st.one_of(st.sampled_from(_EXTREMES), st.floats())
+# --device name: the AnalyticDevice kind it names and its fixed parameter
+_KINDS = {"identity": ("identity", 1.0), "vacuum": ("vacuum", 1.0),
+          "heterodyne-mp": ("rescale_mp", 1.0), "attenuator": ("attenuator", None),
+          "scale": ("rescale_mp", None)}
+
+
+@st.composite
+def _sweep_argv(draw) -> list[str]:
+    """A ``cv`` or ``benchmark --builtin coherent`` argv with each scenario
+    flag absent or set to an extreme value, at a cutoff of at most 60."""
+    if draw(st.booleans()):
+        argv = ["benchmark", "--builtin", "coherent"]
+    else:
+        name = draw(st.sampled_from(sorted(_KINDS)))
+        if _KINDS[name][1] is None:
+            name = f"{name}:{draw(_NUMBERS)!r}"
+        argv = ["cv", "--device", name, f"--cutoff={draw(st.integers(1, 60))}"]
+        if draw(st.booleans()):
+            argv.append("--conjugate")
+        if (mu := draw(st.none() | _NUMBERS)) is not None:
+            argv.append(f"--mu={mu!r}")
+    for flag in ("--g", "--lambda"):
+        if (value := draw(st.none() | _NUMBERS)) is not None:
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+def _flag(argv: list[str], flag: str, default: float) -> float:
+    values = [float(a.split("=", 1)[1]) for a in argv if a.startswith(f"{flag}=")]
+    return values[0] if values else default
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(argv=_sweep_argv())
+@example(argv=["cv", "--device", "identity", "--mu=1e-20", "--cutoff=10"])
+@example(argv=["cv", "--device", "scale:1e154", "--cutoff=10", "--conjugate", "--g=1e154"])
+@example(argv=["benchmark", "--builtin", "coherent", "--g=1e154", "--lambda=1e-300"])
+def test_extreme_inputs_exit_cleanly(argv):
+    """Every run exits 0, 1 or 2 without a traceback, writes no NaN or
+    Infinity, and an exit-0 cv run of a built-in device reports a value
+    within CV_CERTIFY_TOL of the device's closed form."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    assert "NaN" not in text and "Infinity" not in text, argv
+    if code != 0 or argv[0] != "cv":
+        return
+    report = json.loads(text)
+    name, _, param = argv[2].partition(":")
+    kind, fixed = _KINDS[name]
+    device = AnalyticDevice(kind, fixed if param == "" else float(param))
+    params = CvParams(g=_flag(argv, "--g", 1.0), lam=_flag(argv, "--lambda", 1.0),
+                      mu=_flag(argv, "--mu", math.inf), conjugate="--conjugate" in argv)
+    assert abs(report["value"] - device.average_fidelity(params)) <= cli.CV_CERTIFY_TOL, argv

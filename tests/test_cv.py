@@ -44,6 +44,7 @@ from qbench.cv import (
     two_mode_squeezer,
     vacuum_device,
     ARRAY_MAX_BYTES,
+    _amplifier_amplitudes,
     _charge_transfer,
     _coherent_amplitudes,
     _fold_noise,
@@ -613,8 +614,7 @@ class TestNoiseTransferMatrix:
         ks = _phase_covariant_kraus(rng, n, 5)
         setup = build_setup(CvParams(g=1.2, lam=2.0, conjugate=conjugate), _cutoff(n, 0.5))
         readout = _readout(setup)
-        sectors = _sectors(n, "total" if conjugate else "difference")
-        folded = _fold_noise(readout, _charge_transfer(ks), sectors)
+        folded = _fold_noise(readout, _charge_transfer(ks))
         vectors = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         moved = np.einsum("jxa,kar->jkxr", ks, vectors).reshape(-1, n, n)
         ones = np.ones(n)
@@ -663,10 +663,9 @@ class TestNoiseTransferMatrix:
         rng = np.random.default_rng(23)
         vectors = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
         flat = vectors.reshape(4, -1)
-        u = beamsplitter(setup.bs_t, cut).matrix
-        full = (u @ (flat.T @ flat.conj()) @ u.conj().T).reshape(n, n, n, n)
+        obs = setup.weight * _no_click_observable(setup.bs_t, n)
         got = _score_sectors(_readout(setup), _gram(vectors, True), np.ones(n))
-        assert abs(got - setup.weight * np.trace(full[:, 0, :, 0]).real) < 1e-10
+        assert abs(got - np.trace(obs @ (flat.T @ flat.conj())).real) < 1e-10
 
     @pytest.mark.parametrize(
         "params",
@@ -690,11 +689,26 @@ class TestNoiseTransferMatrix:
         assert abs(got - dense) < 1e-12 * max(1.0, abs(dense))
 
     def test_noisy_conjugation_reference_value(self):
-        # attenuator:0.8 --conjugate --mu 2 at n_max 40, g = lam = 1
-        setup = build_setup(CvParams(g=1.0, lam=1.0, mu=2.0, conjugate=True), FockCutoff(40))
-        device = attenuator_device(0.8).materialize(setup.cutoff)
-        score, _ = run_setup(setup, device)
-        assert abs(score - 0.37688917655065574) < 1e-10
+        # attenuator:0.8 --conjugate --mu 2 at n_max 40, g = lam = 1; the
+        # closed form is 0.3768891807222, and the run reads 5.0e-10 above it
+        params = CvParams(g=1.0, lam=1.0, mu=2.0, conjugate=True)
+        setup = build_setup(params, FockCutoff(40))
+        device = attenuator_device(0.8)
+        score, _ = run_setup(setup, device.materialize(setup.cutoff))
+        assert abs(device.average_fidelity(params) - 0.3768891807222) < 1e-13
+        assert abs(score - device.average_fidelity(params)) < 1e-9
+        assert abs(score - 0.3768891812257237) < 1e-10
+
+
+def _no_click_observable(t: float, n: int) -> np.ndarray:
+    """P U†(I ⊗ |0⟩⟨0|) U P: the no-click readout of the beamsplitter ``t``
+    compressed onto the n-level input.  U is built on 2n − 1 levels a mode,
+    where every total-photon sector that the input reaches is whole, so each
+    kept element is exact."""
+    m = 2 * n - 1
+    u = beamsplitter(t, FockCutoff(m)).matrix.reshape(m, m, m, m)
+    rows = u[:, 0, :n, :n].reshape(m, n * n)  # ⟨x, 0| U on the input
+    return rows.conj().T @ rows
 
 
 def _dense_score(setup: CvSetup, vectors: np.ndarray) -> float:
@@ -706,10 +720,7 @@ def _dense_score(setup: CvSetup, vectors: np.ndarray) -> float:
     n = cut.n_max
     if params.conjugate:
         gk = params.g * params.k
-        u = beamsplitter(gk * gk / (gk * gk + 1.0), cut).matrix
-        vac = np.zeros((n, n))
-        vac[0, 0] = 1.0
-        obs = u.conj().T @ np.kron(np.eye(n), vac) @ u / (gk * gk + 1.0)
+        obs = _no_click_observable(gk * gk / (gk * gk + 1.0), n) / (gk * gk + 1.0)
     else:
         pure = math.isinf(params.mu)
         c = params.g / math.sqrt(params.lam + 1.0) if pure else params.g * params.k
@@ -1089,12 +1100,13 @@ def test_series_of_each_builtin_meets_its_closed_form(dev, params):
     g=st.floats(0.0, 2.0),
     lam=st.floats(0.3, 6.0),
     mu=st.one_of(st.just(math.inf), st.floats(1.0, 8.0)),
+    conjugate=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_series_equals_the_run_on_any_kraus_family(
-    n, kraus_count, complex_family, g, lam, mu, seed
+    n, kraus_count, complex_family, g, lam, mu, conjugate, seed
 ):
-    """On the fidelity branches the Fock series and run_setup score the same
+    """On every branch the Fock series and run_setup score the same
     truncated device, so they agree to rounding on random families that mix
     charges, pure and at finite μ (or share the noise guard's refusal)."""
     rng = np.random.default_rng(seed)
@@ -1103,7 +1115,7 @@ def test_series_equals_the_run_on_any_kraus_family(
         ks = ks + 1j * rng.normal(size=(kraus_count, n, n))
     ks /= math.sqrt(np.max(np.linalg.eigvalsh(np.einsum("kxa,kxb->ab", ks.conj(), ks))))
     device = Channel(ks, trace_preserving=False)
-    params = CvParams(g=g, lam=lam, mu=mu)
+    params = CvParams(g=g, lam=lam, mu=mu, conjugate=conjugate)
     cut = FockCutoff(n, leak_tol=0.99)  # an algebraic identity: any truncation
     try:
         score, _ = run_setup(build_setup(params, cut), device)
@@ -1427,6 +1439,30 @@ def test_stage_transfers_match_the_combined_kraus_set(eta, gain, n_max):
     want = _charge_transfer(_gaussian_kraus(eta, gain, n_max))
     assert got.shape == want.shape == (n_max, n_max, n_max)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_gain=st.one_of(st.sampled_from([0.0, 8.0]), st.floats(0.0, 8.0)),
+    n_max=st.one_of(st.just(300), st.integers(2, 300)),
+)
+def test_amplifier_is_the_attenuators_dual(log_gain, n_max):
+    """The amplifier's amplitude matrix, read from the attenuator's at 1/G,
+    against its own closed form A[n+k, n] = √(C(n+k, k) (1−1/G)^k / G^{n+1})
+    for G from 1 to 1e8, on the same ln k! table, relative to its largest
+    entry."""
+    gain = 10.0**log_gain
+    got = _amplifier_amplitudes(gain, n_max)
+    assert got.flags.c_contiguous
+    logs = _log_factorials(n_max)
+    top, n = np.tril_indices(n_max)  # top = n + k
+    k = top - n
+    log_a = logs[top] - logs[n] - logs[k]
+    log_a += xlogy(k, 1.0 - 1.0 / gain) - (n + 1) * math.log(gain)
+    want = np.zeros((n_max, n_max))
+    want[top, n] = np.exp(0.5 * log_a)
+    assert np.all(got[np.triu_indices(n_max, 1)] == 0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 @settings(max_examples=100, deadline=None)

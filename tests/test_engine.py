@@ -541,10 +541,6 @@ class TestGroupRep:
         with pytest.raises(ContractError):
             GroupRep([(np.eye(2) * 2.0, np.eye(2))])
 
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ContractError):
-            GroupRep([(np.eye(2), np.eye(2))], weights=[0.5])
-
     def test_ppt_check_reports_eigenvalue(self):
         low = check_ppt(teleport_test(2).omega)
         assert low > -1e-12
