@@ -10,9 +10,10 @@ operator from the recipe returns the original one.
 
 For a performance operator with a negative partial transpose the
 observable of the reduced test would not be positive; such operators are
-first shifted by their spectral norm (recorded in ``offset``) so the
-recipe stays physical, and the benchmark is reported for the raw,
-un-shifted test.
+first shifted by -lambda_min of their partial transpose on the input
+factor (recorded in ``offset``), the least multiple of I that makes the
+recipe physical, and the benchmark is reported for the raw, un-shifted
+test.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .engine import (
     GroupRep,
     PnrConfig,
-    PPT_TOL,
     check_input_support,
     det_benchmark,
     ppt_offset,
@@ -53,9 +53,9 @@ class CanonicalTestRecipe:
 
     ``input_state`` lives on (input, reference) factors, ``observable``
     on (output, reference).  The input marginal of the state always
-    equals ``tau_A``.  ``offset`` records a spectral shift applied to
-    keep the observable positive; ``benchmark`` (when set) is the
-    measure-and-prepare threshold of the raw, un-shifted test.
+    equals ``tau_A``.  ``offset`` records the multiple of I added to keep
+    the observable positive (see ``ppt_offset``); ``benchmark`` (when set)
+    is the measure-and-prepare threshold of the raw, un-shifted test.
     """
 
     input_state: PureState
@@ -235,35 +235,27 @@ def fully_blackbox_test(
 ) -> CanonicalTestRecipe:
     """Canonical test at the benchmark-minimising reference state.
 
-    Shifts the performance operator into positivity if needed (the shift
-    is recorded and the stored benchmark refers to the raw operator),
-    finds the reference state minimising the measure-and-prepare
-    threshold, and returns the canonical recipe at that state.
+    Shifts the performance operator by ``ppt_offset``, the least multiple
+    of I that makes its partial transpose on the input factor positive, so
+    the recipe's observable is positive (the shift is recorded, and the
+    stored benchmark refers to the raw operator); finds the reference
+    state minimising the measure-and-prepare threshold, and returns the
+    canonical recipe at that state.  When the cut budget runs out, the
+    recipe at the last round's state is the ``SearchError``'s ``best``.
     """
-    if not omega.is_hermitian():
-        raise ContractError("performance operator must be Hermitian")
-    d_out, d_in = omega.dims
-    pt = partial_transpose(omega, 1)
-    low = float(np.min(np.linalg.eigvalsh(pt.matrix)))
-    if low < -PPT_TOL:
-        shifted, offset = ppt_offset(omega)
-    else:
-        shifted, offset = omega, 0.0
-
+    shifted, offset = ppt_offset(omega)
     try:
-        report = det_benchmark(shifted, cfg, rep=rep)
-    except SearchError as err:
-        best = err.best
-        recipe = canonical_det_test(shifted, best.tau_min)
-        recipe = replace(
-            recipe, offset=offset, benchmark=best.value - offset * d_in
-        )
-        raise SearchError(str(err), best=recipe) from err
-
-    recipe = canonical_det_test(shifted, report.tau_min)
-    return replace(
-        recipe, offset=offset, benchmark=report.value - offset * d_in
+        report, err = det_benchmark(shifted, cfg, rep=rep), None
+    except SearchError as exc:
+        report, err = exc.best, exc
+    recipe = replace(
+        canonical_det_test(shifted, report.tau_min),
+        offset=offset,
+        benchmark=report.value - offset * omega.dims[1],
     )
+    if err is not None:
+        raise SearchError(str(err), best=recipe) from err
+    return recipe
 
 
 def recipe_to_json(recipe: CanonicalTestRecipe) -> dict:

@@ -229,7 +229,8 @@ def cmd_benchmark(args) -> tuple[dict, bool]:
     if source == "omega":
         body, test = {"source": args.omega}, _read_omega(args.omega)
         if isinstance(test, Operator):
-            d_in = test.dims[1]
+            # ProbTest refuses an operator that is not bipartite
+            d_in = test.dims[-1]
             test = ProbTest(test, Operator(np.eye(d_in) / d_in, (d_in,)))
     else:
         body, test = _from_spec(args.builtin, _BUILTINS, "builtin")

@@ -146,6 +146,8 @@ class GroupRep:
         for u_out, u_in in pairs:
             outs.append(_check_unitary(np.asarray(u_out, dtype=complex)))
             ins.append(_check_unitary(np.asarray(u_in, dtype=complex)))
+            if (outs[-1].shape, ins[-1].shape) != (outs[0].shape, ins[0].shape):
+                raise DimensionError(f"group element {len(ins) - 1} differs in shape from the first")
         object.__setattr__(self, "elements_out", tuple(outs))
         object.__setattr__(self, "elements_in", tuple(ins))
         object.__setattr__(self, "weights", np.full(len(pairs), 1.0 / len(pairs)))
@@ -173,11 +175,11 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
-    """Deterministic-benchmark result: threshold value plus diagnostics."""
+    """Deterministic-benchmark result: threshold value plus diagnostics.
+    ``value`` is the bracket's lower end, written as the JSON's ``lower``."""
 
     value: float
     tau_min: Operator
-    lower: float
     upper: float
     method: str
     restarts: int
@@ -185,13 +187,13 @@ class BenchmarkReport:
     # master LP solves and the cuts in the last one; 0 for the closed form
     cut_rounds: int = 0
     cuts: int = 0
-    # the measure-and-prepare channel scored as ``lower``; not in the JSON
+    # the measure-and-prepare channel scored as ``value``; not in the JSON
     strategy: Channel | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "lower": self.lower,
+            "lower": self.value,
             "upper": self.upper,
             "tau_min": operator_to_json(self.tau_min),
             "method": self.method,
@@ -422,11 +424,15 @@ def check_input_support(op: Operator, state: np.ndarray) -> None:
         )
 
 
-def check_ppt(omega: Operator) -> float:
+def _pt_low(omega: Operator) -> float:
     """Smallest eigenvalue of the partial transpose on the input factor."""
-    pt = partial_transpose(omega, 1)
-    eigs, _ = hermitian_eig(pt)
-    low = float(eigs[0])
+    return float(hermitian_eig(partial_transpose(omega, 1))[0][0])
+
+
+def check_ppt(omega: Operator) -> float:
+    """Smallest eigenvalue of the partial transpose on the input factor;
+    raises ``ContractError`` when it lies below ``-PPT_TOL``."""
+    low = _pt_low(omega)
     if low < -PPT_TOL:
         raise ContractError(
             f"operator is not PPT: partial transpose has eigenvalue {low:.3e}"
@@ -548,14 +554,15 @@ def det_benchmark(
     maximizer of a seesaw started from a few structured vectors and the last
     round's cuts; only when those find nothing does the full ``cfg`` start
     set run, and the loop stops once it too finds no product pair violating
-    Y by more than ``CUT_TOL``.  ``lower`` and ``value`` are the exact score
-    of ``strategy``, the channel the LP duals define; ``upper`` is
-    ``_upper_bound`` on omega sandwiched at ``tau_min`` (Y / tr Y, spectrum
-    floored), which runs no search.  ``omega``
-    must be PPT on the input factor.  A covariant, irreducibly-represented
-    group selects the closed form ``d_in * pnr(omega)`` instead (valid for
-    any Hermitian omega): one product-range search, whose maximizers build
-    the covariant measure-and-prepare ``strategy`` that attains it.  Raises
+    Y by more than ``CUT_TOL``.  ``value``, the bracket's lower end, is the
+    exact score of ``strategy``, the channel the LP duals define; ``upper``
+    is ``_upper_bound`` on omega sandwiched at ``tau_min`` (Y / tr Y,
+    spectrum floored), which runs no search.  ``omega`` must be PPT on the
+    input factor (``ppt_offset`` shifts it there).  A covariant,
+    irreducibly-represented group selects the closed form
+    ``d_in * pnr(omega)`` instead (valid for any Hermitian omega): one
+    product-range search, whose maximizers build the covariant
+    measure-and-prepare ``strategy`` that attains it.  Raises
     ``SearchError`` with the last round's report when the cut budget runs
     out.
     """
@@ -567,7 +574,6 @@ def det_benchmark(
             raise ContractError("performance operator is not covariant for this group")
         _check_irreducible(rep)
         pnr = product_numerical_range(omega, cfg)
-        tau = Operator(np.eye(d_in) / d_in, (d_in,))
         a, b = pnr.maximizer_a, pnr.maximizer_b
         # Measure the covariant POVM {d_in w_g U_g|b><b|U_g†} and prepare
         # U'_g|a>, one Kraus operator per element; irreducibility of the
@@ -576,17 +582,9 @@ def det_benchmark(
             np.sqrt(d_in * w) * np.outer(u_out @ a, (u_in @ b).conj())
             for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in)
         ])
-        score = score_det_jam(omega, jamiolkowski(strategy))
-        return BenchmarkReport(
-            value=score,
-            tau_min=tau,
-            lower=score,
-            upper=max(d_in * pnr.upper, score),
-            method="closed_form",
-            restarts=pnr.restarts,
-            converged=True,
-            strategy=strategy,
-        )
+        tau = Operator(np.eye(d_in) / d_in, (d_in,))
+        return _det_report(omega, strategy, d_in * pnr.upper, tau_min=tau,
+                           method="closed_form", restarts=pnr.restarts, converged=True)
 
     check_ppt(omega)
     m4 = omega.matrix.reshape(d_out, d_in, d_out, d_in)
@@ -624,7 +622,6 @@ def det_benchmark(
     meas = weighted @ root.T
     preps = _cut_floors(m4, cuts[keep])[1]
     strategy = Channel(preps[:, :, None] * meas.conj()[:, None, :])
-    score = score_det_jam(omega, jamiolkowski(strategy))
 
     # Y is singular, up to the LP's tolerance, on input directions omega
     # does not reach; any full-rank tau gives a valid upper bound
@@ -633,19 +630,10 @@ def det_benchmark(
     tau = (v * (w / w.sum())) @ v.conj().T
     sandwiched = _sandwich(omega, tau)
     upper, method = _upper_bound(sandwiched, float(hermitian_eig(sandwiched)[0][-1]))
-    report = BenchmarkReport(
-        value=score,
-        tau_min=Operator(tau, (d_in,)),
-        lower=score,
-        upper=max(upper, score),
-        method=method,
-        # the start set that confirmed convergence
-        restarts=1 + d_in + cfg.restarts,
-        converged=converged,
-        cut_rounds=cut_rounds,
-        cuts=len(p),
-        strategy=strategy,
-    )
+    # restarts counts the start set that confirmed convergence
+    report = _det_report(omega, strategy, upper, tau_min=Operator(tau, (d_in,)),
+                         method=method, restarts=1 + d_in + cfg.restarts,
+                         converged=converged, cut_rounds=cut_rounds, cuts=len(p))
     if not converged:
         raise SearchError(
             f"cutting planes still cut {cut:.3e} after {cut_rounds} rounds "
@@ -653,6 +641,14 @@ def det_benchmark(
             best=report,
         )
     return report
+
+
+def _det_report(omega: Operator, strategy: Channel, upper: float, **fields) -> BenchmarkReport:
+    """The report of either det path, with its remaining ``fields``: ``value``
+    is the exact score of ``strategy``, and roundoff in ``upper`` (~1e-15)
+    never inverts the bracket."""
+    score = score_det_jam(omega, jamiolkowski(strategy))
+    return BenchmarkReport(value=score, upper=max(upper, score), strategy=strategy, **fields)
 
 
 def check_covariance(omega: Operator, rep: GroupRep) -> bool:
@@ -707,19 +703,14 @@ def twirl_channel(c: Channel, rep: GroupRep) -> Channel:
     return Channel(kraus, trace_preserving=c.trace_preserving)
 
 
-def ppt_offset(observable: Operator) -> tuple[Operator, float]:
-    """Shift a Hermitian operator by its spectral norm to make it PSD.
-
-    Returns the shifted operator and the shift.  For a trace-preserving
-    device scored against a deterministic test observable, the raw score
-    is the shifted score minus the shift exactly; for a performance
-    operator the benchmark shifts by ``offset * d_in`` instead.
-    """
-    if not observable.is_hermitian():
-        raise ContractError("offset shift needs a Hermitian operator")
-    eigs, _ = hermitian_eig(observable)
-    offset = float(max(abs(eigs[0]), abs(eigs[-1])))
-    shifted = Operator(
-        observable.matrix + offset * np.eye(observable.side), observable.dims
-    )
+def ppt_offset(omega: Operator) -> tuple[Operator, float]:
+    """Shift a Hermitian operator by the least multiple of I that makes it PPT:
+    -lambda_min of its partial transpose on the input factor when that lies
+    below ``-PPT_TOL``, else 0, so ``check_ppt`` passes on the shifted
+    operator.  Returns it and the offset.  A trace-preserving device's raw
+    score against a test observable is its shifted score minus the offset;
+    a performance operator's benchmark shifts by ``offset * d_in``."""
+    low = _pt_low(omega)
+    offset = -low if low < -PPT_TOL else 0.0
+    shifted = Operator(omega.matrix + offset * np.eye(omega.side), omega.dims)
     return shifted, offset

@@ -44,10 +44,13 @@ class VanishingSuccessError(ToolkitError, ArithmeticError):
 class CutoffError(ToolkitError, ValueError):
     """A Fock-space construction does not fit under the requested cutoff.
 
-    ``suggested_n_max`` carries a cutoff that would (estimated) succeed.
+    ``suggested_n_max`` carries a cutoff that would (estimated) succeed;
+    the message names it too, so every report of the error shows it.
     """
 
     def __init__(self, message: str, suggested_n_max: int | None = None):
+        if suggested_n_max is not None:
+            message = f"{message}; suggested cutoff n_max={suggested_n_max}"
         super().__init__(message)
         self.suggested_n_max = suggested_n_max
 

@@ -288,6 +288,12 @@ def _complex_from_json(data: dict, what: str) -> tuple[np.ndarray, Sequence[int]
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ContractError(f"malformed {what} JSON: {exc}") from exc
+    # bool is an int subclass, but true is not a dimension
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
+        raise ContractError(
+            f"malformed {what} JSON: dims must be a non-empty list of positive "
+            f"integers, got {dims!r}"
+        )
     if re.shape != im.shape:
         raise ContractError(f"{what} JSON re/im shapes differ")
     return re + 1j * im, dims

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbench import engine
 from qbench.canonical import (
     CanonicalTestRecipe,
     canonical_det_test,
@@ -13,12 +14,14 @@ from qbench.canonical import (
     fully_blackbox_test,
     recipe_from_json,
     recipe_to_json,
+    round_trip_residual,
     score_recipe,
+    within_recipe_tol,
 )
 from qbench.canonical import tests_equivalent_det as equivalent_det
 from qbench.canonical import tests_equivalent_prob as equivalent_prob
 from qbench.engine import PnrConfig
-from qbench.errors import ContractError, DimensionError, SupportError
+from qbench.errors import ContractError, DimensionError, SearchError, SupportError
 from qbench.linalg import Operator, PureState, partial_trace, partial_transpose
 from qbench.model import (
     Channel,
@@ -34,6 +37,7 @@ from qbench.presets import (
     chsh_test,
     equator_test,
     heisenberg_weyl_rep,
+    swap_operator,
     teleport_test,
     tilde_pauli_rep,
 )
@@ -252,6 +256,33 @@ class TestFullyBlackbox:
             assert abs(p - 1.0) < 1e-12
             raw = score_det_jam(t.omega, jamiolkowski(c))
             assert abs((shifted - r.offset * 2) - raw) < 1e-9
+
+    @pytest.mark.parametrize("covariant", [False, True])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_swap_shifts_by_the_partial_transpose_floor(self, d, covariant):
+        # -SWAP's partial transpose has eigenvalue -d while its spectral norm
+        # is 1; no measure-and-prepare channel scores above tr(-SWAP·sep) = 0
+        omega = Operator(-swap_operator(d), (d, d))
+        rep = heisenberg_weyl_rep(d) if covariant else None
+        r = fully_blackbox_test(omega, FAST, rep=rep)
+        assert r.offset == pytest.approx(d, abs=1e-12)
+        assert abs(r.benchmark) < 1e-9
+        assert np.linalg.eigvalsh(r.observable.matrix).min() > -1e-9
+
+    def test_exhausted_cut_budget_raises_with_recipe(self, monkeypatch):
+        # a negative tolerance is never met; the recipe at the last round's
+        # reference state, shifted and un-shifted as on success, rides on the error
+        monkeypatch.setattr(engine, "CUT_TOL", -1.0)
+        monkeypatch.setattr(engine, "CUT_ROUNDS_PER_COORD", 1)
+        omega = chsh_test().omega
+        with pytest.raises(SearchError) as exc:
+            fully_blackbox_test(omega, FAST)
+        best = exc.value.best
+        assert isinstance(best, CanonicalTestRecipe)
+        assert abs(best.offset - np.sqrt(2.0)) < 1e-12
+        assert abs(best.benchmark - np.sqrt(2.0)) < 1e-3
+        residual = round_trip_residual(best, omega)
+        assert within_recipe_tol(residual, np.linalg.norm(omega.matrix))
 
     def test_equator_generic_search(self):
         t = equator_test(3)

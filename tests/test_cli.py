@@ -461,6 +461,19 @@ class TestCvCommand:
         assert out["method"] == "oracle" and out["certified"]
         assert "tmsv parameter x=1.0 leaks" in out["note"]
 
+    def test_suggested_cutoff_is_reported(self, capsys, tmp_path):
+        # the CutoffError's suggestion reaches both the fallback note of a
+        # built-in device and the stderr line of a Kraus device
+        argv = ("--lambda", "0.1", "--cutoff", "10")
+        code, out, _ = run_cli(capsys, "cv", "--device", "identity", *argv)
+        assert code == 0 and out["method"] == "oracle"
+        assert "suggested cutoff n_max=194" in out["note"]
+        path = tmp_path / "k10.json"
+        path.write_text(json.dumps(channel_to_json(Channel.identity(10))))
+        code, out, err = run_cli(capsys, "cv", "--device", f"@{path}", *argv)
+        assert (code, out) == (2, None)
+        assert "leaks 3.86e-01 past n_max=10; suggested cutoff n_max=194" in err
+
     def test_boundary_gain_is_scored(self, capsys):
         # c = g·k = 1 has no squeezer angle, but W_1 has its closed form
         code, out, _ = run_cli(capsys, "cv", "--device", "identity", "--g", "2", "--lambda", "3")
@@ -648,9 +661,28 @@ class TestCvCommand:
         (("benchmark", "--omega", "{number}"), 2, "malformed operator JSON"),
         (("canonical", "--omega", "{number}"), 2, "malformed operator JSON"),
         (("cv", "--device", "identity", "--cutoff", "10", "--out", "{missing}"), 1, "x.json"),
+        (("benchmark", "--omega", "{dims_text}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{dims_text}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{dims_null}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{dims_null}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{dims_nested}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{dims_nested}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{dims_bool}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{dims_bool}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{dims_float}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{dims_float}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{sigma_text}"), 2, "malformed operator JSON"),
+        (("canonical", "--omega", "{sigma_text}"), 2, "malformed operator JSON"),
+        (("benchmark", "--omega", "{one_factor}"), 2, "must be bipartite"),
+        (("canonical", "--omega", "{one_factor}"), 2, "must be bipartite"),
     ],
     ids=["omega-dir", "device-dir", "omega-not-utf8", "benchmark-test-list", "canonical-test-list",
-         "benchmark-omega-number", "canonical-omega-number", "out-missing-dir"],
+         "benchmark-omega-number", "canonical-omega-number", "out-missing-dir",
+         "benchmark-dims-text", "canonical-dims-text", "benchmark-dims-null",
+         "canonical-dims-null", "benchmark-dims-nested", "canonical-dims-nested",
+         "benchmark-dims-bool", "canonical-dims-bool", "benchmark-dims-float",
+         "canonical-dims-float", "benchmark-sigma-dims-text", "canonical-sigma-dims-text",
+         "benchmark-one-factor", "canonical-one-factor"],
 )
 def test_bad_file_paths_are_reported_not_raised(capsys, tmp_path, argv, code, needle):
     (tmp_path / "latin1.json").write_bytes(b'{"omega": "\xe9"}')
@@ -663,6 +695,21 @@ def test_bad_file_paths_are_reported_not_raised(capsys, tmp_path, argv, code, ne
         "number": tmp_path / "number.json",
         "missing": tmp_path / "missing" / "x.json",
     }
+    # a 2×2 identity whose dims field is replaced
+    eye = operator_to_json(Operator(np.eye(2), (2,)))
+    files = {
+        "dims_text": eye | {"dims": ["x"]},
+        "dims_null": eye | {"dims": None},
+        "dims_nested": eye | {"dims": [[2]]},
+        "dims_bool": {"dims": [True, True], "re": [[1.0]], "im": [[0.0]]},
+        "dims_float": eye | {"dims": [2.5]},
+        "sigma_text": {"omega": operator_to_json(teleport_test(2).omega),
+                       "sigma_A": operator_to_json(Operator(np.eye(2) / 2, (2,))) | {"dims": ["q"]}},
+        "one_factor": eye,
+    }
+    for name, payload in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
     got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (got, out) == (code, None)
     assert needle in err

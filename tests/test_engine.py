@@ -41,6 +41,7 @@ from qbench.presets import (
     equator_test,
     heisenberg_weyl_rep,
     pauli_rep,
+    swap_operator,
     teleport_test,
     tilde_pauli_rep,
 )
@@ -333,11 +334,11 @@ class TestDetBenchmark:
         rng = np.random.default_rng(seed)
         omega = rand_separable(d_out, d_in, rng, terms, min(in_rank, d_in))
         report = det_benchmark(omega, PnrConfig(restarts=4))
-        assert report.lower <= report.upper
-        assert report.value == report.lower
+        assert report.value <= report.upper
+        assert report.to_json()["lower"] == report.value
         assert report.strategy.trace_preserving
         score = score_det_jam(omega, jamiolkowski(report.strategy))
-        assert abs(score - report.lower) < 1e-9
+        assert abs(score - report.value) < 1e-9
         assert report.tau_min.is_unit_trace()
         assert np.linalg.eigvalsh(report.tau_min.matrix)[0] > 0
 
@@ -350,8 +351,8 @@ class TestDetBenchmark:
             det_benchmark(omega, FAST)
         best = exc.value.best
         assert not best.converged
-        assert best.lower <= best.upper
-        assert abs(score_det_jam(omega, jamiolkowski(best.strategy)) - best.lower) < 1e-9
+        assert best.value <= best.upper
+        assert abs(score_det_jam(omega, jamiolkowski(best.strategy)) - best.value) < 1e-9
 
     def test_report_json_fields(self):
         report = det_benchmark(teleport_test(2).omega, FAST, rep=heisenberg_weyl_rep(2))
@@ -462,8 +463,8 @@ class TestCovariance:
         report = det_benchmark(t.omega, FAST, rep=rep)
         assert isinstance(report.strategy, Channel)
         assert report.strategy.trace_preserving
-        assert report.lower == score_det_jam(t.omega, jamiolkowski(report.strategy))
-        assert report.value == report.lower <= report.upper
+        assert report.value == score_det_jam(t.omega, jamiolkowski(report.strategy))
+        assert report.value <= report.upper
         got, _ = score_prob(t, report.strategy)
         assert abs(got - prob_benchmark(t, FAST)) < 1e-12
 
@@ -474,7 +475,7 @@ class TestCovariance:
         res = prob_benchmark(t, PnrConfig(), _details=True)
         assert res.value <= res.upper
         report = det_benchmark(t.omega, PnrConfig(), rep=heisenberg_weyl_rep(d))
-        assert report.lower <= report.upper
+        assert report.value <= report.upper
 
     def test_reducible_rep_rejected(self):
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -517,6 +518,25 @@ class TestPptOffset:
         shifted, offset = ppt_offset(chsh_test().omega)
         assert offset == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert np.linalg.eigvalsh(shifted.matrix).min() > -1e-12
+        assert abs(check_ppt(shifted)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_is_the_partial_transpose_floor(self, d):
+        # -SWAP has spectral norm 1, but its partial transpose is -d·|Φ+><Φ+|,
+        # so only a shift by d makes it PPT
+        shifted, offset = ppt_offset(Operator(-swap_operator(d), (d, d)))
+        assert offset == pytest.approx(d, abs=1e-12)
+        assert abs(check_ppt(shifted)) < 1e-12
+
+    def test_ppt_input_is_not_shifted(self):
+        omega = teleport_test(2).omega
+        shifted, offset = ppt_offset(omega)
+        assert offset == 0.0
+        assert np.array_equal(shifted.matrix, omega.matrix)
+
+    def test_non_hermitian_input_rejected(self):
+        with pytest.raises(ContractError):
+            ppt_offset(Operator(np.triu(np.ones((4, 4))), (2, 2)))
 
     def test_observable_shift_cancels_for_tp_devices(self):
         # scoring against O + cI then subtracting c is exact
@@ -591,6 +611,13 @@ class TestGroupRep:
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             GroupRep([(np.eye(2) * 2.0, np.eye(2))])
+
+    def test_mismatched_element_shapes_rejected(self):
+        i2, i3 = np.eye(2), np.eye(3)
+        with pytest.raises(DimensionError, match="group element 1"):
+            GroupRep([(i2, i2), (i3, i3)])
+        with pytest.raises(DimensionError):
+            GroupRep([(i2, i3), (i2, i2)])
 
     def test_ppt_check_reports_eigenvalue(self):
         low = check_ppt(teleport_test(2).omega)
