@@ -98,11 +98,11 @@ def test_teleport_thresholds_and_bracket(capsys):
     bracket = rep2["lower"] - 1e-9 <= 2.0 / 3.0 <= rep2["upper"] + 1e-9
     rep3 = _cli_json(capsys, "benchmark", "--builtin", "teleport:3")
     err3 = abs(rep3["value"] - 0.5)
-    ok = err2 <= 1e-6 and bracket and rep2["method"] == "grid" and err3 <= 1e-4
+    ok = err2 <= 1e-6 and bracket and rep2["method"] == "spectral" and err3 <= 1e-4
     _finish(
         ok,
         "01 teleport thresholds",
-        f"d=2 err {err2:.1e} <= 1e-6 (grid bracket holds: {bracket}), "
+        f"d=2 err {err2:.1e} <= 1e-6 (spectral bracket holds: {bracket}), "
         f"d=3 err {err3:.1e} <= 1e-4",
         t0,
         10.0,

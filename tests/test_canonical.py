@@ -269,6 +269,14 @@ class TestFullyBlackbox:
         assert abs(r.benchmark) < 1e-9
         assert np.linalg.eigvalsh(r.observable.matrix).min() > -1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_scaled_negative_swap_keeps_its_shift(self, d):
+        # the PPT floor and the seesaw's values scale with the operator
+        scale = 1e8
+        r = fully_blackbox_test(Operator(-scale * swap_operator(d), (d, d)), FAST)
+        assert r.offset == pytest.approx(d * scale, rel=1e-12)
+        assert abs(r.benchmark) < 1e-9 * scale
+
     def test_exhausted_cut_budget_raises_with_recipe(self, monkeypatch):
         # a negative tolerance is never met; the recipe at the last round's
         # reference state, shifted and un-shifted as on success, rides on the error

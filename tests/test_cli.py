@@ -55,8 +55,9 @@ class TestBenchmarkCommand:
         assert code == 0
         assert abs(out["value"] - 2.0 / 3.0) < 1e-6
         assert out["lower"] <= 2.0 / 3.0 + 1e-9
-        assert out["upper"] >= 2.0 / 3.0 - 1e-9
-        assert out["method"] == "grid"
+        # the largest eigenvalue 2/3 is attained, so the grid cannot tighten it
+        assert abs(out["upper"] - 2.0 / 3.0) < 1e-12
+        assert out["method"] == "spectral"
 
     def test_teleport_qutrit_colon_form(self, capsys):
         code, out, _ = run_cli(capsys, "benchmark", "--builtin", "teleport:3")
@@ -106,7 +107,8 @@ class TestBenchmarkCommand:
 
     @pytest.mark.parametrize("dims", [(2, 1), (1, 2)])
     def test_omega_with_a_one_dimensional_factor(self, capsys, tmp_path, dims):
-        # the grid over C^1 is the one state [1]: the bracket closes exactly
+        # the grid over C^1 is the one state [1]: the bracket closes exactly,
+        # and the grid only ties the largest eigenvalue, so that sets upper
         m = _gram(np.random.default_rng(3), 2)
         m /= np.trace(m).real
         path = tmp_path / "omega.json"
@@ -115,7 +117,7 @@ class TestBenchmarkCommand:
         # the maximally mixed reference scales the operator by d_in
         top = dims[1] * np.linalg.eigvalsh(m)[-1]
         assert code == 0
-        assert out["certified"] and out["method"] == "grid"
+        assert out["certified"] and out["method"] == "spectral"
         assert abs(out["value"] - top) < 1e-12
         assert abs(out["upper"] - top) < 1e-12
 
@@ -134,6 +136,18 @@ class TestBenchmarkCommand:
             assert code == 0 and out["certified"]
             assert out["method"] == "spectral", flag
             assert out["lower"] <= out["upper"]
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8, 1e10])
+    def test_scaled_det_test_file(self, capsys, tmp_path, scale):
+        # every tolerance scales with the observable: the threshold is 2/3·s
+        det = canonical_det_test(teleport_test(2).omega).as_det_test()
+        obs = Operator(scale * det.observable.matrix, det.observable.dims)
+        path = tmp_path / "det.json"
+        path.write_text(json.dumps(det_test_to_json(DetTest(det.sigma_AR, obs))))
+        code, out, _ = run_cli(capsys, "benchmark", "--test", str(path))
+        target = 2.0 / 3.0 * scale
+        assert code == 0 and out["converged"]
+        assert out["lower"] <= target * (1 + 1e-9) and out["upper"] >= target * (1 - 1e-9)
 
     def test_det_test_file(self, capsys, tmp_path):
         det = canonical_det_test(teleport_test(2).omega).as_det_test()

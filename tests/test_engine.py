@@ -73,6 +73,19 @@ def rand_separable(
     return Operator(m / terms, (d_out, d_in))
 
 
+def workload_det_omega() -> Operator:
+    """The fixed (2, 2) det input of the ``thresholds`` benchmark workload:
+    three product terms of Gram matrices drawn from generator seed 2."""
+    rng = np.random.default_rng(2)
+
+    def gram(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return g @ g.conj().T
+
+    m = sum(np.kron(gram(2), gram(2)) for _ in range(3))
+    return Operator(m / np.trace(m).real, (2, 2))
+
+
 def seesaw_reference(m4, b0, tol, max_iter):
     """One start at a time: the loop the batched seesaw replaced."""
     b = b0 / np.linalg.norm(b0)
@@ -132,6 +145,23 @@ class TestProductNumericalRange:
             assert abs(np.linalg.norm(res.maximizer_a) - 1.0) < 1e-12
             assert abs(np.linalg.norm(res.maximizer_b) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e10])
+    @pytest.mark.parametrize("kind", ["swap", "random"])
+    def test_value_is_the_objective_at_the_maximizers(self, kind, scale):
+        # s·(SWAP - I) peaks at 0 on a = b, where a value compared against
+        # the seesaw's eigenvalues with an absolute tolerance cannot hold
+        if kind == "swap":
+            m = Operator(scale * (swap_operator(3) - np.eye(9)), (3, 3))
+        else:
+            m = Operator(scale * rand_hermitian(6, np.random.default_rng(8)), (2, 3))
+        res = product_numerical_range(m, FAST)
+        a, b = res.maximizer_a, res.maximizer_b
+        m4 = m.matrix.reshape(m.dims * 2)
+        at = np.einsum("xrys,x,r,y,s->", m4, a.conj(), b.conj(), a, b).real
+        assert abs(res.value - at) <= 1e-15 * np.linalg.norm(m.matrix, 2)
+        if kind == "swap":
+            assert abs(res.value) <= 1e-15 * scale
+
     def test_deterministic_for_fixed_seed(self):
         m = rand_bipartite_hermitian(2, 3, RNG)
         r1 = product_numerical_range(m, PnrConfig(restarts=8, seed=5))
@@ -153,8 +183,9 @@ class TestProductNumericalRange:
         top = np.linalg.eigh(m.matrix)[1][:, -1].reshape(d_out, d_in)
         starts = engine._starts(top, cfg.restarts, cfg.seed)
         tol, max_iter = engine.SEESAW_TOL, engine.SEESAW_MAX_ITER
-        vals, _, _, _ = engine._seesaw_batch(m4, starts, tol, max_iter)
+        vals, _, _, _ = engine._search(m4, starts)
         ref = np.array([seesaw_reference(m4, b0, tol, max_iter) for b0 in starts])
+        ref = np.sort(ref)[::-1]
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-9)
         assert np.all(vals <= np.linalg.eigvalsh(m.matrix)[-1] + 1e-12)
@@ -240,7 +271,7 @@ class TestGridOracle:
         def no_seesaw(*args, **kwargs):
             raise AssertionError("the grid ran the seesaw")
 
-        monkeypatch.setattr(engine, "_seesaw_batch", no_seesaw)
+        monkeypatch.setattr(engine, "_search", no_seesaw)
         br = pnr_grid_oracle(teleport_test(2).omega)
         assert br.lower - 1e-9 <= 1.0 / 3.0 <= br.upper
 
@@ -270,10 +301,11 @@ def grid_calls(monkeypatch):
 
 class TestDetBenchmark:
     def test_grid_only_for_the_final_bracket(self, grid_calls):
-        # separation runs the seesaw alone; the grid certifies the result once
+        # separation runs the seesaw alone; the grid is tried once for the
+        # final bracket, and here its bound lies above the spectral one
         omega = rand_separable(2, 2, np.random.default_rng(6))
         report = det_benchmark(omega, PnrConfig())
-        assert report.converged and report.method == "grid"
+        assert report.converged and report.method == "spectral"
         assert len(grid_calls) == 1
 
     def test_upper_end_runs_no_search(self, monkeypatch):
@@ -320,6 +352,15 @@ class TestDetBenchmark:
     def test_non_ppt_rejected(self):
         with pytest.raises(ContractError):
             det_benchmark(chsh_test().omega, FAST)
+
+    def test_scaled_operator_keeps_its_bracket(self):
+        # the cutting-plane gap operator peaks near 0, where every seesaw
+        # value must be the objective at its pair at any scale of omega
+        omega, scale = workload_det_omega(), 1e10
+        report = det_benchmark(omega, PnrConfig())
+        scaled = det_benchmark(Operator(scale * omega.matrix, omega.dims), PnrConfig())
+        assert scaled.converged
+        assert scaled.value / scale <= report.upper and report.value <= scaled.upper / scale
 
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(
@@ -527,6 +568,16 @@ class TestPptOffset:
         shifted, offset = ppt_offset(Operator(-swap_operator(d), (d, d)))
         assert offset == pytest.approx(d, abs=1e-12)
         assert abs(check_ppt(shifted)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-12, 1e8])
+    def test_floor_scales_with_the_operator(self, d, scale):
+        # the PPT floor is relative to the partial transpose's spectral radius
+        shifted, offset = ppt_offset(Operator(-scale * swap_operator(d), (d, d)))
+        assert offset == pytest.approx(d * scale, rel=1e-12)
+        assert check_ppt(shifted) >= -1e-12 * scale
+        with pytest.raises(ContractError):
+            check_ppt(Operator(scale * chsh_test().omega.matrix, (2, 2)))
 
     def test_ppt_input_is_not_shifted(self):
         omega = teleport_test(2).omega
