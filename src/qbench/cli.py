@@ -97,6 +97,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    """``--seed`` and ``--restarts``: a non-negative integer, else a usage error."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     """The one reader of ``@kraus.json``, ``--omega`` and ``--test`` files; a
     file whose parse could pass ``ARRAY_MAX_BYTES`` is refused unread."""
@@ -213,17 +220,11 @@ _BUILTINS = {
 }
 
 
-def _pnr_config(args) -> PnrConfig:
-    if args.restarts < 0:
-        raise _UsageError(f"--restarts must be non-negative, got {args.restarts}")
-    return PnrConfig(restarts=args.restarts, seed=args.seed)
-
-
 def cmd_benchmark(args) -> tuple[dict, bool]:
     source = _source(args, "builtin", "omega", "test")
     if source == "test":
         _, omega = _read_test(args.test)
-        report = det_benchmark(omega, _pnr_config(args))
+        report = det_benchmark(omega, PnrConfig(args.restarts, args.seed))
         return {"source": args.test, **report.to_json()}, report.converged
 
     if source == "omega":
@@ -242,7 +243,7 @@ def cmd_benchmark(args) -> tuple[dict, bool]:
         body |= {"g": params.g, "lambda": params.lam, "value": value, "lower": value,
                  "upper": value, "method": "closed_form", "tau_min": None}
         return body, True
-    res = prob_benchmark(test, _pnr_config(args), _details=True)
+    res = prob_benchmark(test, PnrConfig(args.restarts, args.seed), _details=True)
     body |= {"value": res.value, "lower": res.value, "upper": res.upper, "method": res.method,
              "restarts": res.restarts, "tau_min": operator_to_json(test.sigma_A)}
     return body, True
@@ -401,7 +402,7 @@ def build_parser() -> _Parser:
     bench.add_argument("--omega", help="performance-operator or probabilistic-test JSON")
     bench.add_argument("--test", help="deterministic-test JSON (state + observable)")
     bench.add_argument(
-        "--restarts", type=int, default=DEFAULT_RESTARTS,
+        "--restarts", type=_count, default=DEFAULT_RESTARTS,
         help="extra random starts; with --test, the full start set confirms "
         "that the cutting planes converged",
     )
@@ -442,7 +443,7 @@ def build_parser() -> _Parser:
         p.add_argument("--g", type=float, default=1.0, help="target amplitude gain")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="prior inverse variance")
     for p in (bench, canon):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
+        p.add_argument("--seed", type=_count, default=DEFAULT_SEED, help="RNG seed")
     for p in (bench, canon, cv):
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -169,25 +169,52 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class CvSetup:
-    """One concrete measurement chain produced by :func:`build_setup`.
+    """The measurement chain of a scenario on a cutoff, built only as
+    ``CvSetup(params, cutoff)``.
 
-    ``theta`` is the two-mode squeezer angle of the fidelity branches,
-    ``bs_t`` the beamsplitter transmissivity of the conjugation branch,
-    ``g_port`` the mode index (0 = device output, 1 = reference) carrying
-    the Gaussian observable, and ``weight`` the scalar multiplying the raw
-    expectation value.  They describe the optical setup only: every branch
-    is scored with the closed-form pair observable it measures.
+    Every other field is derived from ``params`` and read-only: none can be
+    passed or set by ``dataclasses.replace``, and ``replace(setup, params=p)``
+    derives them again.  ``x`` is the tmsv parameter, ``theta`` and
+    ``g_port`` (0 = device output, 1 = reference) the squeezer angle and the
+    Gaussian observable's port of a fidelity branch (none at c = 1; module
+    docstring), ``bs_t`` the beamsplitter transmissivity of the conjugation
+    branch, and ``weight`` the scalar multiplying the raw expectation value.
+    They describe the optical setup only: every branch is scored with the
+    closed-form pair observable it measures.
     """
 
     params: CvParams
     cutoff: FockCutoff
-    branch: str
-    x: float
-    weight: float
-    theta: float | None = None
-    g_port: int | None = None
-    bs_t: float | None = None
-    stages: tuple[str, ...] = field(default_factory=tuple)
+    branch: str = field(init=False)
+    x: float = field(init=False)
+    weight: float = field(init=False)
+    theta: float | None = field(init=False)
+    g_port: int | None = field(init=False)
+    bs_t: float | None = field(init=False)
+    stages: tuple[str, ...] = field(init=False)
+
+    def __init__(self, params: CvParams, cutoff: FockCutoff):
+        c, theta, port, bs_t, weight = params.c, None, None, None, 1.0
+        stages = [f"tmsv(x={params.x:.6g})", "device"]
+        if math.isfinite(params.nu):
+            stages.append(f"noise(nu={params.nu:.6g})")
+        if params.conjugate:
+            branch, weight, bs_t = "conjugation", 1.0 / (c * c + 1.0), c * c / (c * c + 1.0)
+            stages.append(f"beamsplitter(t={bs_t:.6g})")
+            stages.append("photodetector(reference port, score on no-click)")
+        else:
+            pure = "pure_low_gain" if c <= 1.0 else "pure_high_gain"
+            branch = "mixed" if math.isfinite(params.mu) else pure
+            if abs(c - 1.0) >= UNIT_C_TOL:  # no finite squeezing reaches c = 1
+                if c < 1.0:
+                    theta, port = math.atanh(c), 0
+                else:
+                    theta, port, weight = math.atanh(1.0 / c), 1, 1.0 / (c * c)
+            stages.append(f"pair_observable(c={c:.6g})")
+        vars(self).update(  # frozen: every field is written once, here
+            params=params, cutoff=cutoff, branch=branch, x=params.x, weight=weight,
+            theta=theta, g_port=port, bs_t=bs_t, stages=tuple(stages),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -771,49 +798,9 @@ def heterodyne_mp_channel(q: float, cutoff: FockCutoff) -> Channel:
 # setup construction and execution
 
 
-def _fidelity_reduction(c: float) -> tuple[float | None, int | None, float]:
-    """Squeezer angle, observable port, and weight measuring W_c.
-
-    For c < 1 the observable sits on the amplified port at tanh θ = c; for
-    c > 1 the ports mirror and the variable change costs a 1/c² Jacobian.
-    No finite squeezing reaches c = 1, so that setup has no angle or port.
-    """
-    if abs(c - 1.0) < UNIT_C_TOL:
-        return None, None, 1.0
-    if c < 1.0:
-        return math.atanh(c), 0, 1.0
-    return math.atanh(1.0 / c), 1, 1.0 / (c * c)
-
-
 def build_setup(params: CvParams, cutoff: FockCutoff) -> CvSetup:
-    """Select the measurement branch and lay out the stage list."""
-    c = params.c
-    stages = [f"tmsv(x={params.x:.6f})", "device"]
-    if math.isfinite(params.nu):
-        stages.append(f"noise(nu={params.nu:.6f})")
-    theta = port = bs_t = None
-    if params.conjugate:
-        branch = "conjugation"
-        weight = 1.0 / (c * c + 1.0)
-        bs_t = c * c / (c * c + 1.0)
-        stages.append(f"beamsplitter(t={bs_t:.6f})")
-        stages.append("photodetector(reference port, score on no-click)")
-    else:
-        pure = "pure_low_gain" if c <= 1.0 else "pure_high_gain"
-        branch = "mixed" if math.isfinite(params.mu) else pure
-        theta, port, weight = _fidelity_reduction(c)
-        stages.append(f"pair_observable(c={c:.6f})")
-    return CvSetup(
-        params=params,
-        cutoff=cutoff,
-        branch=branch,
-        x=params.x,
-        weight=weight,
-        theta=theta,
-        g_port=port,
-        bs_t=bs_t,
-        stages=tuple(stages),
-    )
+    """The measurement chain of ``params`` on ``cutoff`` (:class:`CvSetup`)."""
+    return CvSetup(params, cutoff)
 
 
 def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:

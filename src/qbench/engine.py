@@ -43,7 +43,7 @@ from .linalg import (
     psd_power_on_support,
     support_rank,
 )
-from .model import Channel, ProbTest, jamiolkowski, score_det_jam
+from .model import Channel, ProbTest, check_bytes, jamiolkowski, score_det_jam
 
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -68,6 +68,9 @@ LP_PIVOTS_PER_ROW = 50
 # SEESAW_MAX_ITER sweeps.
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITER = 1000
+# peak bytes per seesaw start per max(d_out, d_in)**2, measured with
+# tracemalloc on product_numerical_range: 29-99 at dims from (2,2) to (16,16)
+START_PEAK_PER_D2 = 104
 
 
 def __getattr__(name: str):
@@ -236,8 +239,11 @@ def _pair_matrix(m4: np.ndarray) -> np.ndarray:
 
 def _starts(top: np.ndarray, restarts: int, seed: int | None) -> np.ndarray:
     """Input-side starting vectors: the Schmidt vector of M's top eigenvector
-    ``top`` (a d_out × d_in matrix), the basis, then ``restarts`` random."""
+    ``top`` (a d_out × d_in matrix), the basis, then ``restarts`` random; a
+    batch whose seesaw would pass ``ARRAY_MAX_BYTES`` is refused first."""
     d_in = top.shape[1]
+    count = restarts + d_in + 1
+    check_bytes(START_PEAK_PER_D2 * max(top.shape) ** 2 * count, f"a seesaw from {count} starts")
     _, _, vh = np.linalg.svd(top)
     z = np.random.default_rng(seed).normal(size=(restarts, 2, d_in))
     return np.vstack(

@@ -126,4 +126,4 @@ def test_settable_values_are_counted():
         for action in sub._actions
         if action.option_strings and not isinstance(action, argparse._HelpAction)
     )
-    assert (defaults, flags) == (40, 22)
+    assert (defaults, flags) == (36, 22)

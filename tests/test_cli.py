@@ -235,9 +235,38 @@ class TestBenchmarkCommand:
         assert "exactly one" in err
 
     def test_negative_restarts_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "benchmark", "--builtin", "chsh", "--restarts", "-3")
-        assert code == 1
-        assert "--restarts" in err
+        # refused by the parser, as every other usage error is
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--builtin", "chsh", "--restarts", "-3"])
+        assert exc.value.code == 1
+        assert "--restarts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("benchmark", "--builtin", "equator:3", "--seed", "-1"),
+            ("benchmark", "--omega", "{omega}", "--seed", "-3"),
+            ("canonical", "--omega", "{omega}", "--seed", "-1"),
+            ("benchmark", "--builtin", "chsh", "--restarts", "2.5"),
+        ],
+    )
+    def test_seed_and_restarts_take_non_negative_integers(self, capsys, tmp_path, argv):
+        # each of these ended in numpy's "expected non-negative integer" traceback
+        path = tmp_path / "equator.json"
+        path.write_text(json.dumps(prob_test_to_json(equator_test(3))))
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(omega=path) for a in argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: qbench ") and "non-negative integer" in err
+
+    def test_start_count_past_the_byte_cap_is_uncertified(self, capsys):
+        # 10**12 starts used to end in a MemoryError traceback (29.1 TiB)
+        code, out, err = run_cli(
+            capsys, "benchmark", "--builtin", "teleport:2", "--restarts", str(10**12)
+        )
+        assert (code, out) == (2, None)
+        assert "starts needs" in err and "MiB cap" in err
 
     def test_unknown_builtin(self, capsys):
         code, _, err = run_cli(capsys, "benchmark", "--builtin", "nope")
@@ -588,13 +617,13 @@ class TestCvCommand:
             capsys, "cv", "--device", "identity", "--mu", "2", "--conjugate"
         )
         assert out["setup"]["stages"][2:] == [
-            "noise(nu=3.000000)",
+            "noise(nu=3)",
             "beamsplitter(t=0.210526)",
             "photodetector(reference port, score on no-click)",
         ]
         # g = 0 targets the vacuum, and no noise runs
         _, out, _ = run_cli(capsys, "cv", "--device", "attenuator:0.8", "--g", "0", "--mu", "2")
-        assert out["setup"]["stages"][2:] == ["pair_observable(c=0.000000)"]
+        assert out["setup"]["stages"][2:] == ["pair_observable(c=0)"]
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -925,3 +954,32 @@ def test_extreme_inputs_exit_cleanly(argv):
     params = CvParams(g=_flag(argv, "--g", 1.0), lam=_flag(argv, "--lambda", 1.0),
                       mu=_flag(argv, "--mu", math.inf), conjugate="--conjugate" in argv)
     assert abs(report["value"] - device.average_fidelity(params)) <= cli.CV_CERTIFY_TOL, argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    builtin=st.sampled_from(["chsh"])
+    | st.builds("teleport:{}".format, st.sampled_from([1, 2, 3, 56, 10**9]))
+    | st.builds("equator:{}".format, st.sampled_from([1, 2, 3, 7])),
+    seed=st.none() | st.sampled_from([-1, 0, 2**63, 10**12]),
+    restarts=st.none() | st.sampled_from([-1, 0, 2**63, 10**12]),
+)
+@example(builtin="equator:3", seed=-1, restarts=None)
+@example(builtin="teleport:2", seed=None, restarts=10**12)
+@example(builtin="chsh", seed=2**63, restarts=2**63)
+def test_integer_flags_exit_cleanly(builtin, seed, restarts):
+    """``benchmark --builtin`` with extreme ``--seed`` and ``--restarts``
+    values exits 0, 1 or 2 without a traceback (the shell sees a parser
+    refusal's ``SystemExit`` as its exit code)."""
+    argv = ["benchmark", "--builtin", builtin]
+    for flag, value in (("--seed", seed), ("--restarts", restarts)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

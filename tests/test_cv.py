@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -963,6 +964,18 @@ class TestAnalyticDevices:
                 rescale_mp_device(bad)
 
 
+@st.composite
+def _scenarios(draw) -> CvParams:
+    """Scenarios on both branches at finite and infinite μ, with g = 0 and
+    g placing c = g·k within one ulp of 1 among them."""
+    lam = draw(st.floats(0.05, 20.0))
+    mu = draw(st.just(math.inf) | st.floats(0.05, 20.0))
+    unit = 1.0 / CvParams(lam=lam, mu=mu).k
+    near_unit = [math.nextafter(unit, 0.0), unit, math.nextafter(unit, math.inf)]
+    g = draw(st.just(0.0) | st.floats(0.0, 4.0) | st.sampled_from(near_unit))
+    return CvParams(g=g, lam=lam, mu=mu, conjugate=draw(st.booleans()))
+
+
 class TestSetupConstruction:
     def test_pure_low_gain_example(self):
         setup = build_setup(CvParams(g=1.0, lam=1.0), _cutoff(40))
@@ -1013,6 +1026,44 @@ class TestSetupConstruction:
         for dev in (identity_device(), attenuator_device(0.8)):
             score, _ = run_setup(setup, dev.materialize(cut))
             assert abs(score - average_fidelity_oracle(dev, params, cut).value) < 1e-6, dev.kind
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(params=_scenarios())
+    def test_setup_is_derived_from_its_scenario(self, params):
+        cut = _cutoff(20)
+        setup = CvSetup(params, cut)
+        assert setup == build_setup(params, cut)
+        c = params.c
+        assert setup.x == params.x
+        if params.conjugate:
+            assert (setup.branch, setup.theta, setup.g_port) == ("conjugation", None, None)
+            assert math.isclose(setup.bs_t, c * c / (1.0 + c * c), rel_tol=1e-15)
+            assert math.isclose(setup.weight, 1.0 / (1.0 + c * c), rel_tol=1e-15)
+        elif abs(c - 1.0) < cv.UNIT_C_TOL:
+            assert (setup.theta, setup.g_port, setup.bs_t, setup.weight) == (None, None, None, 1.0)
+        elif c < 1.0:
+            assert math.isclose(math.tanh(setup.theta), c, rel_tol=1e-12)
+            assert (setup.g_port, setup.bs_t, setup.weight) == (0, None, 1.0)
+        else:
+            assert math.isclose(math.tanh(setup.theta), 1.0 / c, rel_tol=1e-12)
+            assert (setup.g_port, setup.bs_t) == (1, None)
+            assert math.isclose(setup.weight, 1.0 / (c * c), rel_tol=1e-15)
+        # the optics cannot be passed or replaced, only derived again
+        for name, value in (("x", 0.3), ("branch", "conjugation"), ("theta", 0.1)):
+            with pytest.raises(TypeError):
+                CvSetup(params, cut, **{name: value})
+            with pytest.raises(ValueError, match="init=False"):
+                replace(setup, **{name: value})
+        other = replace(params, conjugate=not params.conjugate)
+        assert replace(setup, params=other) == build_setup(other, cut)
+
+    def test_stage_parameters_have_six_significant_digits(self):
+        # fixed-point formatting wrote a 300-digit noise stage and a
+        # 150-digit pair observable here
+        noisy = CvSetup(CvParams(g=1.0, lam=1.0, mu=1e300), _cutoff(10))
+        assert noisy.stages[2] == "noise(nu=1e+300)"
+        steep = CvSetup(CvParams(g=1e150, lam=1.0), _cutoff(10))
+        assert steep.stages == ("tmsv(x=0.5)", "device", "pair_observable(c=7.07107e+149)")
 
     def test_json_round_trip_fields(self):
         setup = build_setup(CvParams(g=1.0, lam=1.0, mu=2.0), _cutoff(40))
@@ -1155,11 +1206,8 @@ class TestRunAgainstOracle:
         cut = FockCutoff(80)
         setup = build_setup(params, cut)
         assert setup.stages[-1] == "pair_observable(c=0.919239)"
-        # a setup built by hand reads the same observable
-        direct = CvSetup(
-            params=params, cutoff=cut, branch=setup.branch, x=setup.x,
-            weight=setup.weight, theta=setup.theta, g_port=setup.g_port,
-        )
+        # a setup built directly reads the same observable
+        direct = CvSetup(params, cut)
         for dev in (identity_device(), attenuator_device(0.8)):
             score, _ = run_setup(setup, dev.materialize(cut))
             assert run_setup(direct, dev.materialize(cut))[0] == score
@@ -1172,7 +1220,7 @@ class TestRunAgainstOracle:
         # E[e^{-|α|²}] over the noisy prior, λμ/(λμ + λ + μ)
         params = CvParams(g=0.0, lam=1.0, mu=mu)
         setup = build_setup(params, _cutoff(40, 1e-6))
-        assert setup.stages[-1] == "pair_observable(c=0.000000)"
+        assert setup.stages[-1] == "pair_observable(c=0)"
         score, _ = run_setup(setup, Channel.identity(40))
         want = 0.5 if math.isinf(mu) else 2.0 / 5.0
         assert abs(score - want) < 1e-9

@@ -23,7 +23,13 @@ from qbench.engine import (
     product_numerical_range,
     twirl_channel,
 )
-from qbench.errors import ContractError, DimensionError, SearchError, SupportError
+from qbench.errors import (
+    ContractError,
+    CutoffError,
+    DimensionError,
+    SearchError,
+    SupportError,
+)
 from qbench.linalg import Operator
 from qbench.model import (
     Channel,
@@ -228,6 +234,23 @@ class TestProductNumericalRange:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         product_numerical_range(m, PnrConfig())
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("search", ["pnr", "det"])
+    def test_start_count_past_the_byte_cap_is_refused(self, search):
+        # 10**12 starts used to end in a MemoryError (29.1 TiB); the batch
+        # is refused before any start is drawn, in the det rounds too
+        cfg = PnrConfig(restarts=10**12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="starts needs"):
+                if search == "pnr":
+                    product_numerical_range(teleport_test(2).omega, cfg)
+                else:
+                    det_benchmark(workload_det_omega(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_non_hermitian_rejected(self):
         g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qbench import model
 from qbench.engine import check_covariance, twirl_operator
 from qbench.errors import ContractError, CutoffError
 from qbench.presets import (
@@ -53,6 +54,21 @@ class TestProjectors:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (d, peak)
+
+    def test_equator_point_guard(self, monkeypatch):
+        # n states and their projectors are refused before they are built;
+        # unguarded, 10**5 points peaked at 148 MB RSS and 10**8 would
+        # exhaust memory, so the cap is lowered here to keep n small
+        monkeypatch.setattr(model, "ARRAY_MAX_BYTES", 2**20)
+        equator_test(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="n=10000 needs"):
+                equator_test(10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
 
     def test_exact_benchmarks(self):
         assert teleport_benchmark_exact(2) == pytest.approx(2 / 3)
