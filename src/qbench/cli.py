@@ -89,12 +89,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the report contract
-    # reserves 2 for uncertified numerics, so remap to 1.
+    # argparse raises SystemExit, with status 2 on usage errors; main returns
+    # its codes instead, and the report contract reserves 2 for uncertified
+    # numerics, so a usage error is 1.
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError(message)
 
 
 def _count(text: str) -> int:
@@ -453,14 +453,16 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "func", None) is None:
+            parser.print_help(sys.stderr)
+            return 1
         body, certified = args.func(args)
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         _emit({"command": args.command, **body, "certified": certified, "timestamp": stamp}, args)
+    except SystemExit as done:  # argparse's -h, after printing the help
+        return done.code
     except (_UsageError, OSError) as err:
         print(f"qbench: error: {err}", file=sys.stderr)
         return 1

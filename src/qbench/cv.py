@@ -80,6 +80,7 @@ TAIL_SUM_TOL = 1e-17  # coherent_tail stops at a term this small against the sum
 UNIT_C_TOL = 1e-12  # |c - 1| below this is the c = 1 setup, which has no squeezer
 NOISE_DEFICIT_TOL = 1e-5
 SERIES_BYTES = 40  # peak bytes per n_max³ of the Kraus-device series (~34 measured)
+FOLD_BYTES = 64  # peak bytes per n_max³ of the built-in noise fold (61–62 measured)
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +819,10 @@ def _readout(setup: CvSetup) -> list[tuple[np.ndarray, np.ndarray]]:
     n_max = setup.cutoff.n_max
     conjugate = setup.params.conjugate
     nu = setup.params.nu
-    # the fold peaks at ~117·n_max³ bytes: three (2n−1)·n² complex charge
-    # layouts, the n³ complex transfer and the readout blocks
+    # the fold peaks at 61–62·n_max³ bytes: three (2n−1)·n² real charge
+    # layouts, the n³ real transfer and the readout blocks
     if math.isfinite(nu):
-        check_bytes(117, "noise fold", n_max)
+        check_bytes(FOLD_BYTES, "noise fold", n_max)
     blocks = list(_pair_blocks(setup.params.c, n_max, conjugate_reference=not conjugate))
     if math.isfinite(nu):
         blocks = _fold_noise(blocks, _noise_transfer(nu, n_max))
@@ -837,9 +838,10 @@ def _fold_noise(readout, transfer: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     so ``Tr[O (N ⊗ I)(ρ)] = Tr[(N† ⊗ I)(O) ρ]`` turns each ``C[δ]`` into
     ``T_δᴴ @ C[δ]``.  The result conserves the same charge as O and is
     gathered back on O's own sectors, which cover every one it conserves.
+    A real transfer and real blocks fold in real arithmetic.
     """
     n = transfer.shape[-1]
-    adjoint = np.zeros((2 * n - 1, n, n), dtype=complex)  # T_δᴴ at index δ + n − 1
+    adjoint = np.zeros((2 * n - 1, n, n), dtype=transfer.dtype)  # T_δᴴ at index δ + n − 1
     adjoint[n - 1 :] = transfer.conj().transpose(0, 2, 1)
     for d in range(1, n):
         adjoint[n - 1 - d, : n - d, : n - d] = transfer[d, d:, d:].T
@@ -848,7 +850,7 @@ def _fold_noise(readout, transfer: np.ndarray) -> list[tuple[np.ndarray, np.ndar
         p, q = np.divmod(idx, n)
         return p[:, None] - p[None, :] + n - 1, p[:, None], q[:, None]
 
-    charge = np.zeros_like(adjoint)
+    charge = np.zeros(adjoint.shape, np.result_type(transfer, *{o.dtype for _, o in readout}))
     for idx, o in readout:
         charge[layout(idx)] = o
     charge = adjoint @ charge

@@ -95,6 +95,10 @@ class PnrConfig:
     restarts: int = DEFAULT_RESTARTS
     seed: int | None = DEFAULT_SEED
 
+    def __post_init__(self) -> None:
+        if self.restarts < 0 or (self.seed is not None and self.seed < 0):
+            raise ContractError(f"restarts {self.restarts} and seed {self.seed} must be non-negative")
+
 
 @dataclass(frozen=True)
 class PnrResult:

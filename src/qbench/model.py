@@ -47,9 +47,13 @@ def check_bytes(need: float, what: str, n_max: int | None = None, power: int = 3
     total = need if n_max is None else need * n_max**power
     if total > ARRAY_MAX_BYTES:
         where = "" if n_max is None else f" at n_max={n_max}"
+        # rounded, then stepped down if past: a floored float root misses an exact fit
+        fit = None if n_max is None else round((ARRAY_MAX_BYTES / need) ** (1 / power))
+        if fit is not None and need * fit**power > ARRAY_MAX_BYTES:
+            fit -= 1
         raise CutoffError(
             f"{what}{where} needs {total / 2**20:.0f} MiB, past the {ARRAY_MAX_BYTES >> 20} MiB cap",
-            suggested_n_max=None if n_max is None else int((ARRAY_MAX_BYTES / need) ** (1 / power)),
+            suggested_n_max=fit,
         )
 
 

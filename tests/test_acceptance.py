@@ -51,12 +51,14 @@ from qbench.model import (
     Channel,
     DetTest,
     ProbTest,
+    fidelity_test,
     performance_operator,
     score_det_direct,
     score_prob,
 )
 from qbench.presets import (
     chsh_test,
+    equator_ensemble,
     equator_test,
     heisenberg_weyl_rep,
     pauli_rep,
@@ -131,7 +133,7 @@ def test_phase_ensemble_threshold_and_equivalence(capsys):
     err_thr = abs(rep["value"] - 0.75)
     raw = product_numerical_range(equator_test(3).omega, CFG).value
     err_raw = abs(raw - 0.375)
-    equiv = equivalent_prob(equator_test(3), equator_test(7))
+    equiv = equivalent_prob(equator_test(3), fidelity_test(equator_ensemble(7)))
     ok = err_thr <= 1e-6 and err_raw <= 1e-6 and equiv
     _finish(
         ok,

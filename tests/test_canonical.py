@@ -27,6 +27,7 @@ from qbench.model import (
     Channel,
     DetTest,
     ProbTest,
+    fidelity_test,
     performance_operator,
     score_det_direct,
     score_det_jam,
@@ -35,6 +36,7 @@ from qbench.model import (
 )
 from qbench.presets import (
     chsh_test,
+    equator_ensemble,
     equator_test,
     heisenberg_weyl_rep,
     swap_operator,
@@ -217,8 +219,11 @@ class TestEquivalence:
         assert not equivalent_det(a, b)
 
     def test_equator_phase_counts_equivalent(self):
-        assert equivalent_prob(equator_test(3), equator_test(7))
-        assert equivalent_prob(equator_test(4), equator_test(12))
+        # built from each n-point ensemble: equator_test(n) returns the n = 3 test
+        assert equivalent_prob(equator_test(3), fidelity_test(equator_ensemble(7)))
+        assert equivalent_prob(
+            fidelity_test(equator_ensemble(4)), fidelity_test(equator_ensemble(12))
+        )
 
     def test_different_reference_states_not_equivalent(self):
         t3 = equator_test(3)

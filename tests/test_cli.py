@@ -236,10 +236,9 @@ class TestBenchmarkCommand:
 
     def test_negative_restarts_is_a_usage_error(self, capsys):
         # refused by the parser, as every other usage error is
-        with pytest.raises(SystemExit) as exc:
-            main(["benchmark", "--builtin", "chsh", "--restarts", "-3"])
-        assert exc.value.code == 1
-        assert "--restarts" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "benchmark", "--builtin", "chsh", "--restarts", "-3")
+        assert (code, out) == (1, None)
+        assert "--restarts" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -254,10 +253,8 @@ class TestBenchmarkCommand:
         # each of these ended in numpy's "expected non-negative integer" traceback
         path = tmp_path / "equator.json"
         path.write_text(json.dumps(prob_test_to_json(equator_test(3))))
-        with pytest.raises(SystemExit) as exc:
-            main([a.format(omega=path) for a in argv])
-        err = capsys.readouterr().err
-        assert exc.value.code == 1
+        code, out, err = run_cli(capsys, *(a.format(omega=path) for a in argv))
+        assert (code, out) == (1, None)
         assert err.startswith("usage: qbench ") and "non-negative integer" in err
 
     def test_start_count_past_the_byte_cap_is_uncertified(self, capsys):
@@ -556,9 +553,8 @@ class TestCvCommand:
         # the run and the series score the same truncated device
         assert out["abs_diff"] <= 1e-14
         # no node count to set
-        with pytest.raises(SystemExit) as exc:
-            main(["cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32"])
-        assert exc.value.code == 1
+        argv = ("cv", "--device", f"@{path}", "--cutoff", "30", "--nodes", "32")
+        assert run_cli(capsys, *argv)[0] == 1
 
     def test_conjugate_kraus_run_meets_its_reference(self, capsys, tmp_path):
         # under conjugation the run also truncates the beamsplitter sectors
@@ -883,10 +879,15 @@ class TestEnvironment:
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, None)
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv", [("-h",), ("cv", "--help")])
+    def test_help_returns_zero(self, capsys, argv):
+        # main returns every exit code; argparse's SystemExit never leaves it
+        assert main(list(argv)) == 0
+        assert "usage: qbench" in capsys.readouterr().out
 
     def test_no_subcommand_prints_help(self, capsys):
         code = main([])
@@ -969,17 +970,14 @@ def test_extreme_inputs_exit_cleanly(argv):
 @example(builtin="chsh", seed=2**63, restarts=2**63)
 def test_integer_flags_exit_cleanly(builtin, seed, restarts):
     """``benchmark --builtin`` with extreme ``--seed`` and ``--restarts``
-    values exits 0, 1 or 2 without a traceback (the shell sees a parser
-    refusal's ``SystemExit`` as its exit code)."""
+    values returns 0, 1 or 2 without a traceback; a parser refusal is
+    returned, not raised."""
     argv = ["benchmark", "--builtin", builtin]
     for flag, value in (("--seed", seed), ("--restarts", restarts)):
         if value is not None:
             argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()

@@ -53,6 +53,7 @@ from qbench.cv import (
     _gaussian_transfer,
     _log_factorials,
     _noise_transfer,
+    _pair_blocks,
     _readout,
     _score_sectors,
     _sectors,
@@ -606,13 +607,20 @@ class TestNoiseTransferMatrix:
                 np.testing.assert_allclose(got[d, :, u], want, atol=1e-12)
         np.testing.assert_array_equal(_charge_transfer(ks, True)[0], _charge_transfer(ks)[0])
 
-    @pytest.mark.parametrize("conjugate", [False, True])
-    def test_fold_matches_schrodinger_picture(self, conjugate):
-        # Tr[(N† ⊗ I)(O) ρ] = Tr[O (N ⊗ I)(ρ)] for a complex, non-self-adjoint
-        # phase-covariant N, on both sector kinds
+    @pytest.mark.parametrize(
+        "conjugate, real",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "real-False", "real-True"],
+    )
+    def test_fold_matches_schrodinger_picture(self, conjugate, real):
+        # Tr[(N† ⊗ I)(O) ρ] = Tr[O (N ⊗ I)(ρ)] for a complex, and a real,
+        # non-self-adjoint phase-covariant N, on both sector kinds; the real
+        # family folds in real arithmetic
         n = 7
         rng = np.random.default_rng(41)
         ks = _phase_covariant_kraus(rng, n, 5)
+        if real:
+            ks = ks.real
         setup = build_setup(CvParams(g=1.2, lam=2.0, conjugate=conjugate), _cutoff(n, 0.5))
         readout = _readout(setup)
         folded = _fold_noise(readout, _charge_transfer(ks))
@@ -643,8 +651,34 @@ class TestNoiseTransferMatrix:
         _readout(build_setup(CvParams(g=1.0, lam=1.0, conjugate=True), _cutoff(20)))
         assert not calls
 
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_builtin_noise_folds_in_real_arithmetic(self, monkeypatch, conjugate):
+        # the noise transfer and the readout blocks are real, so every charge
+        # layout is too: float64 blocks out and no complex array allocated
+        setup = build_setup(CvParams(lam=4.0, mu=4.0, conjugate=conjugate), _cutoff(12, 1e-2))
+        readout = list(_pair_blocks(setup.params.c, 12, conjugate_reference=not conjugate))
+        transfer = _noise_transfer(setup.params.nu, 12)
+        made, zeros = [], np.zeros
+        monkeypatch.setattr(np, "zeros", lambda *a, **k: made.append(zeros(*a, **k)) or made[-1])
+        folded = _fold_noise(readout, transfer)
+        monkeypatch.undo()
+        assert made and all(a.dtype == np.float64 for a in made)
+        assert all(o.dtype == np.float64 for _, o in folded)
+        # and the whole readout peaks within the guard's FOLD_BYTES·n_max³
+        # (61–62·n³ measured; the complex layouts took ~109·n³)
+        n = 60
+        setup = build_setup(CvParams(lam=4.0, mu=4.0, conjugate=conjugate), _cutoff(n, 1e-2))
+        tracemalloc.start()
+        try:
+            _readout(setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cv.FOLD_BYTES * n**3, peak / n**3
+
     def test_noise_fold_past_the_byte_cap_is_refused_before_allocating(self):
-        # the fold peaks at ~117·n_max³ bytes: about 3 GiB at n_max 300
+        # the fold peaks at ~62·n_max³ bytes, guarded at FOLD_BYTES = 64:
+        # about 1.6 GiB at n_max 300, and exactly the cap at n_max 256
         setup = build_setup(CvParams(lam=4.0, mu=4.0), _cutoff(300))
         tracemalloc.start()
         try:
@@ -655,7 +689,8 @@ class TestNoiseTransferMatrix:
             tracemalloc.stop()
         assert peak < 2**20, peak
         n = err.value.suggested_n_max
-        assert 117 * n**3 <= ARRAY_MAX_BYTES < 117 * (n + 1) ** 3
+        assert cv.FOLD_BYTES == 64 and n == 256
+        assert cv.FOLD_BYTES * n**3 <= ARRAY_MAX_BYTES < cv.FOLD_BYTES * (n + 1) ** 3
 
     def test_conjugation_rows_match_full_beamsplitter(self):
         n = 8

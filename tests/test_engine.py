@@ -252,6 +252,13 @@ class TestProductNumericalRange:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize("cfg", [{"restarts": -1}, {"seed": -1}, {"restarts": -3, "seed": -2}])
+    def test_negative_start_count_or_seed_is_refused(self, cfg):
+        # these used to end in numpy's "negative dimensions" and default_rng
+        # ValueErrors; the CLI refuses both at parse time
+        with pytest.raises(ContractError, match="non-negative"):
+            product_numerical_range(equator_test(3).omega, PnrConfig(**cfg))
+
     def test_non_hermitian_rejected(self):
         g = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         with pytest.raises(ContractError):

@@ -32,6 +32,7 @@ from qbench.model import (
 )
 from qbench.presets import (
     design_ensemble,
+    equator_ensemble,
     equator_test,
     swap_operator,
     teleport_test,
@@ -166,9 +167,10 @@ class TestFidelityTest:
         assert np.allclose(t.sigma_A.matrix, np.eye(2) / 2)
 
     def test_equator_operator_independent_of_phase_count(self):
+        # built from each n-point ensemble: equator_test(n) returns the n = 3 test
         base = equator_test(3)
         for n in (4, 5, 7, 12):
-            t = equator_test(n)
+            t = fidelity_test(equator_ensemble(n))
             assert np.allclose(t.omega.matrix, base.omega.matrix, atol=1e-12)
 
     def test_design_ensemble_reproduces_uniform_test(self):

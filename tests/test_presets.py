@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbench import model
+from qbench import model, presets
 from qbench.engine import check_covariance, twirl_operator
 from qbench.errors import ContractError, CutoffError
 from qbench.presets import (
@@ -15,6 +15,7 @@ from qbench.presets import (
     clifford_group,
     clifford_rep,
     design_states,
+    equator_ensemble,
     equator_states,
     equator_test,
     heisenberg_weyl_rep,
@@ -60,15 +61,31 @@ class TestProjectors:
         # unguarded, 10**5 points peaked at 148 MB RSS and 10**8 would
         # exhaust memory, so the cap is lowered here to keep n small
         monkeypatch.setattr(model, "ARRAY_MAX_BYTES", 2**20)
-        equator_test(1000)
+        equator_ensemble(1000)
         tracemalloc.start()
         try:
             with pytest.raises(CutoffError, match="n=10000 needs"):
-                equator_test(10**4)
+                equator_ensemble(10**4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16, peak
+
+    def test_equator_test_builds_three_points_for_any_n(self, monkeypatch):
+        # the operator does not depend on n >= 3, so 10**6 points cost what
+        # three do (building them took 0.7-1.7 s); n < 3 is still refused
+        base = equator_test(3)
+        built, states = [], presets.equator_states
+        monkeypatch.setattr(presets, "equator_states", lambda n: built.append(n) or states(n))
+        big = equator_test(10**6)
+        assert built == [3]
+        # and the three-point test is the test of a many-point ensemble
+        many = model.fidelity_test(equator_ensemble(1000))
+        for got in (big, base):
+            assert np.allclose(got.omega.matrix, many.omega.matrix, rtol=0, atol=1e-12)
+            assert np.allclose(got.sigma_A.matrix, many.sigma_A.matrix, rtol=0, atol=1e-12)
+        with pytest.raises(ContractError, match="at least 3"):
+            equator_test(2)
 
     def test_exact_benchmarks(self):
         assert teleport_benchmark_exact(2) == pytest.approx(2 / 3)
