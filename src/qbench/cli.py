@@ -142,7 +142,8 @@ def _emit(payload: dict, args) -> None:
             if out is not sys.stdout:
                 out.close()
         return
-    text = json.dumps(payload, indent=2) + "\n"
+    # one line: with an indent, json falls back to its pure-Python encoder
+    text = json.dumps(payload) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -393,7 +394,8 @@ def build_parser() -> _Parser:
         description="Compute the measure-and-prepare threshold of a built-in "
         "scenario, a performance-operator JSON, or a deterministic test JSON. "
         "Certified means the reported [lower, upper] bracket is rigorous "
-        "(spectral bound, tightened by the exhaustive grid on qubit factors).",
+        "(spectral bound, tightened by the exhaustive grid on qubit factors "
+        "while the search value is below it).",
     )
     bench.add_argument(
         "--builtin",

@@ -301,7 +301,7 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
     starts = _starts(vecs[:, -1].reshape(m.dims), cfg.restarts, cfg.seed)
     vals, a, b, sweeps = _search(m.matrix.reshape(m.dims * 2), starts)
     value = float(vals[0])
-    upper, method = _upper_bound(m, float(eigs[-1]))
+    upper, method = _upper_bound(m, float(eigs[-1]), value)
     return PnrResult(
         value=value,
         maximizer_a=a[0],
@@ -315,12 +315,14 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
     )
 
 
-def _upper_bound(m: Operator, top: float) -> tuple[float, str]:
+def _upper_bound(m: Operator, top: float, value: float) -> tuple[float, str]:
     """Certified upper bound on pnr(M) and the name of its certificate: the
     largest eigenvalue ``top`` of ``M`` (``spectral``; a product maximum can
     never exceed it), or the grid oracle's bound (``grid``) when both factors
-    are at most qubits and the grid lies strictly below ``top``."""
-    if max(m.dims) <= 2:
+    are at most qubits and the grid lies strictly below ``top``.  That bound
+    never undercuts ``value``, an attained lower end (the search value), so
+    the grid runs only while ``value < top``."""
+    if max(m.dims) <= 2 and value < top:
         grid = pnr_grid_oracle(m).upper
         if grid < top:
             return grid, "grid"
@@ -578,7 +580,8 @@ def det_benchmark(
             for w, u_out, u_in in zip(rep.weights, rep.elements_out, rep.elements_in)
         ])
         tau = Operator(np.eye(d_in) / d_in, (d_in,))
-        return _det_report(omega, strategy, d_in * pnr.upper, tau_min=tau,
+        score = score_det_jam(omega, jamiolkowski(strategy))
+        return _det_report(strategy, score, d_in * pnr.upper, tau_min=tau,
                            method="closed_form", restarts=pnr.restarts, converged=True,
                            cut_rounds=0, cuts=0)
 
@@ -625,9 +628,11 @@ def det_benchmark(
     w = np.maximum(w, CUT_TOL * w[-1])
     tau = (v * (w / w.sum())) @ v.conj().T
     sandwiched = _sandwich(omega, tau)
-    upper, method = _upper_bound(sandwiched, float(hermitian_eig(sandwiched)[0][-1]))
+    # the strategy's score is at most pnr(sandwiched): an attained lower end
+    score = score_det_jam(omega, jamiolkowski(strategy))
+    upper, method = _upper_bound(sandwiched, float(hermitian_eig(sandwiched)[0][-1]), score)
     # restarts counts the start set that confirmed convergence
-    report = _det_report(omega, strategy, upper, tau_min=Operator(tau, (d_in,)),
+    report = _det_report(strategy, score, upper, tau_min=Operator(tau, (d_in,)),
                          method=method, restarts=1 + d_in + cfg.restarts,
                          converged=converged, cut_rounds=cut_rounds, cuts=len(p))
     if not converged:
@@ -639,11 +644,10 @@ def det_benchmark(
     return report
 
 
-def _det_report(omega: Operator, strategy: Channel, upper: float, **fields) -> BenchmarkReport:
+def _det_report(strategy: Channel, score: float, upper: float, **fields) -> BenchmarkReport:
     """The report of either det path, with its remaining ``fields``: ``value``
-    is the exact score of ``strategy``, and roundoff in ``upper`` (~1e-15)
-    never inverts the bracket."""
-    score = score_det_jam(omega, jamiolkowski(strategy))
+    is ``score``, the exact score of ``strategy``, and roundoff in ``upper``
+    (~1e-15) never inverts the bracket."""
     return BenchmarkReport(value=score, upper=max(upper, score), strategy=strategy, **fields)
 
 

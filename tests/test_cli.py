@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -44,9 +46,8 @@ def _gram(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def strip_timestamp(text: str) -> str:
-    return "\n".join(
-        line for line in text.splitlines() if "timestamp" not in line
-    )
+    """``text`` without the value of its timestamp, in JSON or in CSV."""
+    return re.sub(r"\d{4}-\d\d-\d\dT[\d:]+[+-]\d\d:\d\d", "", text)
 
 
 class TestBenchmarkCommand:
@@ -796,6 +797,49 @@ def test_every_report_has_one_envelope(capsys, tmp_path, argv):
     columns = header.split(",")
     assert columns[0] == "command" and row.startswith(f"{argv[0]},")
     assert columns[-2:] == ["certified", "timestamp"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("benchmark", "--builtin", "teleport:2"),
+        ("canonical", "--omega", "{prob}"),
+        ("cv", "--device", "vacuum", "--cutoff", "24"),
+    ],
+)
+def test_report_is_one_line_of_the_same_json(capsys, monkeypatch, tmp_path, argv):
+    # the report is one line from json's C encoder; it loads to the same dict
+    # as the indented dump of the same payload, --out writes the same text,
+    # and the CSV is the flattened payload
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(prob_test_to_json(teleport_test(2))))
+    argv = [a.format(prob=prob) for a in argv]
+    payloads = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        payloads.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    monkeypatch.undo()
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert json.loads(text) == json.loads(json.dumps(payloads[-1], indent=2))
+
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert strip_timestamp(out.read_text(encoding="utf-8")) == strip_timestamp(text)
+
+    assert main([*argv, "--format", "csv"]) == 0
+    table = io.StringIO(newline="")
+    flat = cli._flatten(json.loads(text))
+    writer = csv.DictWriter(table, fieldnames=list(flat))
+    writer.writeheader()
+    writer.writerow(flat)
+    assert strip_timestamp(capsys.readouterr().out) == strip_timestamp(table.getvalue())
 
 
 class TestEnvironment:

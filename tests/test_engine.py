@@ -338,6 +338,16 @@ class TestDetBenchmark:
         assert report.converged and report.method == "spectral"
         assert len(grid_calls) == 1
 
+    def test_no_grid_once_the_score_meets_the_top_eigenvalue(self, grid_calls):
+        # on this product omega the strategy's exact score reaches the
+        # sandwiched operator's largest eigenvalue, which the grid's bound
+        # can never undercut
+        omega = rand_separable(2, 2, np.random.default_rng(5), terms=1)
+        report = det_benchmark(omega, FAST)
+        assert report.converged and report.method == "spectral"
+        assert report.upper == report.value
+        assert grid_calls == []
+
     def test_upper_end_runs_no_search(self, monkeypatch):
         # every seesaw search is a separation round; the bracket's upper end
         # is read from tau_min without one
@@ -490,6 +500,16 @@ class TestProbBenchmark:
 
     def test_teleport_threshold(self):
         assert abs(prob_benchmark(teleport_test(2), FAST) - 2.0 / 3.0) < 1e-9
+
+    def test_grid_runs_only_below_the_top_eigenvalue(self, grid_calls):
+        # teleport's seesaw value attains the largest eigenvalue: no grid
+        res = prob_benchmark(teleport_test(2), FAST, _details=True)
+        assert grid_calls == []
+        assert res.method == "spectral" and res.upper == res.value
+        # chsh's lies below it, and the grid tightens upper
+        res = prob_benchmark(chsh_test(), FAST, _details=True)
+        assert len(grid_calls) == 1
+        assert res.method == "grid" and res.value < res.upper
 
     def test_support_leak_raises(self):
         t = teleport_test(2)
