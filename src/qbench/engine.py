@@ -37,6 +37,8 @@ import numpy as np
 from .errors import ContractError, DimensionError, SearchError, SupportError
 from .linalg import (
     Operator,
+    check_finite,
+    frobenius_norm,
     hermitian_eig,
     operator_to_json,
     partial_transpose,
@@ -172,8 +174,9 @@ class GroupRep:
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"group element must be square, got {u.shape}")
+    check_finite(u, "group elements")
     gap = u.conj().T @ u - np.eye(u.shape[0])
-    if np.linalg.norm(gap) > UNITARY_TOL * max(1.0, np.sqrt(u.shape[0])):
+    if frobenius_norm(gap) > UNITARY_TOL * max(1.0, np.sqrt(u.shape[0])):
         raise ContractError("group element is not unitary")
     return u
 

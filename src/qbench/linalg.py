@@ -24,10 +24,25 @@ EIG_RESIDUAL_TOL = 1e-10
 NORM_TOL = 1e-9        # absolute deviation of a state's norm from 1
 
 
+def frobenius_norm(arr: np.ndarray) -> float:
+    """Frobenius norm of an array of any shape; ``inf``, without numpy's
+    overflow warning, where the sum of squares overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(arr)
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Refuse with :class:`ContractError` an array whose Frobenius norm is not
+    finite: a NaN or infinite entry, or entries so large (past ~1.3e154) that
+    the norm overflows, where no ``TOL * max(1, norm)`` rule means anything.
+    The one admission rule for every array a value type or channel keeps."""
+    if not np.isfinite(frobenius_norm(arr)):
+        raise ContractError(f"{what} must have a finite Frobenius norm (no NaN/Inf, no entry past ~1e154)")
+
+
 def _as_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ContractError("matrix entries must be finite (no NaN/Inf)")
+    check_finite(arr, "a matrix or vector")
     return arr
 
 
@@ -129,74 +144,50 @@ def _check_indices(idx: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     return idx
 
 
-def ptrace_matrix(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace on a raw matrix; keeps subsystems listed in ``keep``."""
-    dims = tuple(dims)
-    n = len(dims)
-    keep = _check_indices(keep, n, "keep")
-    keep_sorted = sorted(keep)
-    t = mat.reshape(dims + dims)
-    # trace out the complement, highest axis first so positions stay valid
-    for i in reversed([i for i in range(n) if i not in keep_sorted]):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    side = int(np.prod([dims[i] for i in keep_sorted]))
-    out = t.reshape(side, side)
-    if tuple(keep) != tuple(keep_sorted):
-        order = np.argsort(np.argsort(keep))  # map sorted positions to requested order
-        out = permute_matrix(out, [dims[i] for i in keep_sorted], order)
-    return out
-
-
 def partial_trace(m: Operator, keep: Iterable[int]) -> Operator:
     """Trace out every subsystem not listed in ``keep``.
 
     The result's dims follow the order given in ``keep``.
     """
-    keep = _check_indices(keep, len(m.dims), "keep")
-    out = ptrace_matrix(m.matrix, m.dims, keep)
-    return Operator(out, tuple(m.dims[i] for i in keep))
-
-
-def ptranspose_matrix(mat: np.ndarray, dims: Sequence[int], sys: int) -> np.ndarray:
-    """Partial transpose of a raw matrix on subsystem ``sys``."""
-    dims = tuple(dims)
-    n = len(dims)
-    if sys < 0 or sys >= n:
-        raise DimensionError(f"sys {sys} out of range for {n} subsystems")
-    t = mat.reshape(dims + dims)
-    t = np.swapaxes(t, sys, sys + n)
-    side = int(np.prod(dims))
-    return t.reshape(side, side)
+    dims, n = m.dims, len(m.dims)
+    keep = _check_indices(keep, n, "keep")
+    keep_sorted = sorted(keep)
+    t = m.matrix.reshape(dims + dims)
+    # trace out the complement, highest axis first so positions stay valid
+    for i in reversed([i for i in range(n) if i not in keep_sorted]):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    side = int(np.prod([dims[i] for i in keep_sorted]))
+    out = Operator(t.reshape(side, side), [dims[i] for i in keep_sorted])
+    if keep == tuple(keep_sorted):
+        return out
+    return permute_systems(out, np.argsort(np.argsort(keep)))  # sorted positions to requested order
 
 
 def partial_transpose(m: Operator, sys: int) -> Operator:
     """Transpose subsystem ``sys``; an involution."""
-    return Operator(ptranspose_matrix(m.matrix, m.dims, sys), m.dims)
-
-
-def permute_matrix(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder subsystems of a raw matrix: new position i holds old subsystem perm[i]."""
-    dims = tuple(dims)
-    n = len(dims)
-    perm = _check_indices(perm, n, "perm")
-    if len(perm) != n:
-        raise DimensionError(f"perm {perm} must cover all {n} subsystems")
-    t = mat.reshape(dims + dims)
-    axes = list(perm) + [p + n for p in perm]
-    side = int(np.prod(dims))
-    return t.transpose(axes).reshape(side, side)
+    n = len(m.dims)
+    if sys < 0 or sys >= n:
+        raise DimensionError(f"sys {sys} out of range for {n} subsystems")
+    t = np.swapaxes(m.matrix.reshape(m.dims + m.dims), sys, sys + n)
+    return Operator(t.reshape(m.side, m.side), m.dims)
 
 
 def permute_systems(m: Operator, perm: Sequence[int]) -> Operator:
-    out = permute_matrix(m.matrix, m.dims, perm)
-    return Operator(out, tuple(m.dims[p] for p in perm))
+    """Reorder subsystems: new position i holds old subsystem perm[i]."""
+    n = len(m.dims)
+    perm = _check_indices(perm, n, "perm")
+    if len(perm) != n:
+        raise DimensionError(f"perm {perm} must cover all {n} subsystems")
+    axes = list(perm) + [p + n for p in perm]
+    t = m.matrix.reshape(m.dims + m.dims).transpose(axes)
+    return Operator(t.reshape(m.side, m.side), tuple(m.dims[p] for p in perm))
 
 
 # ---------------------------------------------------------------------------
 # spectral operations
 # ---------------------------------------------------------------------------
 
-def hermitian_eig(m: Operator | np.ndarray):
+def hermitian_eig(m: Operator):
     """Eigendecomposition of a Hermitian operator.
 
     Returns
@@ -206,14 +197,13 @@ def hermitian_eig(m: Operator | np.ndarray):
         columns. Reconstruction ``v @ diag(w) @ v†`` is checked against the
         input to ``EIG_RESIDUAL_TOL`` (relative Frobenius).
     """
-    mat = m.matrix if isinstance(m, Operator) else _as_complex(m)
-    scale = max(np.linalg.norm(mat), 1.0)
-    if np.linalg.norm(mat - mat.conj().T) > HERM_TOL * scale:
+    if not m.is_hermitian():
         raise ContractError("hermitian_eig requires a Hermitian matrix")
+    mat = m.matrix
     herm = 0.5 * (mat + mat.conj().T)
     w, v = np.linalg.eigh(herm)
     residual = np.linalg.norm((v * w) @ v.conj().T - herm)
-    if residual > EIG_RESIDUAL_TOL * scale:
+    if residual > EIG_RESIDUAL_TOL * max(np.linalg.norm(mat), 1.0):
         raise ArithmeticError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
@@ -257,7 +247,7 @@ def purify(rho: Operator) -> PureState:
         raise ContractError("cannot purify an operator with empty support")
     vec = (v[:, :r] * np.sqrt(w[:r])).reshape(-1)  # sum_n sqrt(l_n) |phi_n>|n>
     state = PureState(vec, (d, r))
-    marginal = ptrace_matrix(state.density().matrix, (d, r), (0,))
+    marginal = partial_trace(state.density(), (0,)).matrix
     gap = np.linalg.norm(marginal - rho.matrix)
     if gap > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(rho.matrix)):
         raise ArithmeticError(f"purification marginal deviates from the input by {gap:.3e}")

@@ -26,6 +26,8 @@ from .linalg import (
     RANK_TOL,
     Operator,
     PureState,
+    check_finite,
+    frobenius_norm,
     operator_from_json,
     operator_to_json,
 )
@@ -63,7 +65,8 @@ def is_complete(total: np.ndarray, what: str) -> bool:
     Raises :class:`ContractError` when it exceeds the identity."""
     d = total.shape[0]
     gap = total - np.eye(d)
-    if np.linalg.norm(gap) <= COMPLETENESS_TOL * max(1.0, np.sqrt(d)):
+    # an admitted family's gap may overflow the norm: inf then fails the rule
+    if frobenius_norm(gap) <= COMPLETENESS_TOL * max(1.0, np.sqrt(d)):
         return True
     top = np.max(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))
     if top > COMPLETENESS_TOL:
@@ -105,6 +108,7 @@ class Channel:
         if ks.ndim != 3:
             raise DimensionError("Kraus operators must be matrices of one shape")
         ks = np.asarray(ks, dtype=complex if np.iscomplexobj(ks) else float, order="C")
+        check_finite(ks, "Kraus operators")
         flat = ks.reshape(-1, ks.shape[2])
         complete = is_complete(flat.conj().T @ flat, "the channel's sum K†K")
         if trace_preserving and not complete:
@@ -333,6 +337,8 @@ def mp_channel(povm, outputs) -> Channel:
     outputs = [m.matrix if isinstance(m, Operator) else np.asarray(m, dtype=complex) for m in outputs]
     if len(povm) != len(outputs) or not povm:
         raise DimensionError("need equally many POVM elements and output states")
+    for m in povm + outputs:
+        check_finite(m, "POVM elements and prepared outputs")
     deterministic = is_complete(sum(povm), "the POVM's sum")
     kraus = []
     for pi, rho in zip(povm, outputs):

@@ -55,6 +55,21 @@ def test_no_small_float_literal_in_a_function_body():
     assert sorted(found) == []
 
 
+def test_np_isfinite_is_called_only_by_the_admission_rule():
+    # One rule admits arrays: linalg.check_finite, on the Frobenius norm.
+    # An np.isfinite scan anywhere else is a second copy of it.
+    def calls(node: ast.AST) -> int:
+        return sum(isinstance(n, ast.Call) and ast.unparse(n.func) in ("np.isfinite", "numpy.isfinite")
+                   for n in ast.walk(node))
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(qbench.__file__).parent.glob("*.py"))}
+    rule = next(fn for fn in trees["linalg.py"].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "check_finite")
+    assert calls(rule) >= 1
+    assert sum(calls(tree) for tree in trees.values()) == calls(rule)
+
+
 def _module_level_names(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):

@@ -1001,6 +1001,62 @@ def test_extreme_inputs_exit_cleanly(argv):
     assert abs(report["value"] - device.average_fidelity(params)) <= cli.CV_CERTIFY_TOL, argv
 
 
+def _scaled_det_test_json() -> dict:
+    # the observable is linear in omega, so scaling it in the file gives the
+    # det test of 1e200·omega without building that operator
+    rng = np.random.default_rng(1)
+    m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(3))
+    data = det_test_to_json(canonical_det_test(Operator(m / np.trace(m).real, (2, 3))).as_det_test())
+    for part in ("re", "im"):
+        data["observable"][part] = (1e200 * np.asarray(data["observable"][part])).tolist()
+    return data
+
+
+def _nan_kraus_json() -> dict:
+    data = channel_to_json(Channel.identity(20))
+    data["kraus"]["re"][-1] = math.nan  # json writes the NaN token
+    return data
+
+
+def _bare_operator_json(psd: bool, scale: float) -> dict:
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    if psd:
+        m = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    return {"dims": [2, 2], "re": (scale * m.real).tolist(), "im": (scale * m.imag).tolist()}
+
+
+# argv with the file's place left open, and the file's content
+_UNADMITTED_FILES = {
+    "benchmark-nonhermitian": (("benchmark", "--omega", "{}"), lambda: _bare_operator_json(False, 1e160)),
+    "canonical-nonhermitian": (("canonical", "--omega", "{}"), lambda: _bare_operator_json(False, 1e160)),
+    "canonical-psd": (("canonical", "--omega", "{}"), lambda: _bare_operator_json(True, 1e200)),
+    "benchmark-det-test": (("benchmark", "--test", "{}"), _scaled_det_test_json),
+    "canonical-det-test": (("canonical", "--test", "{}"), _scaled_det_test_json),
+    "cv-nan-kraus": (("cv", "--device", "@{}"), _nan_kraus_json),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNADMITTED_FILES))
+def test_unadmitted_file_inputs_exit_cleanly(tmp_path, case):
+    """A file whose operator or Kraus array has a NaN entry or an overflowing
+    Frobenius norm is refused at its first constructor: exit 2 (never 0)
+    with one ``qbench: uncertified:`` line, no traceback or warning, and no
+    NaN or Infinity on stdout."""
+    template, content = _UNADMITTED_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content()))
+    argv = [arg.format(path) for arg in template]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, argv
+    assert "Traceback" not in err.getvalue()
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), argv
+    assert err.getvalue().startswith("qbench: uncertified:") and err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith("qbench: uncertified:") and err.getvalue().count("\n") == 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     builtin=st.sampled_from(["chsh"])

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from qbench.cv import FockCutoff, attenuator_device, rescale_mp_device
+from qbench.engine import GroupRep
 from qbench.errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
-from qbench.linalg import Operator, partial_trace, partial_transpose
+from qbench.linalg import Operator, PureState, partial_trace, partial_transpose
 from qbench.model import (
     ARRAY_MAX_BYTES,
     Channel,
@@ -101,6 +103,54 @@ class TestChannelType:
             Channel([np.eye(2), np.eye(3)])
         with pytest.raises(ContractError):
             Channel([])
+
+
+def _with_entry(template, value: float, index: tuple) -> np.ndarray:
+    out = np.array(template)
+    out[index] = value
+    return out
+
+
+def _channel_with_entry(dtype: type, trace_preserving: bool):
+    return lambda x: Channel(_with_entry(np.eye(2, dtype=dtype)[None], x, (0, 0, 1)), trace_preserving)
+
+
+_P0 = np.diag([1.0, 0.0])
+_P1 = np.diag([0.0, 1.0])
+# every constructor that admits an array, fed one with ``value`` at one entry
+_ADMITTING = {
+    "Operator": lambda x: Operator(_with_entry(np.eye(2, dtype=complex), x, (0, 1)), (2,)),
+    "PureState": lambda x: PureState(_with_entry([1.0 + 0j, 0.0], x, 1), (2,)),
+    **{
+        f"Channel-{dtype.__name__}-{'tp' if tp else 'ntp'}": _channel_with_entry(dtype, tp)
+        for dtype in (float, complex)
+        for tp in (True, False)
+    },
+    "GroupRep": lambda x: GroupRep([(_with_entry(np.eye(2, dtype=complex), x, (0, 1)), np.eye(2))]),
+    "mp_channel-povm": lambda x: mp_channel([_with_entry(_P0, x, (0, 1)), _P1], [_P0, _P1]),
+    "mp_channel-output": lambda x: mp_channel([_P0, _P1], [_with_entry(_P0, x, (0, 1)), _P1]),
+}
+
+
+@pytest.mark.parametrize(
+    "value, refused",
+    [(np.nan, True), (np.inf, True), (1e200, True), (1e150, False)],
+    ids=["nan", "inf", "norm-overflow", "1e150"],
+)
+@pytest.mark.parametrize("kind", sorted(_ADMITTING))
+def test_every_constructor_admits_arrays_by_their_finite_norm(kind, value, refused):
+    """A NaN or infinite entry, or one whose square overflows the Frobenius
+    norm, is refused by the one admission rule with no RuntimeWarning on the
+    way; an entry at 1e150 passes admission, whatever contract it breaks
+    after that."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _ADMITTING[kind](value)
+        except ContractError as err:
+            assert ("finite Frobenius norm" in str(err)) == refused, err
+        else:
+            assert not refused
 
 
 class TestPerformanceOperator:
