@@ -22,18 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    GroupRep,
-    PnrConfig,
-    check_input_support,
-    det_benchmark,
-    ppt_offset,
-)
+from .engine import GroupRep, PnrConfig, check_input_support, det_benchmark, ppt_offset
 from .errors import ContractError, DimensionError, SearchError
 from .linalg import (
     RANK_TOL,
     Operator,
     PureState,
+    frobenius_norm,
     operator_from_json,
     operator_to_json,
     partial_trace,
@@ -225,7 +220,7 @@ def tests_equivalent_prob(a: ProbTest, b: ProbTest) -> bool:
 def _agree(x: np.ndarray, y: np.ndarray) -> bool:
     """``x`` and ``y`` differ by :func:`within_recipe_tol` at their size."""
     scale = max(np.linalg.norm(x), np.linalg.norm(y))
-    return bool(within_recipe_tol(np.linalg.norm(x - y), scale))
+    return bool(within_recipe_tol(frobenius_norm(x - y), scale))
 
 
 def fully_blackbox_test(

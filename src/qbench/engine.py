@@ -54,19 +54,21 @@ UNITARY_TOL = 1e-9
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 7
 SUPPORT_TOL = 1e-9
+# Every tolerance is relative to one scale per problem, the spectral radius rho
+# of Omega (det) or M (product range), or the norm its rule reads: no unit floor.
 # Cutting planes stop when no product pair violates Y by more than
-# CUT_TOL * max(1, |tr Y|) and give up after CUT_ROUNDS_PER_COORD * d_in**2 rounds.
+# CUT_TOL * rho and give up after CUT_ROUNDS_PER_COORD * d_in**2 rounds.
 CUT_TOL = 1e-6
 CUT_ROUNDS_PER_COORD = 50
 # Seesaw maximizers with |<b|b'>| > 1 - CUT_SAME_TOL make one cut.
 CUT_SAME_TOL = 1e-6
 # The master LP's simplex is optimal once no reduced cost exceeds
-# LP_TOL * max(1, max |floor|); it pivots only on entries above LP_PIVOT_TOL
-# and fails after LP_PIVOTS_PER_ROW * d_in**2 pivots in one solve.
+# LP_TOL * rho; it pivots only on entries above LP_PIVOT_TOL and fails
+# after LP_PIVOTS_PER_ROW * d_in**2 pivots in one solve.
 LP_TOL = 1e-11
 LP_PIVOT_TOL = 1e-9
 LP_PIVOTS_PER_ROW = 50
-# A seesaw start stops on a sweep gaining <= SEESAW_TOL * max(1, |value|) or after
+# A seesaw start stops on a sweep gaining <= SEESAW_TOL * rho or after
 # SEESAW_MAX_ITER sweeps.
 SEESAW_TOL = 1e-12
 SEESAW_MAX_ITER = 1000
@@ -176,7 +178,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
         raise DimensionError(f"group element must be square, got {u.shape}")
     check_finite(u, "group elements")
     gap = u.conj().T @ u - np.eye(u.shape[0])
-    if frobenius_norm(gap) > UNITARY_TOL * max(1.0, np.sqrt(u.shape[0])):
+    if frobenius_norm(gap) > UNITARY_TOL * np.sqrt(u.shape[0]):
         raise ContractError("group element is not unitary")
     return u
 
@@ -258,14 +260,15 @@ def _starts(top: np.ndarray, restarts: int, seed: int | None) -> np.ndarray:
     )
 
 
-def _search(m4: np.ndarray, starts: np.ndarray) -> tuple:
+def _search(m4: np.ndarray, starts: np.ndarray, scale: float) -> tuple:
     """Alternating top-eigenvector seesaw from every row of ``starts`` at once.
 
     A start leaves the batch once a sweep gains no more than
-    ``SEESAW_TOL * max(1, |value|)`` over its previous sweep, so each sweep is
-    one stacked ``eigh`` per side over the starts still running.  Returns each
-    start's value, the objective ``<a b|M|a b>`` at its phase-fixed pair
-    ``(a, b)``, those pairs, best first, and the total sweep count.
+    ``SEESAW_TOL * scale``, the problem's spectral radius, over its previous
+    sweep, so each sweep is one stacked ``eigh`` per side over the starts
+    still running.  Returns each start's value, the objective ``<a b|M|a b>``
+    at its phase-fixed pair ``(a, b)``, those pairs, best first, and the
+    total sweep count.
     """
     d_out, d_in = m4.shape[:2]
     t = _pair_matrix(m4)
@@ -280,7 +283,7 @@ def _search(m4: np.ndarray, starts: np.ndarray) -> tuple:
         val, bb = _top_eigvec((_outer_rows(aa) @ t.T).reshape(n, d_in, d_in))
         a[active], b[active] = aa, bb
         sweeps += n
-        gained = val > last[active] + SEESAW_TOL * np.maximum(1.0, np.abs(val))
+        gained = val > last[active] + SEESAW_TOL * scale
         last[active] = val
         active = active[gained]
         if not active.size:
@@ -302,7 +305,7 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
     eigs, vecs = hermitian_eig(m)
     cfg = cfg or PnrConfig()
     starts = _starts(vecs[:, -1].reshape(m.dims), cfg.restarts, cfg.seed)
-    vals, a, b, sweeps = _search(m.matrix.reshape(m.dims * 2), starts)
+    vals, a, b, sweeps = _search(m.matrix.reshape(m.dims * 2), starts, np.abs(eigs).max())
     value = float(vals[0])
     upper, method = _upper_bound(m, float(eigs[-1]), value)
     return PnrResult(
@@ -412,8 +415,8 @@ def check_input_support(op: Operator, state: np.ndarray) -> None:
     kernel = v[:, : d_in - rank]
     proj = np.kron(np.eye(d_out), kernel @ kernel.conj().T)
     leak = proj @ op.matrix
-    resid = np.linalg.norm(leak)
-    if resid > SUPPORT_TOL * max(1.0, np.linalg.norm(op.matrix)):
+    resid = frobenius_norm(leak)
+    if resid > SUPPORT_TOL * frobenius_norm(op.matrix):
         _, vecs = np.linalg.eigh(leak @ leak.conj().T)
         raise SupportError(
             "performance operator acts outside the reference state's support "
@@ -477,12 +480,13 @@ def _ic_cuts(d: int) -> np.ndarray:
 
 
 def _master_lp(
-    cuts: np.ndarray, floors: np.ndarray, basic: np.ndarray
+    cuts: np.ndarray, floors: np.ndarray, basic: np.ndarray, scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dual of the cut LP, max Σ p_i floor_i s.t. Σ p_i |b_i><b_i| = I, p >= 0.
 
     A dense primal simplex over the cut vectors ``b_i`` (rows of ``cuts``)
-    from the feasible basis ``basic``, d² column indices.  Returns the
+    from the feasible basis ``basic``, d² column indices, optimal to
+    ``LP_TOL * scale``, ``scale`` being omega's spectral radius.  Returns the
     optimal Y (the simplex multipliers: <b_i|Y|b_i> >= floor_i for every
     cut, tr Y = Σ p_i floor_i), the weights p and the optimal basis, which
     stays feasible when cuts are appended.  Raises ``ArithmeticError`` when
@@ -491,7 +495,7 @@ def _master_lp(
     herm = _hermitian_basis(cuts.shape[1])
     a = np.einsum("ir,krs,is->ki", cuts.conj(), herm, cuts).real
     rhs = np.trace(herm, axis1=1, axis2=2).real
-    tol = LP_TOL * max(1.0, float(np.max(np.abs(floors))))
+    tol = LP_TOL * scale
     budget = LP_PIVOTS_PER_ROW * len(basic)
     basic = basic.copy()
     stalled = 0
@@ -531,12 +535,12 @@ def _cut_floors(m4: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _top_eigvec(conditioned)
 
 
-def _violated_cuts(m4: np.ndarray, starts: np.ndarray, tol: float) -> tuple:
+def _violated_cuts(m4: np.ndarray, starts: np.ndarray, scale: float) -> tuple:
     """Seesaw on ``m4`` from every start: the distinct input maximizers whose
-    value exceeds ``tol``, largest first, and the largest value.  Two
-    maximizers are the same when |<b|b'>| > 1 - CUT_SAME_TOL."""
-    vals, _, b, _ = _search(m4, starts)
-    b = b[vals > tol]
+    value exceeds ``CUT_TOL * scale``, largest first, and the largest value.
+    Two maximizers are the same when |<b|b'>| > 1 - CUT_SAME_TOL."""
+    vals, _, b, _ = _search(m4, starts, scale)
+    b = b[vals > CUT_TOL * scale]
     overlap = np.tril(np.abs(b.conj() @ b.T), -1)
     return b[~np.any(overlap > 1.0 - CUT_SAME_TOL, axis=1)], float(vals[0])
 
@@ -554,10 +558,13 @@ def det_benchmark(
     maximizer of a seesaw started from a few structured vectors and the last
     round's cuts; only when those find nothing does the full ``cfg`` start
     set run, and the loop stops once it too finds no product pair violating
-    Y by more than ``CUT_TOL``.  ``value``, the bracket's lower end, is the
-    exact score of ``strategy``, the channel the LP duals define; ``upper``
-    is ``_upper_bound`` on omega sandwiched at ``tau_min`` (Y / tr Y,
-    spectrum floored), which runs no search.  ``omega`` must be PPT on the
+    Y by more than ``CUT_TOL * rho``, rho being omega's spectral radius and
+    every tolerance's scale: if the seesaw finds every violated cut, ``value``
+    lies within ``d_in * CUT_TOL * rho`` of the threshold at every scale of
+    omega.  ``value``, the bracket's lower end, is the exact score of
+    ``strategy``, the channel the LP duals define; ``upper`` is
+    ``_upper_bound`` on omega sandwiched at ``tau_min`` (Y / tr Y, spectrum
+    floored), which runs no search.  ``omega`` must be PPT on the
     input factor (``ppt_offset`` shifts it there).  A covariant,
     irreducibly-represented group selects the closed form
     ``d_in * pnr(omega)`` instead (valid for any Hermitian omega): one
@@ -589,29 +596,30 @@ def det_benchmark(
                            cut_rounds=0, cuts=0)
 
     check_ppt(omega)
+    scale = np.abs(np.linalg.eigvalsh(omega.matrix)).max()
     m4 = omega.matrix.reshape(d_out, d_in, d_out, d_in)
     cuts = _ic_cuts(d_in)
-    floors = _cut_floors(m4, cuts)[0]
+    floors, preps = _cut_floors(m4, cuts)
     # p = 1 on the basis vectors is a vertex: the start needs no artificials
     basic = np.arange(d_in * d_in)
     fresh = np.empty((0, d_in), dtype=complex)
     rounds = CUT_ROUNDS_PER_COORD * d_in * d_in
     for cut_rounds in range(1, rounds + 1):
-        y, p, basic = _master_lp(cuts, floors, basic)
+        y, p, basic = _master_lp(cuts, floors, basic, scale)
         gap = omega.matrix - np.kron(np.eye(d_out), y)
         top = _top_eigvec(gap)[1].reshape(d_out, d_in)
-        tol = CUT_TOL * max(1.0, abs(np.trace(y).real))
         gap4 = gap.reshape(m4.shape)
         starts = np.vstack([_starts(top, 0, cfg.seed), fresh])
-        fresh, cut = _violated_cuts(gap4, starts, tol)
+        fresh, cut = _violated_cuts(gap4, starts, scale)
         if not fresh.size:
             # convergence is certified by the full start set alone
-            fresh, cut = _violated_cuts(gap4, _starts(top, cfg.restarts, cfg.seed), tol)
+            fresh, cut = _violated_cuts(gap4, _starts(top, cfg.restarts, cfg.seed), scale)
         converged = not fresh.size
         if converged:
             break
         cuts = np.vstack([cuts, fresh])
-        floors = np.concatenate([floors, _cut_floors(m4, fresh)[0]])
+        new_floors, new_preps = _cut_floors(m4, fresh)
+        floors, preps = np.concatenate([floors, new_floors]), np.vstack([preps, new_preps])
 
     # The weights p_i make the POVM p_i |b_i><b_i|, each outcome preparing
     # the top eigenvector of <b_i|omega|b_i>: one Kraus operator
@@ -622,8 +630,7 @@ def det_benchmark(
     weighted = cuts[keep] * np.sqrt(p[keep])[:, None]
     root = psd_power_on_support(weighted.T @ weighted.conj(), -0.5)
     meas = weighted @ root.T
-    preps = _cut_floors(m4, cuts[keep])[1]
-    strategy = Channel(preps[:, :, None] * meas.conj()[:, None, :])
+    strategy = Channel(preps[keep][:, :, None] * meas.conj()[:, None, :])
 
     # Y is singular, up to the LP's tolerance, on input directions omega
     # does not reach; any full-rank tau gives a valid upper bound
@@ -662,12 +669,10 @@ def check_covariance(omega: Operator, rep: GroupRep) -> bool:
             f"representation dims ({rep.dim_out}, {rep.dim_in}) do not match "
             f"operator dims {omega.dims}"
         )
-    scale = np.linalg.norm(omega.matrix)
-    worst = 0.0
-    for u_out, u_in in zip(rep.elements_out, rep.elements_in):
-        u = np.kron(u_out, u_in)
-        worst = max(worst, np.linalg.norm(omega.matrix @ u - u @ omega.matrix))
-    return worst <= COVARIANCE_TOL * max(1.0, scale)
+    m = omega.matrix
+    pairs = (np.kron(u_out, u_in) for u_out, u_in in zip(rep.elements_out, rep.elements_in))
+    worst = max(frobenius_norm(m @ u - u @ m) for u in pairs)
+    return worst <= COVARIANCE_TOL * frobenius_norm(m)
 
 
 def _check_irreducible(rep: GroupRep) -> None:

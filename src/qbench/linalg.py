@@ -82,7 +82,7 @@ class Operator:
 
     def is_hermitian(self) -> bool:
         scale = max(np.linalg.norm(self.matrix), 1.0)
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERM_TOL * scale
+        return frobenius_norm(self.matrix - self.matrix.conj().T) <= HERM_TOL * scale
 
     def is_psd(self) -> bool:
         if not self.is_hermitian():
@@ -248,7 +248,7 @@ def purify(rho: Operator) -> PureState:
     vec = (v[:, :r] * np.sqrt(w[:r])).reshape(-1)  # sum_n sqrt(l_n) |phi_n>|n>
     state = PureState(vec, (d, r))
     marginal = partial_trace(state.density(), (0,)).matrix
-    gap = np.linalg.norm(marginal - rho.matrix)
+    gap = frobenius_norm(marginal - rho.matrix)
     if gap > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(rho.matrix)):
         raise ArithmeticError(f"purification marginal deviates from the input by {gap:.3e}")
     return state

@@ -55,6 +55,21 @@ def test_no_small_float_literal_in_a_function_body():
     assert sorted(found) == []
 
 
+def test_engine_writes_no_unit_floor():
+    # Every engine tolerance is relative to one scale, the operator's spectral
+    # radius or a norm; a max(1.0, x) or np.maximum(1.0, x) floor would turn
+    # it absolute whenever x < 1, a second rule for small operators.
+    tree = ast.parse((Path(qbench.__file__).parent / "engine.py").read_text(encoding="utf-8"))
+    floors = [
+        f"engine.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("max", "np.maximum", "numpy.maximum")
+        and any(isinstance(arg, ast.Constant) and arg.value == 1 for arg in node.args)
+    ]
+    assert floors == []
+
+
 def test_np_isfinite_is_called_only_by_the_admission_rule():
     # One rule admits arrays: linalg.check_finite, on the Frobenius norm.
     # An np.isfinite scan anywhere else is a second copy of it.

@@ -234,6 +234,14 @@ class TestEquivalence:
         with pytest.raises(DimensionError):
             equivalent_prob(teleport_test(2), teleport_test(3))
 
+    def test_opposite_operators_near_the_norm_ceiling(self):
+        # each omega's norm is admitted, their difference's overflows: the
+        # verdict is False, with no overflow warning on the way
+        omega = np.diag([6e153, 6e153, 0.0, 0.0])
+        sigma = Operator(np.eye(2) / 2, (2,))
+        a, b = (ProbTest(Operator(s * omega, (2, 2)), sigma) for s in (1.0, -1.0))
+        assert not equivalent_prob(a, b)
+
 
 class TestFullyBlackbox:
     def test_teleport_with_covariant_shortcut(self):

@@ -175,8 +175,8 @@ class TestBenchmarkCommand:
 
     def test_det_bracket_is_pinned(self, capsys, tmp_path):
         # the same reproducer; any valid cut sequence puts ``lower`` within
-        # CUT_TOL of the optimum, while ``upper`` is the spectral bound at
-        # tau_min and moves with the cut sequence's Y
+        # d_in * CUT_TOL * rho(omega) of the optimum, while ``upper`` is the
+        # spectral bound at tau_min and moves with the cut sequence's Y
         rng = np.random.default_rng(1)
         m = sum(np.kron(_gram(rng, 2), _gram(rng, 3)) for _ in range(3))
         omega = Operator(m / np.trace(m).real, (2, 3))
@@ -186,7 +186,7 @@ class TestBenchmarkCommand:
         assert code == 0
         assert out["certified"]
         assert abs(out["lower"] - 0.7536382644) < 1e-6
-        assert abs(out["upper"] - 0.7819270944) < 1e-6
+        assert abs(out["upper"] - 0.7819443547) < 1e-6
 
     def test_malformed_json_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -1054,7 +1054,23 @@ def test_unadmitted_file_inputs_exit_cleanly(tmp_path, case):
     assert "Traceback" not in err.getvalue()
     assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), argv
     assert err.getvalue().startswith("qbench: uncertified:") and err.getvalue().count("\n") == 1
-    assert err.getvalue().startswith("qbench: uncertified:") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+@pytest.mark.parametrize("command", ["benchmark", "canonical"])
+def test_out_of_support_omega_is_refused_at_every_scale(capsys, tmp_path, command, scale):
+    """A probabilistic test whose omega reaches input |1>, which sigma_A =
+    |0><0| never prepares, exits 2 whatever the units of omega: the support
+    rule is relative to ||omega||."""
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    data = {"omega": operator_to_json(Operator(scale * (m + m.conj().T), (2, 2))),
+            "sigma_A": operator_to_json(Operator(np.diag([1.0, 0.0]), (2,)))}
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, "--omega", str(path))
+    assert (code, out) == (2, None)
+    assert "support" in err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

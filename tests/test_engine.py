@@ -92,8 +92,9 @@ def workload_det_omega() -> Operator:
     return Operator(m / np.trace(m).real, (2, 2))
 
 
-def seesaw_reference(m4, b0, tol, max_iter):
-    """One start at a time: the loop the batched seesaw replaced."""
+def seesaw_reference(m4, b0, tol, max_iter, scale):
+    """One start at a time: the loop the batched seesaw replaced, stopping on
+    a sweep that gains no more than ``tol * scale``."""
     b = b0 / np.linalg.norm(b0)
     best = -np.inf
     for _ in range(max_iter):
@@ -102,7 +103,7 @@ def seesaw_reference(m4, b0, tol, max_iter):
         hb = np.einsum("xrys,x,y->rs", m4, a.conj(), a)
         w, v = np.linalg.eigh(0.5 * (hb + hb.conj().T))
         val, b = w[-1], v[:, -1]
-        if val <= best + tol * max(1.0, abs(val)):
+        if val <= best + tol * scale:
             return max(best, val)
         best = val
     return best
@@ -189,8 +190,9 @@ class TestProductNumericalRange:
         top = np.linalg.eigh(m.matrix)[1][:, -1].reshape(d_out, d_in)
         starts = engine._starts(top, cfg.restarts, cfg.seed)
         tol, max_iter = engine.SEESAW_TOL, engine.SEESAW_MAX_ITER
-        vals, _, _, _ = engine._search(m4, starts)
-        ref = np.array([seesaw_reference(m4, b0, tol, max_iter) for b0 in starts])
+        scale = np.abs(np.linalg.eigvalsh(m.matrix)).max()
+        vals, _, _, _ = engine._search(m4, starts, scale)
+        ref = np.array([seesaw_reference(m4, b0, tol, max_iter, scale) for b0 in starts])
         ref = np.sort(ref)[::-1]
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-9)
@@ -472,7 +474,8 @@ class TestMasterLp:
         cuts = np.vstack([cuts, cuts[rng.integers(0, len(cuts), repeats)]])
         floors, _ = engine._cut_floors(omega.matrix.reshape(d_out, d_in, d_out, d_in), cuts)
 
-        y, p, _ = engine._master_lp(cuts, floors, np.arange(d_in * d_in))
+        scale = np.abs(np.linalg.eigvalsh(omega.matrix)).max()
+        y, p, _ = engine._master_lp(cuts, floors, np.arange(d_in * d_in), scale)
 
         herm = engine._hermitian_basis(d_in)
         rows = np.einsum("ir,krs,is->ik", cuts.conj(), herm, cuts).real
@@ -540,6 +543,13 @@ class TestCovariance:
         )
         assert not check_covariance(m, pauli_rep())
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+    def test_perturbation_is_seen_at_every_scale(self, scale):
+        # the rule is relative to ||omega||: a 0.05 defect stays a defect
+        m = teleport_test(3).omega.matrix.copy()
+        m[0, 0] += 0.05
+        assert not check_covariance(Operator(scale * m, (3, 3)), heisenberg_weyl_rep(3))
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             check_covariance(teleport_test(3).omega, pauli_rep())
@@ -602,6 +612,101 @@ class TestCovariance:
             s0, _ = score_prob(t, c)
             s1, _ = score_prob(t, twirl_channel(c, rep))
             assert abs(s0 - s1) < 1e-10
+
+
+def rand_unitary(d: int, rng) -> np.ndarray:
+    """Haar unitary: the QR of a complex Gaussian matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def spectral_radius(m: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(m)).max())
+
+
+SYMMETRY_SCALES = (1e-8, 1e-3, 1e3, 1e8)
+# roundoff allowed when two brackets, mapped back, are compared, per rho
+BRACKET_ROUNDOFF = 1e-12
+SYMMETRY_BUILTINS = (teleport_test(2), teleport_test(3), chsh_test(), equator_test(3))
+
+
+def symmetric_images(omega: np.ndarray, v: np.ndarray, rng, shift: np.ndarray):
+    """(transformed omega, its scale s, its shift c) for each of the problem's
+    symmetries, in this order: s * omega for each of ``SYMMETRY_SCALES``,
+    (U ⊗ v) omega (U ⊗ v)† for a random U, and omega + c * ``shift`` for c in
+    (0, 1].  A threshold maps back as t' / s - c * (its move per unit c)."""
+    u = np.kron(rand_unitary(len(omega) // len(v), rng), v)
+    c = 1.0 - rng.uniform()
+    images = [(s * omega, s, 0.0) for s in SYMMETRY_SCALES]
+    images.append((u @ omega @ u.conj().T, 1.0, 0.0))
+    images.append((omega + c * shift, 1.0, c))
+    return images
+
+
+def assert_brackets_agree(base, image, s, moved, rho):
+    """``image`` = (lower, upper) at the transformed input, mapped back by
+    ``/ s`` and ``- moved``, overlaps ``base``."""
+    lower, upper = (x / s - moved for x in image)
+    slack = BRACKET_ROUNDOFF * rho
+    assert max(lower, base[0]) <= min(upper, base[1]) + slack, (base, (lower, upper))
+
+
+class TestSymmetries:
+    """A threshold is homogeneous in omega, invariant under local unitaries
+    and shifts with omega + c * I; every engine tolerance is relative to
+    omega's spectral radius, so the numbers follow at every scale."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(d_out=st.integers(2, 3), d_in=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_det_threshold(self, d_out, d_in, seed):
+        rng = np.random.default_rng(seed)
+        omega = rand_separable(d_out, d_in, rng).matrix
+        dims = (d_out, d_in)
+        base = det_benchmark(Operator(omega, dims), FAST)
+        rho = spectral_radius(omega)
+        images = symmetric_images(omega, rand_unitary(d_in, rng), rng, np.eye(d_out * d_in))
+        for image, s, c in images:
+            report = det_benchmark(Operator(image, dims), FAST)
+            assert report.converged
+            # every trace-preserving Choi operator has trace d_in
+            moved = c * d_in
+            pair_rho = max(rho, spectral_radius(image) / s)
+            assert_brackets_agree((base.value, base.upper), (report.value, report.upper),
+                                  s, moved, pair_rho)
+            # both lower ends lie within d_in * CUT_TOL * rho below the threshold
+            assert abs(report.value / s - moved - base.value) <= d_in * engine.CUT_TOL * pair_rho
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(case=st.integers(-1, len(SYMMETRY_BUILTINS) - 1), d_out=st.integers(2, 3),
+           d_in=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_product_range_and_prob_threshold(self, case, d_out, d_in, seed):
+        rng = np.random.default_rng(seed)
+        if case < 0:
+            test = ProbTest(rand_separable(d_out, d_in, rng), rand_density(d_in, rng))
+        else:
+            test = SYMMETRY_BUILTINS[case]
+        omega, dims, sigma = test.omega.matrix, test.omega.dims, test.sigma_A.matrix
+        rho = spectral_radius(omega)
+        base = product_numerical_range(test.omega, FAST)
+        images = symmetric_images(omega, rand_unitary(dims[1], rng), rng, np.eye(len(omega)))
+        for image, s, c in images:
+            res = product_numerical_range(Operator(image, dims), FAST)
+            assert_brackets_agree((base.value, base.upper), (res.value, res.upper), s, c,
+                                  max(rho, spectral_radius(image) / s))
+
+        # the prob threshold: sigma_A turns with V, and omega + c * (I ⊗ sigma_A)
+        # shifts its sandwiched operator, so the threshold, by c
+        sandwiched_rho = spectral_radius(engine._sandwich(test.omega, sigma).matrix)
+        base = prob_benchmark(test, FAST, _details=True)
+        v = rand_unitary(dims[1], rng)
+        images = symmetric_images(omega, v, rng, np.kron(np.eye(dims[0]), sigma))
+        for index, (image, s, c) in enumerate(images):
+            turned = index == len(SYMMETRY_SCALES)
+            state = v @ sigma @ v.conj().T if turned else sigma
+            res = prob_benchmark(ProbTest(Operator(image, dims), Operator(state, (dims[1],))),
+                                 FAST, _details=True)
+            assert_brackets_agree((base.value, base.upper), (res.value, res.upper), s, c,
+                                  sandwiched_rho + c)
 
 
 class TestPptOffset:

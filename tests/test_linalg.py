@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestOperatorType:
         assert rho.is_unit_trace()
         assert not Operator([[0, 1], [0, 0]], (2,)).is_hermitian()
         assert not Operator(np.diag([1.5, -0.5]), (2,)).is_psd()
+
+    def test_hermiticity_near_the_norm_ceiling(self):
+        # the norm 8.5e153 is admitted, that of m - m† (1.7e154) overflows:
+        # the verdict is False, without numpy's "overflow encountered in dot"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Operator([[0, 6e153], [-6e153, 0]], (2,)).is_hermitian()
 
 
 class TestKron:
