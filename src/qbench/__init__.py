@@ -112,6 +112,7 @@ _EXPORTS = {
     "SupportError": ".errors",
     "ImaginaryResidueError": ".errors",
     "VanishingSuccessError": ".errors",
+    "NumericalError": ".errors",
     "CutoffError": ".errors",
     "SearchError": ".errors",
 }

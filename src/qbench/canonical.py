@@ -23,9 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import GroupRep, PnrConfig, check_input_support, det_benchmark, ppt_offset
-from .errors import ContractError, DimensionError, SearchError
+from .errors import ContractError, DimensionError, NumericalError, SearchError
 from .linalg import (
-    RANK_TOL,
     Operator,
     PureState,
     frobenius_norm,
@@ -36,6 +35,7 @@ from .linalg import (
     purify,
     state_from_json,
     state_to_json,
+    support_mask,
 )
 from .model import Channel, DetTest, ProbTest, check_success, evolve_input, performance_operator
 
@@ -110,10 +110,9 @@ def canonical_det_test(
         # either sign.
         marg = partial_trace(omega_pt, keep=[1])
         w, v = np.linalg.eigh(0.5 * (marg.matrix + marg.matrix.conj().T))
-        mag = np.abs(w)
-        keep = mag > RANK_TOL * mag.max()
+        keep = support_mask(np.abs(w))
         if not np.any(keep):
-            keep = np.ones_like(mag, dtype=bool)
+            keep = np.ones_like(w, dtype=bool)
         rank = int(keep.sum())
         proj = v[:, keep] @ v[:, keep].conj().T
         tau_A = Operator(proj / rank, (d_in,))
@@ -140,8 +139,8 @@ def canonical_det_test(
 
     recipe = CanonicalTestRecipe(input_state, observable, tau_A)
     gap = round_trip_residual(recipe, omega)
-    if not within_recipe_tol(gap, np.linalg.norm(omega.matrix)):
-        raise ArithmeticError(
+    if not within_recipe_tol(gap, frobenius_norm(omega.matrix)):
+        raise NumericalError(
             f"canonical reduction failed to reproduce the operator (gap {gap:.3e})"
         )
     return recipe
@@ -150,9 +149,9 @@ def canonical_det_test(
 def within_recipe_tol(err: float, scale: float) -> bool:
     """The one rule for a recipe: a round-trip residual, a check channel's
     score deviation, or the gap between two tests' operators, passes when it
-    is at most ``RECIPE_TOL * max(1, scale)``, ``scale`` being the size of
-    what it is compared with."""
-    return err <= RECIPE_TOL * max(1.0, scale)
+    is at most ``RECIPE_TOL * scale``, ``scale`` being the size of the
+    operands it was computed from."""
+    return bool(err <= RECIPE_TOL * scale)
 
 
 def round_trip_residual(recipe: CanonicalTestRecipe, omega: Operator) -> float:
@@ -219,8 +218,8 @@ def tests_equivalent_prob(a: ProbTest, b: ProbTest) -> bool:
 
 def _agree(x: np.ndarray, y: np.ndarray) -> bool:
     """``x`` and ``y`` differ by :func:`within_recipe_tol` at their size."""
-    scale = max(np.linalg.norm(x), np.linalg.norm(y))
-    return bool(within_recipe_tol(frobenius_norm(x - y), scale))
+    scale = max(frobenius_norm(x), frobenius_norm(y))
+    return within_recipe_tol(frobenius_norm(x - y), scale)
 
 
 def fully_blackbox_test(

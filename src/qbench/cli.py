@@ -39,6 +39,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .canonical import (
+    RECIPE_TOL,
     canonical_det_test,
     canonical_prob_test,
     recipe_to_json,
@@ -62,7 +63,7 @@ from .cv import (
 )
 from .engine import DEFAULT_RESTARTS, DEFAULT_SEED, PnrConfig, det_benchmark, prob_benchmark
 from .errors import ContractError, CutoffError, SupportError, ToolkitError
-from .linalg import Operator, operator_from_json, operator_to_json
+from .linalg import Operator, frobenius_norm, operator_from_json, operator_to_json
 from .model import (
     Channel,
     DetTest,
@@ -276,13 +277,14 @@ def cmd_canonical(args) -> tuple[dict, bool]:
         test, omega = _read_test(args.test)
         recipe = canonical_det_test(omega)
         channel = _check_channel(omega.dims, args.seed, trace_preserving=True)
-        direct = score_det_direct(test, channel)
-        via, p = score_recipe(recipe, channel)
+        s0 = score_det_direct(test, channel)
+        s1, p = score_recipe(recipe, channel)
+        dp = 0.0
         check = {
-            "score_original": direct,
-            "score_recipe": via,
+            "score_original": s0,
+            "score_recipe": s1,
             "p_succ": p,
-            "deviation": abs(direct - via),
+            "deviation": abs(s0 - s1),
         }
     elif isinstance(test := _read_omega(args.omega), Operator):
         omega, recipe = test, canonical_det_test(test)
@@ -292,16 +294,20 @@ def cmd_canonical(args) -> tuple[dict, bool]:
         channel = _check_channel(omega.dims, args.seed, trace_preserving=False)
         s0, p0 = score_prob(test, channel)
         s1, p1 = score_recipe(recipe, channel)
+        dp = abs(p0 - p1)
         check = {
             "score_original": s0,
             "score_recipe": s1,
             "p_succ_original": p0,
             "p_succ_recipe": p1,
-            "deviation": max(abs(s0 - s1), abs(p0 - p1)),
+            "deviation": max(abs(s0 - s1), dp),
         }
 
-    # canonical_det_test has already refused a recipe whose residual fails the rule
-    ok = check is None or within_recipe_tol(check["deviation"], abs(check["score_original"]))
+    # canonical_det_test has already refused a recipe whose residual fails the
+    # rule; a score deviation is judged at max(|score|, ||omega||_F), and a
+    # p_succ deviation, a probability, by itself
+    ok = check is None or (dp <= RECIPE_TOL and within_recipe_tol(
+        abs(s0 - s1), max(abs(s0), frobenius_norm(omega.matrix))))
     body = {
         "source": getattr(args, source),
         "recipe": recipe_to_json(recipe),

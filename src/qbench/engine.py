@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, SearchError, SupportError
+from .errors import ContractError, DimensionError, NumericalError, SearchError, SupportError
 from .linalg import (
     Operator,
     check_finite,
@@ -45,12 +45,11 @@ from .linalg import (
     psd_power_on_support,
     support_rank,
 )
-from .model import Channel, ProbTest, check_bytes, jamiolkowski, score_det_jam
+from .model import Channel, ProbTest, check_bytes, is_complete, jamiolkowski, score_det_jam
 
 PPT_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
 IRREDUCIBILITY_TOL = 1e-8
-UNITARY_TOL = 1e-9
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 7
 SUPPORT_TOL = 1e-9
@@ -177,8 +176,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"group element must be square, got {u.shape}")
     check_finite(u, "group elements")
-    gap = u.conj().T @ u - np.eye(u.shape[0])
-    if frobenius_norm(gap) > UNITARY_TOL * np.sqrt(u.shape[0]):
+    if not is_complete(u.conj().T @ u, "a group element's U†U"):
         raise ContractError("group element is not unitary")
     return u
 
@@ -489,7 +487,7 @@ def _master_lp(
     ``LP_TOL * scale``, ``scale`` being omega's spectral radius.  Returns the
     optimal Y (the simplex multipliers: <b_i|Y|b_i> >= floor_i for every
     cut, tr Y = Σ p_i floor_i), the weights p and the optimal basis, which
-    stays feasible when cuts are appended.  Raises ``ArithmeticError`` when
+    stays feasible when cuts are appended.  Raises ``NumericalError`` when
     ``LP_PIVOTS_PER_ROW * d²`` pivots do not reach an optimum.
     """
     herm = _hermitian_basis(cuts.shape[1])
@@ -511,7 +509,7 @@ def _master_lp(
             p[basic] = np.maximum(x, 0.0)
             return np.tensordot(y, herm, axes=1), p, basic
         if pivots == budget:
-            raise ArithmeticError(f"master LP failed: no optimum after {budget} pivots")
+            raise NumericalError(f"master LP failed: no optimum after {budget} pivots")
         # Dantzig's rule, and Bland's (lowest indices) once pivots stall,
         # which cannot cycle on a degenerate vertex
         if stalled < len(basic):
@@ -521,7 +519,7 @@ def _master_lp(
         step = inv @ a[:, enter]
         rows = np.flatnonzero(step > LP_PIVOT_TOL)
         if not rows.size:
-            raise ArithmeticError(f"master LP failed: cut {enter} has no pivot row")
+            raise NumericalError(f"master LP failed: cut {enter} has no pivot row")
         ratio = np.maximum(x[rows], 0.0) / step[rows]
         ties = rows[ratio <= ratio.min()]
         basic[ties[np.argmin(basic[ties])]] = enter

@@ -41,6 +41,10 @@ class VanishingSuccessError(ToolkitError, ArithmeticError):
     """Success probability below the configured threshold."""
 
 
+class NumericalError(ToolkitError, ArithmeticError):
+    """A numerical routine missed its own check: an eigen-residual, an LP optimum."""
+
+
 class CutoffError(ToolkitError, ValueError):
     """A Fock-space construction does not fit under the requested cutoff.
 

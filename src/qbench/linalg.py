@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericalError
 
 # Default tolerances, shared repo-wide.
 HERM_TOL = 1e-9        # relative Frobenius hermiticity tolerance
@@ -31,10 +31,18 @@ def frobenius_norm(arr: np.ndarray) -> float:
         return np.linalg.norm(arr)
 
 
+# The one scale rule of every check in the package.  A residual with an
+# operator's units passes at TOL times the size of the operands it was
+# computed from: their Frobenius norm, read through frobenius_norm, or, for
+# an eigenvalue test, the spectral radius max(-lambda_min, lambda_max).  A
+# dimensionless residual passes at TOL alone: unit trace, a state's norm, a
+# probability, Kraus or POVM completeness, unitarity, a POVM element's
+# lambda_min, and purify's gap on its unit-trace input.  No scale is floored
+# at 1, so s * Omega gets Omega's verdicts at every s > 0.
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Refuse with :class:`ContractError` an array whose Frobenius norm is not
     finite: a NaN or infinite entry, or entries so large (past ~1.3e154) that
-    the norm overflows, where no ``TOL * max(1, norm)`` rule means anything.
+    the norm overflows, where no rule relative to that norm means anything.
     The one admission rule for every array a value type or channel keeps."""
     if not np.isfinite(frobenius_norm(arr)):
         raise ContractError(f"{what} must have a finite Frobenius norm (no NaN/Inf, no entry past ~1e154)")
@@ -81,15 +89,14 @@ class Operator:
         return self.matrix.shape[0]
 
     def is_hermitian(self) -> bool:
-        scale = max(np.linalg.norm(self.matrix), 1.0)
-        return frobenius_norm(self.matrix - self.matrix.conj().T) <= HERM_TOL * scale
+        m = self.matrix
+        return frobenius_norm(m - m.conj().T) <= HERM_TOL * frobenius_norm(m)
 
     def is_psd(self) -> bool:
         if not self.is_hermitian():
             return False
         evals = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        scale = max(abs(evals[-1]), 1.0)
-        return evals[0] >= -HERM_TOL * scale
+        return evals[0] >= -HERM_TOL * max(-evals[0], evals[-1])
 
     def is_unit_trace(self) -> bool:
         return abs(np.trace(self.matrix) - 1.0) <= HERM_TOL
@@ -203,14 +210,14 @@ def hermitian_eig(m: Operator):
     herm = 0.5 * (mat + mat.conj().T)
     w, v = np.linalg.eigh(herm)
     residual = np.linalg.norm((v * w) @ v.conj().T - herm)
-    if residual > EIG_RESIDUAL_TOL * max(np.linalg.norm(mat), 1.0):
-        raise ArithmeticError(
+    if residual > EIG_RESIDUAL_TOL * frobenius_norm(mat):
+        raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds tolerance"
         )
     return w, v
 
 
-def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
+def support_mask(eigenvalues: np.ndarray) -> np.ndarray:
     # signed: an eigenvalue at or below the cutoff, negative ones included,
     # is kernel, so no power of the support can meet a non-positive value
     w = np.asarray(eigenvalues)
@@ -219,7 +226,7 @@ def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
 
 def support_rank(eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues above the relative rank cutoff."""
-    return int(np.count_nonzero(_support_mask(eigenvalues)))
+    return int(np.count_nonzero(support_mask(eigenvalues)))
 
 
 def purify(rho: Operator) -> PureState:
@@ -249,15 +256,15 @@ def purify(rho: Operator) -> PureState:
     state = PureState(vec, (d, r))
     marginal = partial_trace(state.density(), (0,)).matrix
     gap = frobenius_norm(marginal - rho.matrix)
-    if gap > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(rho.matrix)):
-        raise ArithmeticError(f"purification marginal deviates from the input by {gap:.3e}")
+    if gap > EIG_RESIDUAL_TOL:  # rho has unit trace: the gap is dimensionless
+        raise NumericalError(f"purification marginal deviates from the input by {gap:.3e}")
     return state
 
 
 def psd_power_on_support(mat: np.ndarray, power: float) -> np.ndarray:
     """Matrix power of a PSD matrix restricted to its support (pseudo-inverse semantics)."""
     w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    keep = _support_mask(w)
+    keep = support_mask(w)
     powered = np.zeros_like(w)
     powered[keep] = w[keep] ** power
     return (v * powered) @ v.conj().T

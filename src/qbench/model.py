@@ -32,9 +32,9 @@ from .linalg import (
     operator_to_json,
 )
 
-IMAG_TOL = 1e-9  # imaginary residue of a trace score, per max(1, |real part|)
-# sum K†K, or a POVM's sum, is I within COMPLETENESS_TOL * max(1, √d) in
-# Frobenius norm; one that is not I exceeds it by at most COMPLETENESS_TOL
+IMAG_TOL = 1e-9  # imaginary residue of a pairing Tr AB, per ||A||_F * ||B||_F
+# sum K†K, or a POVM's sum, is I within COMPLETENESS_TOL * √d in Frobenius
+# norm; one that is not I exceeds it by at most COMPLETENESS_TOL
 COMPLETENESS_TOL = 1e-9
 PROB_SUM_TOL = 1e-12  # deviation of a probability vector's sum from 1
 ARRAY_MAX_BYTES = 2**30  # largest array a builder, a channel file or the oracle allocates
@@ -66,7 +66,7 @@ def is_complete(total: np.ndarray, what: str) -> bool:
     d = total.shape[0]
     gap = total - np.eye(d)
     # an admitted family's gap may overflow the norm: inf then fails the rule
-    if frobenius_norm(gap) <= COMPLETENESS_TOL * max(1.0, np.sqrt(d)):
+    if frobenius_norm(gap) <= COMPLETENESS_TOL * np.sqrt(d):
         return True
     top = np.max(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))
     if top > COMPLETENESS_TOL:
@@ -225,8 +225,10 @@ def _coerce_pure(t) -> PureState:
     return PureState(arr, (arr.size,))
 
 
-def _real_score(value: complex, what: str) -> float:
-    tol = IMAG_TOL * max(1.0, abs(value.real))
+def _real_score(value: complex, a: np.ndarray, b: np.ndarray, what: str) -> float:
+    # value is Tr AB: its residue is judged at ||a||_F * ||b||_F, which bounds
+    # |Tr AB|, and not at a real part that may cancel
+    tol = IMAG_TOL * frobenius_norm(a) * frobenius_norm(b)
     if abs(value.imag) > tol:
         raise ImaginaryResidueError(
             f"{what} has imaginary residue {value.imag:.3e} (tolerance {tol:.1e})"
@@ -302,7 +304,7 @@ def score_det_direct(t: DetTest, c: Channel) -> float:
     value = np.einsum(
         "xrys,ysxr->", t.observable.matrix.reshape(d_ap, d_r, d_ap, d_r), evolved
     )
-    return _real_score(value, "deterministic score")
+    return _real_score(value, t.observable.matrix, evolved, "deterministic score")
 
 
 def score_det_jam(omega: Operator, c_jam: Operator) -> float:
@@ -310,7 +312,7 @@ def score_det_jam(omega: Operator, c_jam: Operator) -> float:
     if omega.dims != c_jam.dims:
         raise DimensionError(f"dims mismatch: {omega.dims} vs {c_jam.dims}")
     value = np.trace(omega.matrix @ c_jam.matrix)
-    return _real_score(value, "score pairing")
+    return _real_score(value, omega.matrix, c_jam.matrix, "score pairing")
 
 
 def score_prob(t: ProbTest, c: Channel) -> tuple[float, float]:
@@ -319,10 +321,10 @@ def score_prob(t: ProbTest, c: Channel) -> tuple[float, float]:
     if c_jam.dims != t.omega.dims:
         raise DimensionError(f"dims mismatch: {c_jam.dims} vs {t.omega.dims}")
     d_ap = t.omega.dims[0]
-    marginal = Operator(np.kron(np.eye(d_ap), t.sigma_A.matrix), t.omega.dims)
-    p_succ = _real_score(np.trace(c_jam.matrix @ marginal.matrix), "success probability")
+    jam, marginal, omega = c_jam.matrix, np.kron(np.eye(d_ap), t.sigma_A.matrix), t.omega.matrix
+    p_succ = _real_score(np.trace(jam @ marginal), jam, marginal, "success probability")
     check_success(p_succ)
-    numerator = _real_score(np.trace(c_jam.matrix @ t.omega.matrix), "probabilistic score")
+    numerator = _real_score(np.trace(jam @ omega), jam, omega, "probabilistic score")
     return numerator / p_succ, p_succ
 
 
@@ -345,7 +347,7 @@ def mp_channel(povm, outputs) -> Channel:
         if abs(np.trace(rho) - 1.0) > HERM_TOL:
             raise ContractError("prepared outputs must have unit trace")
         wp, vp = np.linalg.eigh(0.5 * (pi + pi.conj().T))
-        if wp[0] < -HERM_TOL * max(1.0, wp[-1]):
+        if wp[0] < -HERM_TOL:  # a POVM element lies in [0, I]: dimensionless
             raise ContractError("POVM elements must be PSD")
         wo, vo = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         for l in range(len(wp)):

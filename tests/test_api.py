@@ -55,19 +55,37 @@ def test_no_small_float_literal_in_a_function_body():
     assert sorted(found) == []
 
 
-def test_engine_writes_no_unit_floor():
-    # Every engine tolerance is relative to one scale, the operator's spectral
-    # radius or a norm; a max(1.0, x) or np.maximum(1.0, x) floor would turn
-    # it absolute whenever x < 1, a second rule for small operators.
-    tree = ast.parse((Path(qbench.__file__).parent / "engine.py").read_text(encoding="utf-8"))
+def _nodes():
+    """(module file name, node) for every AST node of ``src/qbench``."""
+    for path in sorted(Path(qbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def test_no_module_writes_a_unit_floor():
+    # Every tolerance is relative to the size of its operands, or absolute on
+    # a dimensionless quantity; a max(1.0, x) or np.maximum(1.0, x) floor would
+    # turn it absolute whenever x < 1, a second rule for small operators.
     floors = [
-        f"engine.py:{node.lineno} {ast.unparse(node)}"
-        for node in ast.walk(tree)
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name, node in _nodes()
         if isinstance(node, ast.Call)
         and ast.unparse(node.func) in ("max", "np.maximum", "numpy.maximum")
         and any(isinstance(arg, ast.Constant) and arg.value == 1 for arg in node.args)
     ]
     assert floors == []
+
+
+def test_no_module_raises_a_bare_arithmetic_error():
+    # A numerical failure raises the package's NumericalError, a ToolkitError,
+    # so the CLI reports it in one line instead of a traceback.
+    raised = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and ast.unparse(getattr(node.exc, "func", node.exc)) == "ArithmeticError"
+    ]
+    assert raised == []
 
 
 def test_np_isfinite_is_called_only_by_the_admission_rule():

@@ -72,7 +72,7 @@ class TestCanonicalConstruction:
                 rebuilt = performance_operator(r.as_det_test())
                 assert (
                     np.linalg.norm(rebuilt.matrix - omega.matrix)
-                    <= 1e-9 * max(1.0, np.linalg.norm(omega.matrix))
+                    <= 1e-9 * np.linalg.norm(omega.matrix)
                 )
 
     def test_round_trips_with_explicit_tau(self):
@@ -136,7 +136,7 @@ class TestRoundTripProperties:
         rng = np.random.default_rng(seed)
         omega = rand_omega(d_out, d_in, rng)
         c = rand_channel(d_in, d_out, -(-d_in // d_out) + extra_kraus, rng)
-        tol = 1e-9 * max(1.0, np.linalg.norm(omega.matrix))
+        tol = 1e-9 * np.linalg.norm(omega.matrix)
         recipe = canonical_det_test(omega)
         test = recipe.as_det_test()
         assert np.linalg.norm(performance_operator(test).matrix - omega.matrix) <= tol

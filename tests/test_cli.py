@@ -25,12 +25,15 @@ from qbench.linalg import Operator, operator_to_json
 from qbench.model import (
     Channel,
     DetTest,
+    ProbTest,
     channel_to_json,
     det_test_to_json,
     performance_operator,
     prob_test_to_json,
 )
-from qbench.presets import equator_test, teleport_test
+from qbench.presets import chsh_test, equator_test, teleport_test
+
+from util import coherent_ring_omega
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -341,7 +344,7 @@ class TestCanonicalCommand:
         out = json.loads((work / "out.json").read_text())
         scale = np.linalg.norm(performance_operator(test).matrix)
         assert out["certified"]
-        assert out["round_trip_residual"] <= RECIPE_TOL * max(1.0, scale)
+        assert out["round_trip_residual"] <= RECIPE_TOL * scale
 
     @pytest.mark.parametrize("d_out, d_in", [(2, 3), (3, 2)])
     def test_det_test_unequal_dims(self, capsys, tmp_path, d_out, d_in):
@@ -1071,6 +1074,47 @@ def test_out_of_support_omega_is_refused_at_every_scale(capsys, tmp_path, comman
     code, out, err = run_cli(capsys, command, "--omega", str(path))
     assert (code, out) == (2, None)
     assert "support" in err
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-11])
+@pytest.mark.parametrize("command", ["benchmark", "canonical"])
+def test_non_hermitian_omega_is_refused_at_every_scale(capsys, tmp_path, command, scale):
+    """A complex-Gaussian omega, ||m - m†||_F = 10.2 at scale 1, exits 2
+    whatever its units: hermiticity is judged at ||m||_F, not at 1."""
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(operator_to_json(Operator(scale * m, (2, 2)))))
+    code, out, err = run_cli(capsys, command, "--omega", str(path))
+    assert (code, out) == (2, None)
+    assert "must be Hermitian" in err
+
+
+@pytest.mark.parametrize("seed", ["7", "1", "2"])
+@pytest.mark.parametrize("name", ["chsh", "equator:3"])
+def test_small_probabilistic_omega_is_certified(capsys, tmp_path, name, seed):
+    """``canonical --omega`` certifies a builtin's omega scaled by 1e-10: the
+    score deviation is judged at max(|score|, ||omega||_F) and the p_succ
+    deviation, a probability, by itself, not at the tiny score."""
+    test = chsh_test() if name == "chsh" else equator_test(3)
+    small = ProbTest(Operator(1e-10 * test.omega.matrix, test.omega.dims), test.sigma_A)
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(prob_test_to_json(small)))
+    code, out, err = run_cli(capsys, "canonical", "--omega", str(path), "--seed", seed)
+    assert (code, err) == (0, "")
+    assert out["certified"] and out["check"]["deviation"] < 1e-9
+
+
+def test_stalled_master_lp_exits_cleanly(capsys, tmp_path):
+    """``benchmark --test`` on the canonical det test of a four-state
+    coherent ring (alpha = 1.66), whose master LP stalls on a degenerate
+    vertex, exits 2 with one ``qbench: uncertified:`` line, no traceback."""
+    recipe = canonical_det_test(coherent_ring_omega(4, 1.66))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(det_test_to_json(recipe.as_det_test())))
+    code, out, err = run_cli(capsys, "benchmark", "--test", str(path))
+    assert (code, out) == (2, None)
+    assert err.startswith("qbench: uncertified: master LP failed") and err.count("\n") == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

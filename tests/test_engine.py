@@ -27,6 +27,7 @@ from qbench.errors import (
     ContractError,
     CutoffError,
     DimensionError,
+    NumericalError,
     SearchError,
     SupportError,
 )
@@ -52,7 +53,7 @@ from qbench.presets import (
     tilde_pauli_rep,
 )
 
-from util import rand_channel, rand_density, rand_hermitian
+from util import coherent_ring_omega, rand_channel, rand_density, rand_hermitian
 
 RNG = np.random.default_rng(424242)
 FAST = PnrConfig(restarts=16)
@@ -453,6 +454,12 @@ class TestDetBenchmark:
         omega = rand_separable(2, 2, np.random.default_rng(3))
         with pytest.raises(ArithmeticError, match="master LP failed"):
             det_benchmark(omega, FAST)
+
+    def test_stalled_master_lp_raises_a_toolkit_error(self):
+        # a four-state coherent ring stalls the simplex on a degenerate
+        # vertex; the failure is the package's own, so the CLI reports it
+        with pytest.raises(NumericalError, match="master LP failed: no optimum"):
+            det_benchmark(coherent_ring_omega(4, 1.5))
 
 
 class TestMasterLp:

@@ -8,7 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbench.canonical import canonical_prob_test
+from qbench.canonical import tests_equivalent_prob as equivalent_prob
 from qbench.cv import FockCutoff, attenuator_device, rescale_mp_device
 from qbench.engine import GroupRep
 from qbench.errors import ContractError, CutoffError, DimensionError, VanishingSuccessError
@@ -310,6 +313,19 @@ class TestScores:
         assert abs(a - scale * unit) <= 1e-12 * scale
         assert abs(b - scale * unit) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_a_cancelling_pairing_is_judged_at_its_operands(self, seed):
+        # omega projected orthogonal to the channel's Jamiolkowski operator
+        # pairs to roundoff, here with an imaginary residue of the same size
+        # (~1e-16); it is judged at ||omega||_F * ||C||_F, which bounds the
+        # pairing, not at the cancelled real part
+        rng = np.random.default_rng(seed)
+        c_jam = jamiolkowski(rand_channel(2, 2, 2, rng)).matrix
+        omega = rand_hermitian(4, rng)
+        omega -= np.trace(c_jam @ omega).real / np.trace(c_jam @ c_jam).real * c_jam
+        value = score_det_jam(Operator(omega, (2, 2)), Operator(c_jam, (2, 2)))
+        assert abs(value) <= 1e-14 * np.linalg.norm(omega) * np.linalg.norm(c_jam)
+
     def test_kraus_rescaling_leaves_score_fixed(self):
         t = teleport_test(2)
         c = rand_channel(2, 2, 2, RNG)
@@ -389,6 +405,72 @@ class TestMeasureAndPrepare:
             outs = [rand_density(2, RNG).matrix for _ in range(2)]
             s, _ = score_prob(t, mp_channel(povm, outs))
             assert s <= 2.0 / 3.0 + 1e-9
+
+
+SCALES = (1e-10, 1e-3, 1.0, 1e3, 1e8)
+
+
+class TestScaleFreeVerdicts:
+    """A check on a quantity with an operator's units is judged at the size
+    of its operands, and a dimensionless one at its tolerance alone, so s * X
+    gets X's verdict at every scale s."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 4), defect=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hermitian_and_psd(self, d, defect, seed):
+        # defect, relative to the operator's size: the anti-Hermitian part of
+        # `tilted`, and how far lambda_min of `herm` lies below zero
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        gram = g @ g.conj().T
+        w = np.linalg.eigvalsh(gram)
+        herm = gram - (w[0] + defect * w[-1]) * np.eye(d)
+        skew = 1j * rand_hermitian(d, rng)
+        tilted = herm + defect * np.linalg.norm(herm) / np.linalg.norm(skew) * skew
+        verdicts = {
+            (Operator(s * tilted, (d,)).is_hermitian(), Operator(s * herm, (d,)).is_psd())
+            for s in SCALES
+        }
+        assert verdicts == {(defect == 0.0, defect == 0.0)}
+
+    def test_equivalence_of_probabilistic_tests(self):
+        # teleport:3 is equivalent to its recipe's rebuilt operator, and not
+        # to itself with +0.05 on omega's (0,0) entry, at every scale
+        t = teleport_test(3)
+        bumped = t.omega.matrix.copy()
+        bumped[0, 0] += 0.05
+        verdicts = set()
+        for s in SCALES:
+            small = ProbTest(Operator(s * t.omega.matrix, t.omega.dims), t.sigma_A)
+            rebuilt = performance_operator(canonical_prob_test(small).as_det_test())
+            verdicts.add((
+                equivalent_prob(small, ProbTest(rebuilt, t.sigma_A)),
+                equivalent_prob(small, ProbTest(Operator(s * bumped, t.omega.dims), t.sigma_A)),
+            ))
+        assert verdicts == {(True, False)}
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 3), outcomes=st.integers(2, 4), indefinite=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_measure_and_prepare_admission(self, d, outcomes, indefinite, seed):
+        # a POVM element's eigenvalues are dimensionless: a POVM normalized
+        # from weights written in any unit is admitted, or refused, alike
+        rng = np.random.default_rng(seed)
+        raw = [rand_density(d, rng).matrix for _ in range(outcomes)]
+        if indefinite:
+            w, v = np.linalg.eigh(raw[0])
+            raw[0] = raw[0] - (w[0] + 1e-3 * w[-1]) * np.outer(v[:, 0], v[:, 0].conj())
+        outputs = [rand_density(d, rng).matrix for _ in range(outcomes)]
+        verdicts = set()
+        for s in SCALES:
+            w, v = np.linalg.eigh(sum(s * m for m in raw))
+            root = (v / np.sqrt(w)) @ v.conj().T
+            try:
+                verdicts.add(mp_channel([root @ (s * m) @ root for m in raw], outputs).trace_preserving)
+            except ContractError:
+                verdicts.add(None)
+        assert verdicts == {None if indefinite else True}
 
 
 class TestJson:

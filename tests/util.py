@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qbench.linalg import Operator
-from qbench.model import Channel
+from qbench.model import Channel, Ensemble, fidelity_test
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -48,3 +48,15 @@ def rand_channel(
 def rand_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
+
+
+def coherent_ring_omega(k: int, alpha: float) -> Operator:
+    """Fidelity-test omega of the ring alpha * e^(2 pi i j / k), j < k, with
+    uniform weights, reduced exactly to dims (k, k): the states are the
+    columns of G^(1/2), G_jk = <alpha_j|alpha_k> their Gram matrix."""
+    a = alpha * np.exp(2j * np.pi * np.arange(k) / k)
+    gram = np.exp(-(np.abs(a[:, None]) ** 2 + np.abs(a[None, :]) ** 2) / 2 + a.conj()[:, None] * a[None, :])
+    w, v = np.linalg.eigh(gram)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    states = [col / np.linalg.norm(col) for col in root.T]
+    return fidelity_test(Ensemble(states, states, np.full(k, 1.0 / k))).omega
