@@ -16,9 +16,10 @@ operator.  The deterministic threshold is the linear program
 whose dual is the best measure-and-prepare score.  Cutting planes solve
 it, with the seesaw as separation oracle.  The master LP over the cuts is
 solved as its dual, max sum_i p_i floor_i subject to
-sum_i p_i |b_i><b_i| = I and p >= 0, by a dense simplex in numpy: adding
-cuts adds columns, so each round starts from the last round's basis, and
-the start from an informationally complete cut set is feasible as it
+sum_i p_i |b_i><b_i| = I and p >= 0, by a dense simplex in numpy whose
+ratio test reads a perturbed I, so no vertex is degenerate: adding cuts
+adds columns, so each round starts from the last round's basis, and the
+start from an informationally complete cut set is feasible as it
 stands.  The simplex multipliers are Y; the weights p are a POVM, so the
 bracket's lower end is the exact score of an explicit channel; its upper
 end is a certified product-range bound at the reference state
@@ -63,10 +64,13 @@ CUT_ROUNDS_PER_COORD = 50
 CUT_SAME_TOL = 1e-6
 # The master LP's simplex is optimal once no reduced cost exceeds
 # LP_TOL * rho; it pivots only on entries above LP_PIVOT_TOL and fails
-# after LP_PIVOTS_PER_ROW * d_in**2 pivots in one solve.
+# after LP_PIVOTS_PER_ROW * d_in**2 pivots in one solve.  Its ratio test
+# reads I plus LP_SHIFT times a weighted sum of the start basis's columns,
+# so no vertex is degenerate.
 LP_TOL = 1e-11
 LP_PIVOT_TOL = 1e-9
 LP_PIVOTS_PER_ROW = 50
+LP_SHIFT = 1e-7
 # A seesaw start stops on a sweep gaining <= SEESAW_TOL * rho or after
 # SEESAW_MAX_ITER sweeps.
 SEESAW_TOL = 1e-12
@@ -484,46 +488,41 @@ def _master_lp(
 
     A dense primal simplex over the cut vectors ``b_i`` (rows of ``cuts``)
     from the feasible basis ``basic``, d² column indices, optimal to
-    ``LP_TOL * scale``, ``scale`` being omega's spectral radius.  Returns the
-    optimal Y (the simplex multipliers: <b_i|Y|b_i> >= floor_i for every
-    cut, tr Y = Σ p_i floor_i), the weights p and the optimal basis, which
-    stays feasible when cuts are appended.  Raises ``NumericalError`` when
-    ``LP_PIVOTS_PER_ROW * d²`` pivots do not reach an optimum.
+    ``LP_TOL * scale``, ``scale`` being omega's spectral radius.  Dantzig's
+    rule picks the entering cut and the ratio test on a perturbed I
+    (``LP_SHIFT``; Charnes 1952) the leaving one, so every pivot gains.
+    Returns the optimal Y (the simplex multipliers: <b_i|Y|b_i> >= floor_i
+    for every cut, tr Y = Σ p_i floor_i), the weights p at the unperturbed
+    I and the optimal basis, which stays feasible when cuts are appended.
+    Raises ``NumericalError`` when ``LP_PIVOTS_PER_ROW * d²`` pivots do not
+    reach an optimum.
     """
     herm = _hermitian_basis(cuts.shape[1])
     a = np.einsum("ir,krs,is->ki", cuts.conj(), herm, cuts).real
     rhs = np.trace(herm, axis1=1, axis2=2).real
+    n = len(basic)
+    shifted = rhs + LP_SHIFT * a[:, :n] @ (1.0 + np.arange(n) / n)
     tol = LP_TOL * scale
-    budget = LP_PIVOTS_PER_ROW * len(basic)
+    budget = LP_PIVOTS_PER_ROW * n
     basic = basic.copy()
-    stalled = 0
     for pivots in range(budget + 1):
         inv = np.linalg.inv(a[:, basic])
-        x = inv @ rhs
         y = floors[basic] @ inv
         reduced = floors - y @ a
         reduced[basic] = 0.0
-        entering = np.flatnonzero(reduced > tol)
-        if not entering.size:
+        enter = np.argmax(reduced)
+        if reduced[enter] <= tol:
             p = np.zeros(len(floors))
-            p[basic] = np.maximum(x, 0.0)
+            p[basic] = np.maximum(inv @ rhs, 0.0)
             return np.tensordot(y, herm, axes=1), p, basic
         if pivots == budget:
             raise NumericalError(f"master LP failed: no optimum after {budget} pivots")
-        # Dantzig's rule, and Bland's (lowest indices) once pivots stall,
-        # which cannot cycle on a degenerate vertex
-        if stalled < len(basic):
-            enter = entering[np.argmax(reduced[entering])]
-        else:
-            enter = entering[0]
         step = inv @ a[:, enter]
         rows = np.flatnonzero(step > LP_PIVOT_TOL)
         if not rows.size:
             raise NumericalError(f"master LP failed: cut {enter} has no pivot row")
-        ratio = np.maximum(x[rows], 0.0) / step[rows]
-        ties = rows[ratio <= ratio.min()]
-        basic[ties[np.argmin(basic[ties])]] = enter
-        stalled = stalled + 1 if ratio.min() <= 0.0 else 0
+        ratio = np.maximum(inv[rows] @ shifted, 0.0) / step[rows]
+        basic[rows[np.argmin(ratio)]] = enter
 
 
 def _cut_floors(m4: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,7 +568,7 @@ def det_benchmark(
     product-range search, whose maximizers build the covariant
     measure-and-prepare ``strategy`` that attains it.  Raises
     ``SearchError`` with the last round's report when the cut budget runs
-    out.
+    out, and ``NumericalError`` when a master LP finds no optimum.
     """
     cfg = cfg or PnrConfig()
     d_out, d_in = omega.dims

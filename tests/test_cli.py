@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbench import cli, cv, model
+from qbench import cli, cv, engine, model
 from qbench.canonical import RECIPE_TOL, canonical_det_test
 from qbench.cli import build_parser, main
 from qbench.cv import AnalyticDevice, CvParams, FockCutoff, attenuator_device
@@ -1105,14 +1105,27 @@ def test_small_probabilistic_omega_is_certified(capsys, tmp_path, name, seed):
     assert out["certified"] and out["check"]["deviation"] < 1e-9
 
 
-def test_stalled_master_lp_exits_cleanly(capsys, tmp_path):
-    """``benchmark --test`` on the canonical det test of a four-state
-    coherent ring (alpha = 1.66), whose master LP stalls on a degenerate
-    vertex, exits 2 with one ``qbench: uncertified:`` line, no traceback."""
+def _ring_test_path(tmp_path) -> str:
+    """The canonical det test of a four-state coherent ring (alpha = 1.66),
+    whose master LP meets degenerate vertices."""
     recipe = canonical_det_test(coherent_ring_omega(4, 1.66))
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(det_test_to_json(recipe.as_det_test())))
-    code, out, err = run_cli(capsys, "benchmark", "--test", str(path))
+    return str(path)
+
+
+def test_degenerate_ring_is_certified(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "benchmark", "--test", _ring_test_path(tmp_path))
+    assert (code, err) == (0, "")
+    assert out["certified"] and out["converged"]
+    assert out["lower"] <= out["upper"]
+
+
+def test_failed_master_lp_exits_cleanly(capsys, monkeypatch, tmp_path):
+    """With no pivot budget the master LP fails: ``benchmark --test`` exits 2
+    with one ``qbench: uncertified:`` line, no traceback."""
+    monkeypatch.setattr(engine, "LP_PIVOTS_PER_ROW", 0)
+    code, out, err = run_cli(capsys, "benchmark", "--test", _ring_test_path(tmp_path))
     assert (code, out) == (2, None)
     assert err.startswith("qbench: uncertified: master LP failed") and err.count("\n") == 1
 
