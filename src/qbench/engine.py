@@ -78,6 +78,11 @@ SEESAW_MAX_ITER = 1000
 # peak bytes per seesaw start per max(d_out, d_in)**2, measured with
 # tracemalloc on product_numerical_range: 29-99 at dims from (2,2) to (16,16)
 START_PEAK_PER_D2 = 104
+# peak bytes per qubit grid point, measured the same way on pnr_grid_oracle:
+# 104 at meshes from 0.05 to 0.005
+GRID_PEAK_PER_POINT = 112
+# the qubit basis B = (I, σ_x, σ_y, σ_z) / 2 of the grid oracle's closed form
+_HALF_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]) / 2
 
 
 def __getattr__(name: str):
@@ -128,7 +133,7 @@ class PnrResult:
 
 @dataclass(frozen=True)
 class GridBracket:
-    """Certified two-sided bracket from the exhaustive grid oracle."""
+    """Certified bracket from the exhaustive grid oracle over ``points`` states."""
 
     lower: float
     upper: float
@@ -326,10 +331,10 @@ def product_numerical_range(m: Operator, cfg: PnrConfig | None = None) -> PnrRes
 def _upper_bound(m: Operator, top: float, value: float) -> tuple[float, str]:
     """Certified upper bound on pnr(M) and the name of its certificate: the
     largest eigenvalue ``top`` of ``M`` (``spectral``; a product maximum can
-    never exceed it), or the grid oracle's bound (``grid``) when both factors
-    are at most qubits and the grid lies strictly below ``top``.  That bound
-    never undercuts ``value``, an attained lower end (the search value), so
-    the grid runs only while ``value < top``."""
+    never exceed it), or the closed-form grid oracle's bound (``grid``) when
+    both factors are at most qubits and it lies strictly below ``top``.
+    That bound never undercuts ``value``, an attained lower end (the search
+    value), so the grid runs only while ``value < top``."""
     if max(m.dims) <= 2 and value < top:
         grid = pnr_grid_oracle(m).upper
         if grid < top:
@@ -337,61 +342,55 @@ def _upper_bound(m: Operator, top: float, value: float) -> tuple[float, str]:
     return top, "spectral"
 
 
-def _sphere_grid(dim: int, mesh: float) -> tuple[np.ndarray, float]:
-    """All-states grid on C^1 or C^2 with its covering radius in 2-norm.
+def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
+    """Certified bracket on the product numerical range when both factors
+    are at most qubits, by exhaustion of the smaller one (the input on two
+    qubits); past that ``DimensionError``, and ``CutoffError`` for a grid
+    past ``ARRAY_MAX_BYTES``, before either is built.
 
     C^1 has one state up to phase, so its grid is exact.  On C^2 the Bloch
-    angles run over [0, pi] × [0, 2 pi); d(state)/d(theta) has norm 1/2 and
-    d/d(phi) at most 1, so the covering radius is mesh · (1/2 + 1) / 2.
+    angles run over [0, pi] × [0, 2 pi) in steps of ``mesh``; the state
+    (cos θ/2, e^{iφ} sin θ/2) moves at 1/2 in θ and at most 1 in φ, so the
+    covering radius in 2-norm is mesh · (1/2 + 1) / 2.  With B = (I, σ_x,
+    σ_y, σ_z) / 2 on a qubit and (1) on C^1, a state's projector is
+    Σ_j n_j B_j, n = (1, its Bloch vector), so the block it leaves on the
+    other factor is Σ_k c_k σ_k (σ_0 = I), c_k = Σ_j n_j tr(M (B_k ⊗ B_j)),
+    whose top eigenvalue is c_0 + |(c_1, c_2, c_3)|.  The lower bound is the
+    best grid point; the upper adds the Lipschitz constant 2*||M||_2 of the
+    objective in the gridded vector times the covering radius.
     """
-    if dim == 1:
-        return np.ones((1, 1), dtype=complex), 0.0
-    thetas = np.arange(0.0, np.pi + mesh, mesh)
-    phis = np.arange(0.0, 2 * np.pi, mesh)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    states = np.stack(
-        [np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()],
-        axis=1,
-    )
-    return states, 0.5 * mesh * (0.5 + 1.0)
-
-
-def pnr_grid_oracle(m: Operator, mesh: float = 0.05) -> GridBracket:
-    """Certified bracket on the product numerical range by exhaustion.
-
-    Grids the smaller factor's state space, which must be at most a
-    qubit, and solves the other factor exactly by eigendecomposition.  The
-    lower bound is the best grid point, so the bracket needs no seesaw.
-    The upper bound follows from the Lipschitz constant 2*||M||_2 of the
-    objective in the gridded vector together with the grid's covering
-    radius.  The total dimension is capped at 16, which bounds the
-    conditioned blocks.
-    """
+    if max(m.dims) > 2:
+        raise DimensionError(f"grid oracle needs both factors at most qubits, got dims {m.dims}")
     if not m.is_hermitian():
         raise ContractError("grid oracle needs a Hermitian operator")
-    d_out, d_in = m.dims
-    if min(d_out, d_in) > 2 or d_out * d_in > 16:
-        raise DimensionError(
-            f"grid oracle needs a qubit factor and total dimension at most 16, "
-            f"got dims {m.dims}"
-        )
-    if mesh <= 0 or mesh > 0.5:
+    if not 0 < mesh <= 0.5:
         raise ContractError(f"mesh must lie in (0, 0.5], got {mesh}")
-    m4 = m.matrix.reshape(d_out, d_in, d_out, d_in)
+    d_out, d_in = m.dims
+    # table[j, k] = tr(M (B_k ⊗ B_j)), j on the gridded factor; n is a column of bloch
+    basis = [_HALF_PAULIS if d == 2 else np.ones((1, 1, 1)) for d in m.dims]
+    table = np.einsum("xrys,kyx,jsr->jk", m.matrix.reshape(d_out, d_in, d_out, d_in), *basis).real
     if d_in > d_out:
-        # grid the output factor: swap the factors' roles
-        m4, d_out, d_in = m4.transpose(1, 0, 3, 2), d_in, d_out
-    states, radius = _sphere_grid(d_in, mesh)
-    conditioned = (_outer_rows(states) @ _pair_matrix(m4)).reshape(-1, d_out, d_out)
-    conditioned = 0.5 * (conditioned + np.conj(np.transpose(conditioned, (0, 2, 1))))
-    grid_max = float(np.max(np.linalg.eigvalsh(conditioned)[:, -1]))
+        table, d_in = table.T, d_out  # grid the output factor instead
+    bloch, radius = np.ones((1, 1)), 0.0
+    if d_in == 2:
+        points = np.ceil((np.pi + mesh) / mesh) * np.ceil(2 * np.pi / mesh)
+        check_bytes(GRID_PEAK_PER_POINT * points, f"a mesh-{mesh} grid of {points:.0f} points")
+        theta, phi = np.arange(0.0, np.pi + mesh, mesh)[:, None], np.arange(0.0, 2 * np.pi, mesh)
+        bloch = np.stack(np.broadcast_arrays(
+            1.0, np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        )).reshape(4, -1)
+        radius = 0.5 * mesh * (0.5 + 1.0)
+    # an exact power-of-two scale keeps the norm's squares from over- or underflowing
+    exp = np.frexp(np.abs(table).max())[1]
+    c = np.ldexp(table, -exp).T @ bloch
+    grid_max = float(np.ldexp(np.max(c[0] + np.linalg.norm(c[1:], axis=0)), exp))
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(m.matrix))))
     return GridBracket(
         lower=grid_max,
         upper=grid_max + 2.0 * spectral * radius,
         mesh=mesh,
         cover_radius=radius,
-        points=states.shape[0],
+        points=bloch.shape[1],
     )
 
 

@@ -69,6 +69,22 @@ def rand_bipartite_hermitian(d1: int, d2: int, rng) -> Operator:
     return Operator(rand_hermitian(d1 * d2, rng), (d1, d2))
 
 
+def grid_reference(m4: np.ndarray, mesh: float) -> tuple[float, int]:
+    """The grid oracle's lower end point by point: the (θ, φ) states
+    (cos θ/2, e^{iφ} sin θ/2) of the smaller factor as complex vectors (the
+    one state on C^1), each conditioned block solved by ``eigvalsh``;
+    returns the best top eigenvalue and the state count."""
+    if m4.shape[1] > m4.shape[0]:
+        m4 = m4.transpose(1, 0, 3, 2)
+    states = np.ones((1, 1))
+    if m4.shape[1] == 2:
+        tt, pp = np.meshgrid(np.arange(0.0, np.pi + mesh, mesh), np.arange(0.0, 2 * np.pi, mesh),
+                             indexing="ij")
+        states = np.stack([np.cos(tt / 2).ravel(), (np.exp(1j * pp) * np.sin(tt / 2)).ravel()], 1)
+    blocks = np.einsum("nr,xrys,ns->nxy", states.conj(), m4, states)
+    return float(np.linalg.eigvalsh(blocks)[:, -1].max()), len(states)
+
+
 def rand_separable(
     d_out: int, d_in: int, rng, terms: int = 3, in_rank: int | None = None
 ) -> Operator:
@@ -281,9 +297,9 @@ class TestGridOracle:
             assert br.lower - 1e-9 <= res.value <= br.upper + 1e-9
 
     def test_dimension_guard(self):
-        # no qubit factor: a (3,3) grid at mesh 0.05 would hold ~1.7e7 states,
-        # a (4,4) one ~7e10, so both are refused before allocating
-        for dims in [(3, 6), (3, 3), (4, 4)]:
+        # the closed form takes blocks of at most 2×2, so any factor past a
+        # qubit is refused before allocating, (2,3), (3,2) and (2,8) included
+        for dims in [(3, 6), (3, 3), (4, 4), (2, 3), (3, 2), (2, 8)]:
             m = Operator(np.eye(dims[0] * dims[1]), dims)
             tracemalloc.start()
             try:
@@ -295,8 +311,70 @@ class TestGridOracle:
             assert peak < 2**20, (dims, peak)
 
     def test_mesh_guard(self):
-        with pytest.raises(ContractError):
-            pnr_grid_oracle(teleport_test(2).omega, mesh=0.0)
+        # a NaN mesh used to pass `mesh <= 0 or mesh > 0.5` and die in np.arange
+        for mesh in (0.0, float("nan")):
+            with pytest.raises(ContractError, match="mesh must lie"):
+                pnr_grid_oracle(teleport_test(2).omega, mesh=mesh)
+
+    def test_too_fine_grid_is_refused(self):
+        # mesh 1e-4 would hold ~2e9 grid points (~200 GiB): refused unbuilt
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffError, match="grid of 1973992944 points needs"):
+                pnr_grid_oracle(teleport_test(2).omega, mesh=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_no_eigensolver_per_grid_point(self, monkeypatch):
+        # each point's top eigenvalue is closed form: the one LAPACK call is
+        # the spectral radius of M itself
+        omega, shapes = teleport_test(2).omega, []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def recording(a, *args, _solver=solver, **kwargs):
+                shapes.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        pnr_grid_oracle(omega)
+        assert shapes == [(4, 4)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 1), (1, 2), (1, 1)]),
+        kind=st.sampled_from(["random", "identity", "out", "in"]),
+        exponent=st.integers(-200, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(2, 2), kind="random", exponent=-200, seed=0)
+    @example(dims=(2, 2), kind="identity", exponent=150, seed=0)
+    @example(dims=(2, 2), kind="out", exponent=-100, seed=1)
+    @example(dims=(2, 2), kind="in", exponent=0, seed=2)
+    @example(dims=(1, 2), kind="identity", exponent=-100, seed=3)
+    @example(dims=(2, 1), kind="out", exponent=100, seed=4)
+    def test_closed_form_matches_per_point_eigvalsh(self, dims, kind, exponent, seed):
+        # degenerate kinds: M ∝ I and M = A ⊗ I leave the same block at
+        # every grid point, M = I ⊗ B a multiple of I; at 1e-200 an unscaled
+        # norm's squares underflow
+        rng = np.random.default_rng(seed)
+        d_out, d_in = dims
+        m = {
+            "random": lambda: rand_hermitian(d_out * d_in, rng),
+            "identity": lambda: rng.normal() * np.eye(d_out * d_in),
+            "out": lambda: np.kron(rand_hermitian(d_out, rng), np.eye(d_in)),
+            "in": lambda: np.kron(np.eye(d_out), rand_hermitian(d_in, rng)),
+        }[kind]() * 10.0**exponent
+        op = Operator(m, dims)
+        rho = np.abs(np.linalg.eigvalsh(op.matrix)).max()
+        br = pnr_grid_oracle(op, mesh=0.05)
+        ref, points = grid_reference(m.reshape(d_out, d_in, d_out, d_in), 0.05)
+        assert abs(br.lower - ref) <= 1e-13 * rho
+        assert br.points == points == (8064 if dims == (2, 2) else 1)
+        assert br.cover_radius == (0.5 * 0.05 * (0.5 + 1.0) if dims == (2, 2) else 0.0)
+        assert br.upper == br.lower + 2.0 * rho * br.cover_radius
 
     def test_independent_of_the_seesaw(self, monkeypatch):
         # the grid checks the seesaw, so it must not run it
