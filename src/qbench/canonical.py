@@ -28,11 +28,13 @@ from .linalg import (
     Operator,
     PureState,
     frobenius_norm,
+    json_scalar,
     operator_from_json,
     operator_to_json,
     partial_trace,
     partial_transpose,
     purify,
+    reading,
     state_from_json,
     state_to_json,
     support_mask,
@@ -263,15 +265,12 @@ def recipe_to_json(recipe: CanonicalTestRecipe) -> dict:
 
 
 def recipe_from_json(data: dict) -> CanonicalTestRecipe:
-    try:
+    with reading("recipe"):
         return CanonicalTestRecipe(
             input_state=state_from_json(data["input_state"]),
             observable=operator_from_json(data["observable"]),
             tau_A=operator_from_json(data["tau_A"]),
-            offset=float(data.get("offset", 0.0)),
-            benchmark=(
-                None if data.get("benchmark") is None else float(data["benchmark"])
-            ),
+            offset=json_scalar(data.get("offset", 0.0), float, "offset"),
+            benchmark=None if data.get("benchmark") is None
+                else json_scalar(data["benchmark"], float, "benchmark"),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ContractError(f"malformed recipe payload: {err}") from err

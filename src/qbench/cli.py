@@ -62,7 +62,7 @@ from .cv import (
     vacuum_device,
 )
 from .engine import DEFAULT_RESTARTS, DEFAULT_SEED, PnrConfig, det_benchmark, prob_benchmark
-from .errors import ContractError, CutoffError, SupportError, ToolkitError
+from .errors import ContractError, CutoffError, ToolkitError
 from .linalg import Operator, frobenius_norm, operator_from_json, operator_to_json
 from .model import (
     Channel,
@@ -117,6 +117,8 @@ def _load_json(path: str) -> dict:
             raise _UsageError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
         except UnicodeDecodeError as err:
             raise _UsageError(f"{path} is not UTF-8 text: {err.reason}") from err
+        except (RecursionError, ValueError) as err:  # nested too deep; an int past 4300 digits
+            raise _UsageError(f"{path} does not parse: {err}") from err
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -472,15 +474,6 @@ def main(argv=None) -> int:
     except (_UsageError, OSError) as err:
         print(f"qbench: error: {err}", file=sys.stderr)
         return 1
-    except SupportError as err:
-        where = ""
-        if err.direction is not None:
-            lead = np.array2string(
-                err.direction[:6], precision=4, suppress_small=True
-            )
-            where = f" (violating direction leads {lead})"
-        print(f"qbench: uncertified: {err}{where}", file=sys.stderr)
-        return 2
     except ToolkitError as err:
         print(f"qbench: uncertified: {err}", file=sys.stderr)
         return 2

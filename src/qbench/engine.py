@@ -628,11 +628,11 @@ def det_benchmark(
     meas = weighted @ root.T
     strategy = Channel(preps[keep][:, :, None] * meas.conj()[:, None, :])
 
-    # Y is singular, up to the LP's tolerance, on input directions omega
-    # does not reach; any full-rank tau gives a valid upper bound
+    # Y is singular, up to the LP's tolerance, on input directions omega does not
+    # reach; any full-rank tau gives a valid upper bound, I / d_in where tr Y = 0
     w, v = np.linalg.eigh(y)
     w = np.maximum(w, CUT_TOL * w[-1])
-    tau = (v * (w / w.sum())) @ v.conj().T
+    tau = (v * (w / w.sum())) @ v.conj().T if w.sum() > 0 else np.eye(d_in) / d_in
     sandwiched = _sandwich(omega, tau)
     # the strategy's score is at most pnr(sandwiched): an attained lower end
     score = score_det_jam(omega, jamiolkowski(strategy))

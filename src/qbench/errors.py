@@ -25,10 +25,13 @@ class SupportError(ContractError):
     """An operator sticks out of the support it must live on.
 
     ``direction`` holds the offending unit vector so the caller can see
-    where the support condition fails.
+    where the support condition fails; the message names its lead entries.
     """
 
     def __init__(self, message: str, direction: np.ndarray | None = None):
+        if direction is not None:
+            lead = np.array2string(direction[:6], precision=4, suppress_small=True)
+            message = f"{message} (violating direction leads {lead})"
         super().__init__(message)
         self.direction = direction
 

@@ -10,12 +10,14 @@ All values are immutable after construction and every function is pure.
 
 from __future__ import annotations
 
+import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError
+from .errors import ContractError, DimensionError, NumericalError, ToolkitError
 
 # Default tolerances, shared repo-wide.
 HERM_TOL = 1e-9        # relative Frobenius hermiticity tolerance
@@ -46,6 +48,33 @@ def check_finite(arr: np.ndarray, what: str) -> None:
     The one admission rule for every array a value type or channel keeps."""
     if not np.isfinite(frobenius_norm(arr)):
         raise ContractError(f"{what} must have a finite Frobenius norm (no NaN/Inf, no entry past ~1e154)")
+
+
+@contextmanager
+def reading(what: str):
+    """The one admission rule for JSON payloads: a missing key, or a value of the wrong type
+    or range, is ``ContractError("malformed <what> JSON: ...")``; the package's own errors,
+    raised inside, keep their class."""
+    try:
+        yield
+    except ToolkitError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"malformed {what} JSON: {exc}") from exc
+
+
+def positive_ints(values, name: str) -> tuple[int, ...]:
+    """``values``, a non-empty JSON list of positive integers (``true`` is none), as a tuple."""
+    if not (isinstance(values, list) and values and all(type(v) is int and v > 0 for v in values)):
+        raise ValueError(f"{name} must list JSON integers above 0: {reprlib.repr(values)}")
+    return tuple(values)
+
+
+def json_scalar(value, kind: type, name: str):
+    """``value``, a JSON boolean for ``kind`` bool or a number for float, as ``kind``."""
+    if type(value) not in ((bool,) if kind is bool else (int, float)):
+        raise TypeError(f"{name} must be a JSON {'boolean' if kind is bool else 'number'}")
+    return kind(value)
 
 
 def _as_complex(a) -> np.ndarray:
@@ -279,20 +308,12 @@ def _complex_to_json(dims: tuple[int, ...], arr: np.ndarray) -> dict:
 
 
 def _complex_from_json(data: dict, what: str) -> tuple[np.ndarray, Sequence[int]]:
-    try:
-        dims = data["dims"]
+    with reading(what):
+        dims = positive_ints(data["dims"], "dims")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"malformed {what} JSON: {exc}") from exc
-    # bool is an int subclass, but true is not a dimension
-    if not (isinstance(dims, list) and dims and all(type(d) is int and d > 0 for d in dims)):
-        raise ContractError(
-            f"malformed {what} JSON: dims must be a non-empty list of positive "
-            f"integers, got {dims!r}"
-        )
-    if re.shape != im.shape:
-        raise ContractError(f"{what} JSON re/im shapes differ")
+        if re.shape != im.shape:
+            raise ValueError(f"re and im shapes {re.shape} and {im.shape} differ")
     return re + 1j * im, dims
 
 

@@ -28,8 +28,11 @@ from .linalg import (
     PureState,
     check_finite,
     frobenius_norm,
+    json_scalar,
     operator_from_json,
     operator_to_json,
+    positive_ints,
+    reading,
 )
 
 IMAG_TOL = 1e-9  # imaginary residue of a pairing Tr AB, per ||A||_F * ||B||_F
@@ -385,10 +388,11 @@ def channel_to_json(c: Channel) -> dict:
 
 
 def _compact_kraus(data: dict) -> np.ndarray:
-    """The Kraus array of a compact ``kraus`` entry; its dense size is checked
-    against ``ARRAY_MAX_BYTES`` before anything is allocated."""
-    shape = tuple(int(n) for n in data["shape"])
-    if len(shape) != 3 or min(shape) < 1:
+    """The Kraus array of a compact ``kraus`` entry, read under the channel's
+    :func:`reading`; its dense size is checked against ``ARRAY_MAX_BYTES``
+    before anything is allocated."""
+    shape = positive_ints(data["shape"], "shape")
+    if len(shape) != 3:
         raise ValueError(f"shape {shape} is not (K, d_out, d_in)")
     size = shape[0] * shape[1] * shape[2]
     check_bytes(16 * size, f"channel file's {shape} Kraus array, as complex,")
@@ -413,7 +417,7 @@ def _compact_kraus(data: dict) -> np.ndarray:
 def channel_from_json(data: dict) -> Channel:
     """A channel from :func:`channel_to_json`'s compact form, or from the
     dense form, one ``{"re", "im"}`` pair of nested lists per operator."""
-    try:
+    with reading("channel"):
         if isinstance(data["kraus"], dict):
             kraus = _compact_kraus(data["kraus"])
         else:
@@ -422,14 +426,10 @@ def channel_from_json(data: dict) -> Channel:
                 re, im = np.asarray(k["re"], dtype=float), np.asarray(k["im"], dtype=float)
                 # an all-zero imaginary part keeps a real operator real
                 kraus.append(re + 1j * im if im.any() else re)
-        tp = bool(data.get("trace_preserving", True))
-    except CutoffError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"malformed channel JSON: {exc}") from exc
-    c = Channel(kraus, tp)
-    shape = c.dims_out, c.dims_in
-    declared = data.get("dims_out", shape[0]), data.get("dims_in", shape[1])
+        c = Channel(kraus, json_scalar(data.get("trace_preserving", True), bool, "trace_preserving"))
+        shape = c.dims_out, c.dims_in
+        sizes = [data.get("dims_out", shape[0]), data.get("dims_in", shape[1])]
+        declared = positive_ints(sizes, "dims_out and dims_in")
     if declared != shape:
         raise DimensionError(f"Kraus shape {shape} conflicts with dims {declared}")
     return c
@@ -443,13 +443,8 @@ def det_test_to_json(t: DetTest) -> dict:
 
 
 def det_test_from_json(data: dict) -> DetTest:
-    try:
-        return DetTest(
-            operator_from_json(data["sigma_AR"]),
-            operator_from_json(data["observable"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ContractError(f"malformed deterministic-test JSON: {exc}") from exc
+    with reading("deterministic-test"):
+        return DetTest(operator_from_json(data["sigma_AR"]), operator_from_json(data["observable"]))
 
 
 def prob_test_to_json(t: ProbTest) -> dict:
@@ -460,10 +455,5 @@ def prob_test_to_json(t: ProbTest) -> dict:
 
 
 def prob_test_from_json(data: dict) -> ProbTest:
-    try:
-        return ProbTest(
-            operator_from_json(data["omega"]),
-            operator_from_json(data["sigma_A"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ContractError(f"malformed probabilistic-test JSON: {exc}") from exc
+    with reading("probabilistic-test"):
+        return ProbTest(operator_from_json(data["omega"]), operator_from_json(data["sigma_A"]))

@@ -88,6 +88,29 @@ def test_no_module_raises_a_bare_arithmetic_error():
     assert raised == []
 
 
+def test_only_the_json_rule_catches_key_or_type_errors():
+    # One rule admits JSON payloads: linalg.reading turns a missing key or a
+    # mistyped value into ContractError.  A handler for KeyError or TypeError
+    # (or one broad enough to take them) anywhere else is a second copy of it.
+    def takes(handler: ast.ExceptHandler) -> bool:
+        if handler.type is None:
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        broad = {"KeyError", "TypeError", "LookupError", "Exception", "BaseException"}
+        return any(ast.unparse(t) in broad for t in types)
+
+    found, rule = [], []
+    for path in sorted(Path(qbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {node for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and (path.name, fn.name) == ("linalg.py", "reading") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and takes(node):
+                (rule if node in inside else found).append(f"{path.name}:{node.lineno}")
+    assert len(rule) == 1
+    assert found == []
+
+
 def test_np_isfinite_is_called_only_by_the_admission_rule():
     # One rule admits arrays: linalg.check_finite, on the Frobenius norm.
     # An np.isfinite scan anywhere else is a second copy of it.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbench import engine
+from qbench import canonical, engine
 from qbench.canonical import (
     CanonicalTestRecipe,
     canonical_det_test,
@@ -21,8 +21,8 @@ from qbench.canonical import (
 from qbench.canonical import tests_equivalent_det as equivalent_det
 from qbench.canonical import tests_equivalent_prob as equivalent_prob
 from qbench.engine import PnrConfig
-from qbench.errors import ContractError, DimensionError, SearchError, SupportError
-from qbench.linalg import Operator, PureState, partial_trace, partial_transpose
+from qbench.errors import ContractError, CutoffError, DimensionError, SearchError, SupportError
+from qbench.linalg import Operator, PureState, partial_trace, partial_transpose, state_to_json
 from qbench.model import (
     Channel,
     DetTest,
@@ -332,3 +332,28 @@ class TestFullyBlackbox:
     def test_malformed_recipe_rejected(self):
         with pytest.raises(ContractError):
             recipe_from_json({"observable": {}})
+
+    def test_recipe_json_keeps_the_package_error_class(self, monkeypatch):
+        data = recipe_to_json(canonical_det_test(teleport_test(2).omega))
+        # an observable on (2, 2) against a state whose reference dim is 4
+        state = PureState(np.eye(8)[0], (2, 4))
+        with pytest.raises(DimensionError, match="reference dim"):
+            recipe_from_json(data | {"input_state": state_to_json(state)})
+
+        def refuse(_):
+            raise CutoffError("too tall", suggested_n_max=3)
+
+        monkeypatch.setattr(canonical, "state_from_json", refuse)
+        with pytest.raises(CutoffError, match="n_max=3"):
+            recipe_from_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value", [("offset", "0"), ("offset", True), ("offset", None), ("offset", 10**400),
+                         ("benchmark", "0.5"), ("benchmark", False), ("benchmark", [0.5])],
+        ids=["offset-text", "offset-true", "offset-null", "offset-past-float", "benchmark-text",
+             "benchmark-false", "benchmark-list"],
+    )
+    def test_recipe_scalars_are_json_numbers(self, field, value):
+        data = recipe_to_json(canonical_det_test(teleport_test(2).omega))
+        with pytest.raises(ContractError, match=f"malformed recipe JSON: .*{field}|too large"):
+            recipe_from_json(data | {field: value})

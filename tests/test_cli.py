@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -18,17 +22,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbench import cli, cv, engine, model
-from qbench.canonical import RECIPE_TOL, canonical_det_test
+from qbench.canonical import RECIPE_TOL, canonical_det_test, recipe_from_json, recipe_to_json
 from qbench.cli import build_parser, main
 from qbench.cv import AnalyticDevice, CvParams, FockCutoff, attenuator_device
-from qbench.linalg import Operator, operator_to_json
+from qbench.errors import ToolkitError
+from qbench.linalg import Operator, operator_from_json, operator_to_json, state_from_json
 from qbench.model import (
     Channel,
     DetTest,
     ProbTest,
+    channel_from_json,
     channel_to_json,
+    det_test_from_json,
     det_test_to_json,
     performance_operator,
+    prob_test_from_json,
     prob_test_to_json,
 )
 from qbench.presets import chsh_test, equator_test, teleport_test
@@ -1154,3 +1162,157 @@ def test_integer_flags_exit_cleanly(builtin, seed, restarts):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# JSON admission: one rule refuses every malformed payload
+
+_PROJECTOR = {"shape": [1, 2, 2], "index": [0], "re": [1.0]}  # |0><0|, trace-decreasing
+_DEEP = "[" * 200_000 + "]" * 200_000  # 400 KB: under the byte guard, too deep to parse
+_CV = ("cv", "--device", "@{}", "--cutoff", "4")
+
+# argv with the file's place left open, the file's text, the exit code and a
+# word the one stderr line must hold
+_MALFORMED_FILES = {
+    "shape-infinity": (_CV, {"kraus": _PROJECTOR | {"shape": [math.inf, 2, 2]}}, 2, "shape"),
+    "shape-fraction": (_CV, {"kraus": _PROJECTOR | {"shape": [1.5, 2, 2]}}, 2, "shape"),
+    "shape-true": (_CV, {"kraus": _PROJECTOR | {"shape": [True, 2, 2]}}, 2, "shape"),
+    "shape-text": (_CV, {"kraus": _PROJECTOR | {"shape": ["1", "2", "2"]}}, 2, "shape"),
+    # |0> prepared from the one-dimensional input: d_in is 1, and true == 1 in Python
+    "dims-in-true": (_CV, {"kraus": {"shape": [1, 2, 1], "index": [0], "re": [1.0]},
+                           "dims_in": True}, 2, "dims_in"),
+    "trace-preserving-text": (_CV, {"kraus": _PROJECTOR, "trace_preserving": "false"}, 2,
+                              "trace_preserving"),
+    "trace-preserving-null": (_CV, {"kraus": _PROJECTOR, "trace_preserving": None}, 2,
+                              "trace_preserving"),
+    "omega-deep": (("benchmark", "--omega", "{}"), _DEEP, 1, "does not parse"),
+    "test-deep": (("benchmark", "--test", "{}"), _DEEP, 1, "does not parse"),
+    "kraus-deep": (_CV, _DEEP, 1, "does not parse"),
+    "omega-long-integer": (("benchmark", "--omega", "{}"), "1" * 5000, 1, "4300 digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FILES))
+def test_malformed_file_ends_in_one_line(tmp_path, case):
+    """Sizes are positive JSON integers, ``trace_preserving`` a JSON boolean:
+    anything else is a malformed file (exit 2), and text nested too deep to
+    parse is a parse error (exit 1); either way one ``qbench:`` stderr line
+    naming the fault, and no report."""
+    template, content, want, needle = _MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(path) for arg in template])
+    assert (code, out.getvalue()) == (want, "")
+    assert err.getvalue().startswith("qbench: ") and err.getvalue().count("\n") == 1
+    assert needle in err.getvalue()
+
+
+def test_zero_observable_det_test_certifies_zero(capsys, tmp_path):
+    """A det test whose observable is 0 scores 0 on every device: its
+    threshold is [0, 0], certified, with the maximally mixed tau_min."""
+    test = DetTest(Operator(np.eye(4) / 4, (2, 2)), Operator(np.zeros((4, 4)), (2, 2)))
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(det_test_to_json(test)))
+    code, out, err = run_cli(capsys, "benchmark", "--test", str(path))
+    assert (code, err) == (0, "")
+    assert (out["lower"], out["upper"], out["converged"]) == (0.0, 0.0, True)
+    assert np.allclose(out["tau_min"]["re"], np.eye(2) / 2)
+
+
+# small valid payloads of every reader, as json.load returns them
+_VALID_PAYLOADS = [
+    json.loads(json.dumps(payload)) for payload in (
+        operator_to_json(Operator(np.eye(4) / 4, (2, 2))),
+        det_test_to_json(DetTest(Operator(np.eye(4) / 4, (2, 2)), Operator(np.eye(4), (2, 2)))),
+        prob_test_to_json(teleport_test(2)),
+        channel_to_json(Channel.identity(2)),
+        {"kraus": [{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}], "trace_preserving": True},
+        recipe_to_json(canonical_det_test(teleport_test(2).omega)),
+    )
+]
+
+
+def _paths(node, path=()):
+    """Every key path into ``node``, into the first two items of a list."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node[:2]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_KEYS = sorted({path[-1] for payload in _VALID_PAYLOADS for path in _paths(payload)
+                if path and isinstance(path[-1], str)})
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from([2**63, 10**30])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _variants(node) -> list:
+    """Near misses of a JSON node: the same number as another JSON type, a
+    neighbour, a non-finite value, a list one item short or long."""
+    if isinstance(node, bool):
+        return [not node, int(node), str(node).lower(), None]
+    if isinstance(node, (int, float)):
+        return [float(node), int(node) + 1, -node, node * 1e200, True, str(node), [node], math.nan]
+    if isinstance(node, list):
+        return [node[:-1], node + node[-1:], []]
+    return [None]
+
+
+@st.composite
+def _json_payloads(draw):
+    """An arbitrary JSON value, or a valid payload as it is or with one node
+    replaced by a near miss or an arbitrary value, or dropped."""
+    kind = draw(st.sampled_from(["any", "valid", "near", "replaced", "dropped"]))
+    if kind == "any":
+        return draw(_JSON_VALUES)
+    payload = copy.deepcopy(draw(st.sampled_from(_VALID_PAYLOADS)))
+    if kind == "valid":
+        return payload
+    path = draw(st.sampled_from(list(_paths(payload))[1:]))
+    parent = functools.reduce(operator.getitem, path[:-1], payload)
+    if kind == "dropped" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif kind == "near":
+        parent[path[-1]] = draw(st.sampled_from(_variants(parent[path[-1]])))
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return payload
+
+
+_READERS = (operator_from_json, state_from_json, channel_from_json, det_test_from_json,
+            prob_test_from_json, recipe_from_json)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=_json_payloads())
+@example(value={"kraus": _PROJECTOR | {"shape": [math.inf, 2, 2]}})
+@example(value={"kraus": _PROJECTOR | {"shape": [10**30, 10**30, 1]}})
+@example(value={"kraus": _PROJECTOR, "dims_out": [2], "dims_in": 2.0})
+@example(value=_VALID_PAYLOADS[-1] | {"offset": 10**400})
+def test_any_json_value_is_read_or_refused(value):
+    """Every reader returns a value or raises a ToolkitError; written to a
+    file, the value gives ``--omega``, ``--test`` and ``@device`` runs exit
+    0, 1 or 2, with no exception and no warning."""
+    for read in _READERS:
+        try:
+            read(value)
+        except ToolkitError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(value))  # NaN and Infinity as json.load reads them
+        for argv in (("benchmark", "--omega", path), ("benchmark", "--test", path),
+                     ("cv", "--device", f"@{path}", "--cutoff", "4")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert code in (0, 1, 2), argv
+            assert code == 0 or err.getvalue().count("\n") == 1, (argv, err.getvalue())

@@ -410,6 +410,12 @@ def grid_calls(monkeypatch):
 
 
 class TestDetBenchmark:
+    def test_zero_operator_has_the_zero_threshold(self):
+        # tr Y = 0: the bracket is [0, 0] at the maximally mixed tau_min
+        report = det_benchmark(Operator(np.zeros((4, 4)), (2, 2)))
+        assert (report.value, report.upper, report.converged) == (0.0, 0.0, True)
+        assert np.allclose(report.tau_min.matrix, np.eye(2) / 2)
+
     def test_grid_only_for_the_final_bracket(self, grid_calls):
         # separation runs the seesaw alone; the grid is tried once for the
         # final bracket, and here its bound lies above the spectral one

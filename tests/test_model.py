@@ -571,3 +571,35 @@ class TestJson:
     def test_malformed_compact_channel_rejected(self, kraus):
         with pytest.raises(ContractError, match="malformed channel JSON"):
             channel_from_json({"kraus": kraus})
+
+
+_PROJECTOR = {"shape": [1, 2, 2], "index": [0], "re": [1.0]}  # |0><0|, trace-decreasing
+
+
+class TestJsonAdmission:
+    @pytest.mark.parametrize(
+        "shape", [[float("inf"), 2, 2], [1.5, 2, 2], [True, 2, 2], ["1", "2", "2"]],
+        ids=["infinity", "fraction", "true", "text"],
+    )
+    def test_compact_shape_takes_positive_json_integers(self, shape):
+        with pytest.raises(ContractError, match="malformed channel JSON: shape"):
+            channel_from_json({"kraus": _PROJECTOR | {"shape": shape}, "trace_preserving": False})
+
+    @pytest.mark.parametrize("key", ["dims_in", "dims_out"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_declared_dims_are_positive_json_integers(self, key, value):
+        # the preparation of |0> from a one-dimensional input: both dims are 1
+        # where dims_in is d_in, and true == 1.0 == 1 in Python
+        data = {"kraus": {"shape": [1, 1, 1], "index": [0], "re": [1.0]}, key: value}
+        with pytest.raises(ContractError, match=f"malformed channel JSON: .*{key}"):
+            channel_from_json(data)
+
+    @pytest.mark.parametrize("value", ["false", None, 0, 1])
+    def test_trace_preserving_is_a_json_boolean(self, value):
+        with pytest.raises(ContractError, match="malformed channel JSON: trace_preserving"):
+            channel_from_json({"kraus": _PROJECTOR, "trace_preserving": value})
+
+    def test_absent_trace_preserving_means_true(self):
+        assert channel_from_json({"kraus": _PROJECTOR | {"index": [0, 3], "re": [1.0, 1.0]}}).trace_preserving
+        with pytest.raises(ContractError, match="must sum to I"):
+            channel_from_json({"kraus": _PROJECTOR})
